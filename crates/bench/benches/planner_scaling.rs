@@ -1,10 +1,12 @@
-//! The planner's perf-trajectory suite: partition DP, LAP solve,
-//! end-to-end planning at 2/4/8/16 requests (frozen sequential reference
-//! vs the cached runtime at 1 and 4 threads), an online window replan,
-//! and the recovery re-plan after a processor dropout. After running,
-//! writes the measurements to `BENCH_planner.json`
-//! (path overridable via `H2P_BENCH_OUT`) so `scripts/ci.sh` and future
-//! PRs have a machine-readable trajectory to regress against.
+//! The planner's perf-trajectory suite: partition DP, LAP solve, the
+//! contention-mitigation pass, end-to-end planning at 2/4/8/16 requests
+//! (frozen sequential reference vs the cached runtime at 1 and 4
+//! threads), simulated execution of a planned 8-request pipeline, an
+//! online window replan, and the recovery re-plan after a processor
+//! dropout. After running, writes the measurements to
+//! `BENCH_planner.json` (path overridable via `H2P_BENCH_OUT`) so
+//! `scripts/ci.sh` and future PRs have a machine-readable trajectory to
+//! regress against.
 //!
 //! `H2P_BENCH_QUICK=1` shrinks sampling so the suite finishes in seconds;
 //! `scripts/bench.sh` wraps both modes.
@@ -13,13 +15,14 @@ use std::sync::Arc;
 
 use criterion::{BenchResult, BenchmarkId, Criterion};
 
+use h2p_contention::ContentionClass;
 use h2p_models::graph::ModelGraph;
 use h2p_models::zoo::ModelId;
 use h2p_simulator::SocSpec;
 use hetero2pipe::online::OnlinePlanner;
 use hetero2pipe::planner::Planner;
 use hetero2pipe::workload::random_models;
-use hetero2pipe::{lap, par, partition};
+use hetero2pipe::{lap, mitigation, par, partition};
 
 /// The thread count of the parallel end-to-end cases (and the speedup
 /// gate in `bench_check`).
@@ -49,7 +52,7 @@ fn bench_partition_dp(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(id.name()), &n, |b, _| {
             b.iter(|| {
                 tables
-                    .partition_into(&[1, 2, 3], 1, &mut scratch)
+                    .partition_into(&[1, 2, 3], &mut scratch)
                     .expect("feasible")
             })
         });
@@ -90,6 +93,25 @@ fn bench_lap(c: &mut Criterion) {
     });
 }
 
+fn bench_mitigation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("contention_mitigation");
+    for m in [16usize, 64, 128] {
+        let classes: Vec<ContentionClass> = (0..m)
+            .map(|i| {
+                if i % 3 == 0 {
+                    ContentionClass::High
+                } else {
+                    ContentionClass::Low
+                }
+            })
+            .collect();
+        group.bench_with_input(BenchmarkId::from_parameter(m), &classes, |b, cls| {
+            b.iter(|| mitigation::mitigate(cls, 4))
+        });
+    }
+    group.finish();
+}
+
 fn bench_plan_scaling(c: &mut Criterion) {
     let soc = SocSpec::kirin_990();
     let planner = Planner::new(&soc).expect("planner");
@@ -109,6 +131,17 @@ fn bench_plan_scaling(c: &mut Criterion) {
             })
         });
     }
+}
+
+fn bench_simulate(c: &mut Criterion) {
+    // The simulator alone: lowering plus the discrete-event run of one
+    // planned 8-request pipeline.
+    let soc = SocSpec::kirin_990();
+    let planner = Planner::new(&soc).expect("planner");
+    let planned = planner.plan(&workload(8)).expect("plan");
+    c.bench_function("simulate_8_requests", |b| {
+        b.iter(|| planned.execute(&soc).expect("exec"))
+    });
 }
 
 fn bench_online_replan(c: &mut Criterion) {
@@ -254,7 +287,9 @@ fn main() {
     bench_partition_dp(&mut criterion);
     bench_plan_single(&mut criterion);
     bench_lap(&mut criterion);
+    bench_mitigation(&mut criterion);
     bench_plan_scaling(&mut criterion);
+    bench_simulate(&mut criterion);
     bench_online_replan(&mut criterion);
     bench_recovery_replan(&mut criterion);
     bench_serve_sweep(&mut criterion);

@@ -18,8 +18,9 @@ use std::time::Duration;
 use h2p_bench::{arg_str, arg_usize, print_table};
 use h2p_models::graph::ModelGraph;
 use h2p_simulator::{audit, SocSpec};
+use h2p_telemetry::analytics::LatencyProfile;
 use h2p_telemetry::MetricsRegistry;
-use hetero2pipe::executor::{lower_with_arrivals, percentile, response_times};
+use hetero2pipe::executor::{lower_with_arrivals, response_times};
 use hetero2pipe::online::OnlinePlanner;
 use hetero2pipe::plan::PipelinePlan;
 use hetero2pipe::planner::Planner;
@@ -92,20 +93,22 @@ fn main() {
             lint_clean &= h2p_analyze::lint_tasks(&soc, &win_tasks).is_clean();
             windows_audited += 1;
         }
-        let h2p_resp = response_times(&h2p, &arrivals);
+        let h2p_resp = LatencyProfile::compute(&response_times(&h2p, &arrivals))
+            .expect("at least one request");
         metrics.inc("streaming.loads");
         metrics.add("streaming.events", events.len() as u64);
         metrics.gauge("streaming.last_gap_ms", gap_ms);
-        metrics.observe("streaming.p95_ms", percentile(&h2p_resp, 95.0));
+        metrics.observe("streaming.p95_ms", h2p_resp.p95_ms);
         // Serial CPU-Big baseline with the same arrivals: one task per
         // request, FIFO on CPU_B, released at arrival.
-        let serial = serial_with_arrivals(&soc, &requests, &arrivals);
+        let serial = LatencyProfile::compute(&serial_with_arrivals(&soc, &requests, &arrivals))
+            .expect("at least one request");
         rows.push(vec![
             format!("{gap_ms:.0}"),
-            format!("{:.0}", percentile(&h2p_resp, 50.0)),
-            format!("{:.0}", percentile(&h2p_resp, 95.0)),
-            format!("{:.0}", percentile(&serial, 50.0)),
-            format!("{:.0}", percentile(&serial, 95.0)),
+            format!("{:.0}", h2p_resp.p50_ms),
+            format!("{:.0}", h2p_resp.p95_ms),
+            format!("{:.0}", serial.p50_ms),
+            format!("{:.0}", serial.p95_ms),
         ]);
     }
     print_table(

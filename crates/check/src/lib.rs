@@ -39,7 +39,6 @@ pub fn run_standard(opts: CheckOptions) -> Vec<ModelReport> {
         scenarios::planner_bits(opts),
         scenarios::intra_request_bits(opts),
         scenarios::recovery_rounds(),
-        scenarios::serve_admit_shed(opts),
     ]
 }
 

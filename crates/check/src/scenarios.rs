@@ -462,103 +462,3 @@ fn validate_replan(
         Err(e) => Err(format!("replan failed with unexpected error: {e}")),
     }
 }
-
-/// Exhaustive model of the serving front-end's admit/shed race: one
-/// admitter thread pushing two interactive requests races one shedder
-/// thread evicting slack-expired entries from the same
-/// [`h2p_serve::AdmitQueue`] (depth limit 1). Under every interleaving:
-///
-/// * the per-class counters partition the entries and never exceed the
-///   depth limit ([`h2p_serve::AdmitQueue::check_consistency`]);
-/// * every admitted request is accounted exactly once — shed or still
-///   queued, never both, never lost;
-/// * nothing is shed that was never admitted.
-///
-/// The interesting schedule is the one where the shedder runs *between*
-/// the two admissions: the eviction frees the slot, the second admit
-/// succeeds, and the accounting must still balance.
-pub fn serve_admit_shed(opts: CheckOptions) -> ModelReport {
-    let name = "serve_admit_shed(1 admitter, 1 shedder)";
-    explore_exhaustive(
-        name,
-        2,
-        None,
-        opts.exhaustive_cap,
-        opts.stop_on_violation,
-        || {
-            let queue = h2p_serve::AdmitQueue::new([1, 1, 1]);
-            // Both requests arrive at t=0 with solo 5 ms and deadline
-            // 6 ms: at the shed instant t=4 their slack (2 ms) is below
-            // the solo path, so anything queued then is evicted.
-            let mk = |id: usize| h2p_serve::QueuedRequest {
-                id,
-                model: ModelId::SqueezeNet,
-                class: h2p_serve::QosClass::Interactive,
-                arrival_ms: 0.0,
-                solo_ms: 5.0,
-                deadline_ms: 6.0,
-            };
-            let q = &queue;
-            let (admitted, shed) = sync::scope(|s| {
-                let h1 = s.spawn(move || {
-                    let mut ok = Vec::new();
-                    for id in 0..2usize {
-                        if q.try_admit(mk(id)).is_ok() {
-                            ok.push(id);
-                        }
-                    }
-                    ok
-                });
-                let h2 = s.spawn(move || {
-                    q.shed_expired(4.0)
-                        .into_iter()
-                        .map(|r| r.id)
-                        .collect::<Vec<usize>>()
-                });
-                let admitted = match h1.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                let shed = match h2.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                (admitted, shed)
-            });
-            if let Some(problem) = queue.check_consistency() {
-                panic!("queue accounting broken: {problem}");
-            }
-            let (max_total, max_class) = queue.high_water();
-            assert!(
-                max_total <= 1 && max_class[0] <= 1,
-                "depth limit 1 exceeded: total {max_total}, class {max_class:?}"
-            );
-            let remaining: Vec<usize> = queue
-                .pop_batch(usize::MAX)
-                .into_iter()
-                .map(|r| r.id)
-                .collect();
-            assert_eq!(
-                admitted.len(),
-                shed.len() + remaining.len(),
-                "admitted {admitted:?} must equal shed {shed:?} + queued {remaining:?}"
-            );
-            for id in &shed {
-                assert!(
-                    admitted.contains(id),
-                    "request {id} shed without ever being admitted"
-                );
-                assert!(
-                    !remaining.contains(id),
-                    "request {id} both shed and still queued"
-                );
-            }
-            for id in &remaining {
-                assert!(
-                    admitted.contains(id),
-                    "request {id} queued without ever being admitted"
-                );
-            }
-        },
-    )
-}

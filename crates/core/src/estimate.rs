@@ -420,17 +420,10 @@ impl RequestTables {
     /// Bit-identical to [`crate::partition::min_max_partition`] over
     /// `RequestContext::stage_cost` of [`RequestTables::context`] on the
     /// same slots (pinned by unit tests and planner debug assertions).
-    /// `threads` bounds the intra-row fan-out; `1` is fully sequential.
-    pub fn partition_into(
-        &self,
-        slots: &[usize],
-        threads: usize,
-        scratch: &mut DpScratch,
-    ) -> Option<f64> {
+    pub fn partition_into(&self, slots: &[usize], scratch: &mut DpScratch) -> Option<f64> {
         partition::min_max_partition_prefix(
             self.graph.len(),
             slots.len(),
-            threads,
             |a| self.dp_stage(slots, a),
             scratch,
         )
@@ -881,7 +874,7 @@ mod tests {
                 let oracle = crate::partition::min_max_partition(n, slots.len(), |a, i, j| {
                     ctx.stage_cost(est.cost(), a, i, j)
                 });
-                let kernel = tables.partition_into(&slots, 1, &mut scratch);
+                let kernel = tables.partition_into(&slots, &mut scratch);
                 match (oracle, kernel) {
                     (None, None) => {}
                     (Some(p), Some(ms)) => {

@@ -460,20 +460,6 @@ pub fn response_times(report: &ExecutionReport, arrivals: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// The `p`-th percentile (0–100, nearest-rank) of a sample.
-///
-/// # Panics
-///
-/// Panics if the sample is empty or `p` is outside `[0, 100]`.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    assert!(!xs.is_empty(), "percentile of empty sample");
-    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-    let mut s = xs.to_vec();
-    s.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * (s.len() as f64 - 1.0)).round() as usize;
-    s[rank.min(s.len() - 1)]
-}
-
 impl PlannedPipeline {
     /// Convenience: executes this planned pipeline on `soc`.
     ///
@@ -745,19 +731,5 @@ mod tests {
             sum(&second),
             sum(&first)
         );
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 50.0), 3.0);
-        assert_eq!(percentile(&xs, 100.0), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn percentile_rejects_empty() {
-        percentile(&[], 50.0);
     }
 }

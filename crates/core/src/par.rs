@@ -45,8 +45,12 @@ pub const MIN_PARALLEL_ITEMS: usize = 2;
 /// time-slice one another — the measured `plan/t4`-loses-to-`plan/t1`
 /// regression on single-core hosts). `1` means the caller runs the loop
 /// sequentially with zero thread-scope setup.
+///
+/// A sequential request (`threads <= 1`) answers without querying the
+/// available parallelism, which reads cgroup files on Linux and costs
+/// more than a small map: the planner asks once per planned request.
 pub fn worker_count(threads: usize, items: usize) -> usize {
-    if items < MIN_PARALLEL_ITEMS {
+    if threads <= 1 || items < MIN_PARALLEL_ITEMS {
         return 1;
     }
     threads.min(items).min(available_parallelism()).max(1)
@@ -61,26 +65,6 @@ pub fn worker_count(threads: usize, items: usize) -> usize {
 /// the items regardless of chunk size.
 fn chunk_size(items: usize, workers: usize) -> usize {
     (items / (workers * 8)).max(1)
-}
-
-/// Splits `len` items into at most `workers` contiguous, near-even
-/// `(start, end)` half-open spans (the first `len % workers` spans are
-/// one longer). Used by the DP row fan-out, where each span of a row is
-/// written by exactly one worker: static bounds instead of a cursor,
-/// because every span costs the same and the split must be borrowable
-/// as disjoint `&mut` sub-slices up front.
-pub fn span_bounds(len: usize, workers: usize) -> Vec<(usize, usize)> {
-    let w = workers.clamp(1, len.max(1));
-    let base = len / w;
-    let extra = len % w;
-    let mut bounds = Vec::with_capacity(w);
-    let mut start = 0;
-    for i in 0..w {
-        let size = base + usize::from(i < extra);
-        bounds.push((start, start + size));
-        start += size;
-    }
-    bounds
 }
 
 /// Applies `f` to every item and returns the results in item order.
@@ -312,30 +296,6 @@ mod tests {
         assert!(worker_count(64, 1000) <= available_parallelism());
         // Zero threads degrades to sequential, not a panic.
         assert_eq!(worker_count(0, 8), 1);
-    }
-
-    #[test]
-    fn span_bounds_cover_exactly_once() {
-        for len in [0usize, 1, 2, 7, 64, 513] {
-            for workers in [1usize, 2, 3, 4, 16] {
-                let bounds = span_bounds(len, workers);
-                assert!(bounds.len() <= workers.max(1));
-                let mut expect = 0;
-                for &(start, end) in &bounds {
-                    assert_eq!(start, expect, "len={len} workers={workers}");
-                    assert!(end >= start);
-                    expect = end;
-                }
-                assert_eq!(expect, len, "len={len} workers={workers}");
-                // Near-even: no span more than one longer than another.
-                if let (Some(max), Some(min)) = (
-                    bounds.iter().map(|(s, e)| e - s).max(),
-                    bounds.iter().map(|(s, e)| e - s).min(),
-                ) {
-                    assert!(max - min <= 1, "len={len} workers={workers}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -10,34 +10,28 @@
 //!
 //! Three implementations are provided:
 //!
+//! * [`min_max_partition_prefix`] — the planner's production kernel: the
+//!   recurrence specialized for branch-free prefix-sum stage costs
+//!   ([`PrefixStage`]), running over a flat arena ([`DpScratch`]) so the
+//!   steady state touches no allocator. Production reaches it only
+//!   through the planner's subset search, which recovery replans share.
 //! * [`min_max_partition`] — the reference O(n²K) dynamic program. It
 //!   accepts *any* cost oracle, including ones with inter-processor copy
 //!   costs and NPU-unsupported ranges (returned as `None` = infeasible).
-//! * [`min_max_partition_fast`] — the paper's optimized O(nK log n)
-//!   variant exploiting Property 2 (monotonicity): the inner minimization
-//!   becomes a binary search for the balance point between
-//!   `S*(i-1, k-1)` and `T_k(i, j)`, and the per-row search window only
-//!   moves right as `j` grows. Exact for homogeneous stage costs; a fast
-//!   heuristic for heterogeneous ones (see the function's exactness
-//!   caveat — a finding of this reproduction about the paper's
-//!   complexity claim).
-//! * [`min_max_partition_prefix`] — the planner's production kernel: the
-//!   same recurrence specialized for branch-free prefix-sum stage costs
-//!   ([`PrefixStage`]), running over a flat arena ([`DpScratch`]) so the
-//!   steady state touches no allocator, with an optional row fan-out
-//!   over the [`crate::par`] runtime. Bit-identical to
-//!   [`min_max_partition`] over the equivalent oracle by construction
-//!   (same candidate order, same float-op order), pinned by debug
-//!   assertions in the planner and by the kernel proptests.
+//!   The kernel is bit-identical to it over the equivalent oracle by
+//!   construction (same candidate order, same float-op order), pinned by
+//!   debug assertions in the planner and by the kernel proptests.
+//! * [`min_max_partition_exhaustive`] — brute-force enumeration, the
+//!   optimality oracle for both.
+//!
+//! The paper's O(nK log n) Property-2 variant (a binary search for the
+//! balance point) is not implemented: it is exact only when every slot
+//! prices a slice identically, and inexact on heterogeneous processors
+//! (DESIGN.md §7 records the counterexample).
 //!
 //! All DP state is flat and row-major — `s[kk * n + j]` — so one warm
 //! [`DpScratch`] plans any request without allocating, and the inner loop
 //! walks contiguous memory.
-//!
-//! The test suite cross-checks all implementations exhaustively and
-//! property-based.
-
-use crate::{par, sync};
 
 /// Result of partitioning one model across `K` pipeline stages.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,14 +161,6 @@ pub enum PrefixStage<'a> {
     },
 }
 
-/// Minimum inner-row width (number of `j` cells in one `kk` frontier)
-/// before [`min_max_partition_prefix`] fans the row out across worker
-/// threads. One cell is a handful of nanoseconds, so below roughly this
-/// many cells a scoped-thread spawn (tens of microseconds) can only
-/// lose; the zoo's largest model (BERT, 62 layers) stays sequential and
-/// relies on the per-subset fan-out in the planner instead.
-pub const DP_ROW_PAR_MIN: usize = 512;
-
 /// The planner's production DP kernel: the recurrence of
 /// [`min_max_partition`] specialized for [`PrefixStage`] cost rows over
 /// a flat, reusable [`DpScratch`] arena.
@@ -193,17 +179,9 @@ pub const DP_ROW_PAR_MIN: usize = 512;
 /// `finish` (IEEE `max` returns one of its operands unchanged, and the
 /// domain has no NaNs: prefixes are finite, infinities only encode
 /// infeasibility and never reach a successful backtrack).
-///
-/// With `threads > 1` and a row frontier of at least [`DP_ROW_PAR_MIN`]
-/// cells, each row is split into contiguous spans computed by scoped
-/// workers ([`par::span_bounds`]); cells within a row are independent
-/// (they read only the previous row), so the fan-out is trivially
-/// bit-identical to the sequential row and the `h2p-check` model
-/// explores its schedules.
 pub fn min_max_partition_prefix<'a, F>(
     n: usize,
     k: usize,
-    threads: usize,
     stage: F,
     scratch: &mut DpScratch,
 ) -> Option<f64>
@@ -241,54 +219,12 @@ where
         cells += n as u64;
     }
     for kk in 2..=k {
-        let st = stage(kk - 1);
         let (head, tail) = scratch.s.split_at_mut(kk * n);
         let prev = &head[(kk - 1) * n..];
-        let cur = &mut tail[..n];
-        let ch = &mut scratch.choice[kk * n..(kk + 1) * n];
-        let lo_j = kk - 1;
-        let width = n - lo_j;
-        let workers = if width >= DP_ROW_PAR_MIN {
-            par::worker_count(threads, width)
-        } else {
-            1
-        };
-        if workers <= 1 {
-            cells += dp_row_span(st, prev, &mut cur[lo_j..], &mut ch[lo_j..], lo_j, kk);
-        } else {
-            // Carve the row into disjoint contiguous spans, one per
-            // worker; each cell depends only on the (shared, read-only)
-            // previous row, so any schedule produces the sequential row.
-            let mut spans: Vec<(usize, &mut [f64], &mut [u32])> = Vec::with_capacity(workers);
-            let mut rest_c = &mut cur[lo_j..];
-            let mut rest_h = &mut ch[lo_j..];
-            for (b0, b1) in par::span_bounds(width, workers) {
-                let (c0, c1) = rest_c.split_at_mut(b1 - b0);
-                let (h0, h1) = rest_h.split_at_mut(b1 - b0);
-                spans.push((lo_j + b0, c0, h0));
-                rest_c = c1;
-                rest_h = h1;
-            }
-            let span_cells: Vec<u64> = sync::scope(|scope| {
-                let mut iter = spans.into_iter();
-                let first = iter.next();
-                let handles: Vec<_> = iter
-                    .map(|(j0, c, h)| scope.spawn(move || dp_row_span(st, prev, c, h, j0, kk)))
-                    .collect();
-                let mut all = Vec::with_capacity(workers);
-                if let Some((j0, c, h)) = first {
-                    all.push(dp_row_span(st, prev, c, h, j0, kk));
-                }
-                for handle in handles {
-                    match handle.join() {
-                        Ok(c) => all.push(c),
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                }
-                all
-            });
-            cells += span_cells.iter().sum::<u64>();
-        }
+        // Row kk is only defined for j >= kk - 1.
+        let out = &mut tail[kk - 1..n];
+        let ch = &mut scratch.choice[kk * n + kk - 1..(kk + 1) * n];
+        cells += dp_row(stage(kk - 1), prev, out, ch, kk);
     }
     scratch.cells += cells;
     let best = scratch.s[k * n + (n - 1)];
@@ -304,18 +240,11 @@ where
     Some(best)
 }
 
-/// Computes one contiguous span of a DP row: `out[off]` is cell
-/// `j = j0 + off` of row `kk`, minimizing over start points `i` with the
-/// exact candidate order and float-op order of the reference DP. Returns
-/// the number of candidates evaluated.
-fn dp_row_span(
-    st: PrefixStage<'_>,
-    prev: &[f64],
-    out: &mut [f64],
-    ch: &mut [u32],
-    j0: usize,
-    kk: usize,
-) -> u64 {
+/// Computes row `kk` of the DP: `out[off]` is cell `j = kk - 1 + off`,
+/// minimizing over start points `i` with the exact candidate order and
+/// float-op order of the reference DP. Returns the number of candidates
+/// evaluated.
+fn dp_row(st: PrefixStage<'_>, prev: &[f64], out: &mut [f64], ch: &mut [u32], kk: usize) -> u64 {
     const INF: f64 = f64::INFINITY;
     let mut cells = 0u64;
     match st {
@@ -325,7 +254,7 @@ fn dp_row_span(
             copy,
         } => {
             for (off, (o, c)) in out.iter_mut().zip(ch.iter_mut()).enumerate() {
-                let j = j0 + off;
+                let j = kk - 1 + off;
                 // Feasible starts form the suffix [feas_from[j], j];
                 // infeasible candidates would be INF and can never win,
                 // so skipping them preserves the reference's winner
@@ -348,7 +277,7 @@ fn dp_row_span(
         }
         PrefixStage::Fallback { lp, cp, copy } => {
             for (off, (o, c)) in out.iter_mut().zip(ch.iter_mut()).enumerate() {
-                let j = j0 + off;
+                let j = kk - 1 + off;
                 let lo = kk - 1;
                 let end = lp[j + 1];
                 let cpj = cp[j];
@@ -388,25 +317,11 @@ pub fn min_max_partition<F>(n: usize, k: usize, cost: F) -> Option<Partition>
 where
     F: Fn(usize, usize, usize) -> Option<f64>,
 {
-    min_max_partition_in(n, k, cost, &mut DpScratch::new())
-}
-
-/// [`min_max_partition`] over a caller-provided [`DpScratch`], so warm
-/// callers (tests, baselines re-partitioning in a loop) skip the arena
-/// allocation entirely.
-pub fn min_max_partition_in<F>(
-    n: usize,
-    k: usize,
-    cost: F,
-    scratch: &mut DpScratch,
-) -> Option<Partition>
-where
-    F: Fn(usize, usize, usize) -> Option<f64>,
-{
     if n == 0 || k == 0 || k > n {
         return None;
     }
     const INF: f64 = f64::INFINITY;
+    let mut scratch = DpScratch::new();
     scratch.ensure(n, k);
     // s[kk * n + j] = best makespan for layers 0..=j on the first kk
     // slots (flat row-major arena — see DpScratch).
@@ -423,8 +338,7 @@ where
             // No early termination: for arbitrary oracles (restricted
             // split points, infeasible ranges, copy costs) the prefix
             // table is not monotone in i, so every candidate must be
-            // scanned. The optimized variant below exploits monotonicity
-            // when it does hold.
+            // scanned.
             for i in (kk - 1)..=j {
                 let prev_ms = prev[i - 1];
                 let c = cost(kk - 1, i, j).unwrap_or(INF);
@@ -448,110 +362,13 @@ where
         scratch.splits[kk - 2] = i;
         j = i - 1;
     }
-    finish(n, k, scratch.splits.clone(), cost)
-}
-
-/// The optimized variant of Algorithm 1: O(nK log n) via binary search on
-/// the balance point (Property 2), with the per-row search window
-/// shrunk monotonically — the crossing point can only move right as `j`
-/// grows when the cost oracle is monotone, so each row's binary search
-/// starts where the previous cell's landed.
-///
-/// **Exactness caveat.** The balance-point argument requires the prefix
-/// optimum `S(j, k)` to be non-decreasing in `j`. With *homogeneous*
-/// stage costs (every pipeline slot prices a slice identically) this
-/// follows from Property 2. With heterogeneous processors and mandatory
-/// non-empty stages it can fail: when the optimal partition of a longer
-/// prefix ends in a singleton stage, the shorter prefix cannot inherit
-/// it, and `S(j, k)` may *decrease* as `j` grows (a concrete 7-layer,
-/// 4-processor counterexample lives in the test suite). In that regime
-/// this variant is a fast heuristic; the planner therefore uses the
-/// reference recurrence (as the [`min_max_partition_prefix`] kernel),
-/// which is exact for any oracle.
-pub fn min_max_partition_fast<F>(n: usize, k: usize, cost: F) -> Option<Partition>
-where
-    F: Fn(usize, usize, usize) -> Option<f64>,
-{
-    min_max_partition_fast_in(n, k, cost, &mut DpScratch::new())
-}
-
-/// [`min_max_partition_fast`] over a caller-provided [`DpScratch`].
-pub fn min_max_partition_fast_in<F>(
-    n: usize,
-    k: usize,
-    cost: F,
-    scratch: &mut DpScratch,
-) -> Option<Partition>
-where
-    F: Fn(usize, usize, usize) -> Option<f64>,
-{
-    if n == 0 || k == 0 || k > n {
-        return None;
-    }
-    const INF: f64 = f64::INFINITY;
-    let get = |slot: usize, i: usize, j: usize| cost(slot, i, j).unwrap_or(INF);
-    scratch.ensure(n, k);
-    for (j, out) in scratch.s[n..2 * n].iter_mut().enumerate() {
-        *out = get(0, 0, j);
-    }
-    for kk in 2..=k {
-        let (head, tail) = scratch.s.split_at_mut(kk * n);
-        let prev = &head[(kk - 1) * n..];
-        let cur = &mut tail[..n];
-        // The balance point is non-decreasing in j for monotone oracles,
-        // so the search window's left edge ratchets forward across the
-        // row instead of restarting at kk-1 for every cell.
-        let mut win_lo = kk - 1;
-        for (j, out) in cur.iter_mut().enumerate().skip(kk - 1) {
-            // Find the smallest i in [win_lo, j] with
-            // prev[i-1] >= cost(kk-1, i, j); the optimum is at that i
-            // or the one before (the "balance point" of Algorithm 1).
-            let (mut lo, mut hi) = (win_lo, j);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                let prev_ms = prev[mid - 1];
-                let cur_ms = get(kk - 1, mid, j);
-                // With INF on both sides the predicate treats INF >= INF
-                // as true, steering towards smaller i, which is safe: the
-                // candidate scan below evaluates real values.
-                if prev_ms >= cur_ms {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            let mut best = INF;
-            let mut best_i = lo;
-            // Evaluate the crossing point and its neighbours.
-            let lo_cand = lo.saturating_sub(1).max(kk - 1);
-            for i in lo_cand..=(lo + 1).min(j) {
-                let v = prev[i - 1].max(get(kk - 1, i, j));
-                if v < best {
-                    best = v;
-                    best_i = i;
-                }
-            }
-            *out = best;
-            scratch.choice[kk * n + j] = best_i as u32;
-            win_lo = lo;
-        }
-    }
-    if !scratch.s[k * n + (n - 1)].is_finite() {
-        return None;
-    }
-    let mut j = n - 1;
-    for kk in (2..=k).rev() {
-        let i = scratch.choice[kk * n + j] as usize;
-        scratch.splits[kk - 2] = i;
-        j = i - 1;
-    }
-    finish(n, k, scratch.splits.clone(), cost)
+    finish(n, k, scratch.splits, cost)
 }
 
 /// Evaluates the stage times of `splits` under `cost` and assembles the
-/// [`Partition`], used by both DP variants and by work stealing when it
-/// perturbs split points.
-pub fn finish<F>(n: usize, k: usize, splits: Vec<usize>, cost: F) -> Option<Partition>
+/// [`Partition`], shared by the reference DP and the exhaustive
+/// enumerator.
+fn finish<F>(n: usize, k: usize, splits: Vec<usize>, cost: F) -> Option<Partition>
 where
     F: Fn(usize, usize, usize) -> Option<f64>,
 {
@@ -691,7 +508,6 @@ mod tests {
         times: &[Vec<f64>],
         unsupported: &[Vec<usize>],
         copies: &[Vec<f64>],
-        threads: usize,
         scratch: &mut DpScratch,
     ) -> Option<f64> {
         let n = times[0].len();
@@ -723,7 +539,6 @@ mod tests {
         min_max_partition_prefix(
             n,
             k,
-            threads,
             |a| PrefixStage::Plain {
                 pm: &pm[a],
                 feas_from: &feas[a],
@@ -836,7 +651,7 @@ mod tests {
                 Some((pm[slot][j + 1] - pm[slot][i]) + cp[slot][i])
             };
             let reference = min_max_partition(n, k, &c);
-            let kernel = run_prefix_kernel(&times, &unsupported, &copies, 1, &mut scratch);
+            let kernel = run_prefix_kernel(&times, &unsupported, &copies, &mut scratch);
             match (reference, kernel) {
                 (None, None) => {}
                 (Some(r), Some(ms)) => {
@@ -850,103 +665,6 @@ mod tests {
                 (r, k) => panic!("trial {trial}: feasibility diverged: {r:?} vs {k:?}"),
             }
         }
-    }
-
-    #[test]
-    fn prefix_kernel_row_fanout_is_bit_identical() {
-        // A row wide enough to cross DP_ROW_PAR_MIN: the fanned-out rows
-        // must reproduce the sequential kernel exactly.
-        let n = DP_ROW_PAR_MIN + 37;
-        let mut seed = 3u64;
-        let mut next = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((seed >> 33) % 997 + 1) as f64 / 10.0
-        };
-        let times: Vec<Vec<f64>> = (0..3).map(|_| (0..n).map(|_| next()).collect()).collect();
-        let unsupported = vec![Vec::new(), vec![n / 2], Vec::new()];
-        let copies = vec![vec![0.0; n], vec![0.25; n], vec![0.5; n]];
-        let mut seq = DpScratch::new();
-        let seq_ms = run_prefix_kernel(&times, &unsupported, &copies, 1, &mut seq).unwrap();
-        for threads in [2, 4] {
-            let mut par_scratch = DpScratch::new();
-            let par_ms =
-                run_prefix_kernel(&times, &unsupported, &copies, threads, &mut par_scratch)
-                    .unwrap();
-            assert_eq!(seq_ms.to_bits(), par_ms.to_bits(), "threads={threads}");
-            assert_eq!(seq.splits(), par_scratch.splits(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_across_shapes_is_clean() {
-        // A big run followed by smaller ones must not observe stale
-        // state from the earlier shape.
-        let mut scratch = DpScratch::new();
-        let big = oracle(vec![vec![1.0; 24]; 4]);
-        let p_big = min_max_partition_in(24, 4, &big, &mut scratch).unwrap();
-        assert_eq!(p_big.makespan_ms, 6.0);
-        for n in 2..10 {
-            for k in 1..=n.min(4) {
-                let c = oracle(vec![vec![1.0; n]; k]);
-                let fresh = min_max_partition(n, k, &c).unwrap();
-                let reused = min_max_partition_in(n, k, &c, &mut scratch).unwrap();
-                assert_eq!(fresh.splits, reused.splits, "n={n} k={k}");
-                assert_eq!(
-                    fresh.makespan_ms.to_bits(),
-                    reused.makespan_ms.to_bits(),
-                    "n={n} k={k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fast_variant_is_exact_on_homogeneous_costs() {
-        // The balance-point optimization is provably exact when every
-        // slot prices slices identically (see the exactness caveat).
-        let mut seed = 42u64;
-        let mut next = move || {
-            seed = seed
-                .wrapping_mul(2862933555777941757)
-                .wrapping_add(3037000493);
-            ((seed >> 33) % 100 + 1) as f64
-        };
-        for n in 2..14 {
-            for k in 1..=n.min(5) {
-                let row: Vec<f64> = (0..n).map(|_| next()).collect();
-                let times: Vec<Vec<f64>> = (0..k).map(|_| row.clone()).collect();
-                let c = oracle(times);
-                let slow = min_max_partition(n, k, &c).unwrap();
-                let fast = min_max_partition_fast(n, k, &c).unwrap();
-                assert!(
-                    (slow.makespan_ms - fast.makespan_ms).abs() < 1e-9,
-                    "n={n} k={k}: {} vs {}",
-                    slow.makespan_ms,
-                    fast.makespan_ms
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fast_variant_is_heuristic_on_heterogeneous_costs() {
-        // The documented counterexample: heterogeneous rows where the
-        // prefix optimum is non-monotone because of a singleton stage.
-        let times = vec![
-            vec![2.8, 0.2, 0.5, 0.2, 7.7, 6.0, 9.4],
-            vec![6.1, 0.2, 0.4, 8.9, 6.2, 7.0, 5.1],
-            vec![3.7, 1.7, 7.3, 9.9, 2.9, 7.2, 2.4],
-            vec![8.9, 8.5, 9.1, 7.1, 2.4, 6.7, 0.2],
-        ];
-        let c = oracle(times);
-        let exact = min_max_partition(7, 4, &c).unwrap();
-        let brute = min_max_partition_exhaustive(7, 4, &c).unwrap();
-        assert!((exact.makespan_ms - brute.makespan_ms).abs() < 1e-9);
-        let fast = min_max_partition_fast(7, 4, &c).unwrap();
-        // The heuristic stays feasible and within 25% here, but is not
-        // exact — which is why the planner uses the reference DP.
-        assert!(fast.makespan_ms >= exact.makespan_ms);
-        assert!(fast.makespan_ms <= exact.makespan_ms * 1.25);
     }
 
     #[test]
@@ -983,7 +701,7 @@ mod tests {
         let unsupported = vec![vec![0, 1, 2, 3]];
         let copies = vec![vec![0.0; 4]];
         let mut scratch = DpScratch::new();
-        assert!(run_prefix_kernel(&times, &unsupported, &copies, 1, &mut scratch).is_none());
+        assert!(run_prefix_kernel(&times, &unsupported, &copies, &mut scratch).is_none());
     }
 
     #[test]
@@ -1001,9 +719,9 @@ mod tests {
             feas_from: &feas,
             copy: &copy,
         };
-        assert!(min_max_partition_prefix(0, 1, 1, stage, &mut scratch).is_none());
-        assert!(min_max_partition_prefix(3, 0, 1, stage, &mut scratch).is_none());
-        assert!(min_max_partition_prefix(3, 4, 1, stage, &mut scratch).is_none());
+        assert!(min_max_partition_prefix(0, 1, stage, &mut scratch).is_none());
+        assert!(min_max_partition_prefix(3, 0, stage, &mut scratch).is_none());
+        assert!(min_max_partition_prefix(3, 4, stage, &mut scratch).is_none());
     }
 
     #[test]
@@ -1049,7 +767,7 @@ mod tests {
         let unsupported = vec![Vec::new(); 3];
         let copies = vec![vec![0.0; 6]; 3];
         let mut scratch = DpScratch::new();
-        run_prefix_kernel(&times, &unsupported, &copies, 1, &mut scratch).unwrap();
+        run_prefix_kernel(&times, &unsupported, &copies, &mut scratch).unwrap();
         let cells = scratch.take_cells();
         assert!(cells > 0, "kernel evaluated no cells?");
         assert_eq!(scratch.take_cells(), 0, "drain must reset");

@@ -64,9 +64,9 @@ pub const INTRA_DP_MIN_LAYERS: usize = 48;
 /// request of a given high-water size, the sequential DP path touches
 /// the allocator zero times (pinned by the counting-allocator test).
 #[derive(Debug, Default)]
-pub(crate) struct PlanScratch {
+struct PlanScratch {
     /// The DP kernel arena (table, backtracking, splits).
-    pub(crate) dp: DpScratch,
+    dp: DpScratch,
     /// Flat per-slot per-layer latency (`lat[s * n + i]`, ∞ where
     /// unsupported) for the subset lower bound.
     lat: Vec<f64>,
@@ -216,7 +216,7 @@ impl Planner {
     /// per-subset fan-out within one request — each get their own
     /// scratch; the pool grows to the high-water concurrency and stays
     /// there.
-    pub(crate) fn with_plan_scratch<R>(&self, f: impl FnOnce(&mut PlanScratch) -> R) -> R {
+    fn with_plan_scratch<R>(&self, f: impl FnOnce(&mut PlanScratch) -> R) -> R {
         let popped = {
             let mut pool = match self.scratch_pool.lock() {
                 Ok(guard) => guard,
@@ -330,6 +330,11 @@ impl Planner {
     /// are bit-identical to the reference (re-checked against the
     /// oracle DP in debug builds).
     ///
+    /// Only subsets of the `allowed` slot mask (bit `s` = pipeline slot
+    /// `s`) are searched: planning passes every slot, recovery replans
+    /// pass the surviving slots (see
+    /// [`crate::recovery::replan_on_survivors`]).
+    ///
     /// With `threads > 1` and a model of at least [`INTRA_DP_MIN_LAYERS`]
     /// layers, the per-subset DPs fan out over the [`par`] runtime:
     /// every statically-feasible subset is evaluated concurrently (each
@@ -341,9 +346,10 @@ impl Planner {
     /// strict `+1e-12` improvement test — so the fan-out is
     /// bit-identical too (the `h2p-check` intra-request model explores
     /// its schedules).
-    fn plan_request_cached(
+    pub(crate) fn plan_request_cached(
         &self,
         tables: &RequestTables,
+        allowed: u32,
         threads: usize,
     ) -> Result<(RequestContext, Vec<usize>, f64), PlanError> {
         let graph = tables.graph();
@@ -421,6 +427,9 @@ impl Planner {
                 // docs for why pruning is unnecessary for identity).
                 let masks: Vec<u32> = (1u32..(1 << k_slots))
                     .filter(|&mask| {
+                        if mask & !allowed != 0 {
+                            return false;
+                        }
                         ps.slots.clear();
                         ps.slots
                             .extend((0..k_slots).filter(|&s| mask & (1 << s) != 0));
@@ -434,7 +443,7 @@ impl Planner {
                         (0..k_slots).filter(|&s| mask & (1 << s) != 0).collect();
                     self.with_plan_scratch(|ws| {
                         let found = tables
-                            .partition_into(&slots, 1, &mut ws.dp)
+                            .partition_into(&slots, &mut ws.dp)
                             .map(|ms| (slots.clone(), ws.dp.splits().to_vec(), ms));
                         (found, ws.dp.take_cells())
                     })
@@ -452,6 +461,9 @@ impl Planner {
                 }
             } else {
                 for mask in 1u32..(1 << k_slots) {
+                    if mask & !allowed != 0 {
+                        continue;
+                    }
                     ps.slots.clear();
                     ps.slots
                         .extend((0..k_slots).filter(|&s| mask & (1 << s) != 0));
@@ -468,7 +480,7 @@ impl Planner {
                         }
                     }
                     masks_evaluated += 1;
-                    let Some(ms) = tables.partition_into(&ps.slots, threads, &mut ps.dp) else {
+                    let Some(ms) = tables.partition_into(&ps.slots, &mut ps.dp) else {
                         continue;
                     };
                     if best_ms.is_none_or(|b| ms + 1e-12 < b) {
@@ -530,7 +542,7 @@ impl Planner {
         } else {
             "planner.tables.cache_misses"
         });
-        let (ctx, splits, _) = self.plan_request_cached(&tables, dp_threads)?;
+        let (ctx, splits, _) = self.plan_request_cached(&tables, u32::MAX, dp_threads)?;
         let stages =
             ctx.build_stages(cost, &splits, k)
                 .ok_or_else(|| PlanError::NoFeasiblePipeline {

@@ -12,8 +12,8 @@
 //!
 //! * **Processor dropout** — the processor is excluded from every later
 //!   plan; orphaned and unstarted work is re-planned over surviving
-//!   slots by re-running the per-request min-max partition on every
-//!   ordered subset of the surviving pipeline slots (the same NPU
+//!   slots by the planner's own per-request subset search, restricted
+//!   to the surviving pipeline slots (the same cost tables and NPU
 //!   operator-fallback arrays the planner uses), then re-aligned with
 //!   work stealing.
 //! * **Transient task failure** — the request is retried with bounded
@@ -227,11 +227,12 @@ impl FaultScript {
 }
 
 /// Re-plans `pending` requests over the surviving pipeline slots: for
-/// each request, the min-max partition is evaluated on every non-empty
-/// ordered subset of surviving slots (sharing the planner's cached cost
-/// tables and NPU fallback arrays) and the best subset wins; the
-/// resulting plan is then re-aligned with work stealing. Returns the
-/// plan plus per-request contexts indexed by original request index.
+/// each request, the planner's subset search
+/// (`Planner::plan_request_cached`) runs over the surviving slots
+/// only (sharing the planner's cached cost tables and NPU fallback
+/// arrays) and the best subset wins; the resulting plan is then
+/// re-aligned with work stealing. Returns the plan plus per-request
+/// contexts indexed by original request index.
 ///
 /// Public so the perf-trajectory bench can measure the recovery
 /// re-planning latency in isolation (without a simulated round).
@@ -248,10 +249,10 @@ pub fn replan_on_survivors(
     down: &[bool],
 ) -> Result<(PipelinePlan, Vec<RequestContext>), PlanError> {
     let procs = planner.pipeline_procs();
-    let surviving: Vec<usize> = (0..procs.len())
+    let surviving: u32 = (0..procs.len())
         .filter(|&s| !down.get(procs[s].index()).copied().unwrap_or(false))
-        .collect();
-    if surviving.is_empty() {
+        .fold(0, |mask, s| mask | 1 << s);
+    if surviving == 0 {
         return Err(PlanError::NoSurvivingProcessors);
     }
     let estimator = planner.estimator();
@@ -261,7 +262,7 @@ pub fn replan_on_survivors(
     for (r, graph) in graphs.iter().enumerate() {
         // Survivor replans reuse the cross-invocation tables cache: the
         // tables are keyed on the *full* pipeline-processor list (the
-        // availability mask below only restricts which slots the DP may
+        // allowed-slot mask below only restricts which slots the DP may
         // use), so a replan after a dropout hits the tables built by the
         // original plan instead of rebuilding them mid-recovery.
         let (tables, hit) = estimator.tables_cached(graph, &procs);
@@ -270,7 +271,6 @@ pub fn replan_on_survivors(
         } else {
             "planner.tables.cache_misses"
         });
-        let n = graph.len();
         // An NPU stage lowers its unsupported operators onto the
         // fallback CPU (Sec. IV), so when that CPU is down the NPU slot
         // is unusable for any model that needs the detour: a split that
@@ -284,43 +284,8 @@ pub fn replan_on_survivors(
                     .unwrap_or(false))
             .then_some(slot)
         });
-        // Survivor-subset search on the flat DP kernel over the cached
-        // tables (bit-identical to the oracle DP), with a pooled scratch
-        // so mid-recovery replans stay allocation-free after warmup; the
-        // winning context is derived once after the loop.
-        let best = planner.with_plan_scratch(|ps| {
-            let mut best: Option<(f64, Vec<usize>, Vec<usize>)> = None;
-            for mask in 1u32..(1 << surviving.len()) {
-                let slots: Vec<usize> = surviving
-                    .iter()
-                    .enumerate()
-                    .filter(|(b, _)| mask & (1 << b) != 0)
-                    .map(|(_, &s)| s)
-                    .collect();
-                if slots.len() > n {
-                    continue;
-                }
-                if blocked_slot.is_some_and(|b| slots.contains(&b)) {
-                    continue;
-                }
-                let Some(ms) = tables.partition_into(&slots, 1, &mut ps.dp) else {
-                    continue;
-                };
-                // Strict improvement keeps the subset choice
-                // deterministic under cost ties (first ascending mask
-                // wins).
-                if best.as_ref().is_none_or(|(m, _, _)| ms < m - 1e-12) {
-                    best = Some((ms, slots, ps.dp.splits().to_vec()));
-                }
-            }
-            best
-        });
-        let Some((_, slots, splits)) = best else {
-            return Err(PlanError::NoFeasiblePipeline {
-                model: graph.name().to_owned(),
-            });
-        };
-        let ctx = tables.context(slots);
+        let allowed = blocked_slot.map_or(surviving, |b| surviving & !(1 << b));
+        let (ctx, splits, _) = planner.plan_request_cached(&tables, allowed, 1)?;
         if pending.contains(&r) {
             let stages = ctx
                 .build_stages(cost, &splits, procs.len())

@@ -336,7 +336,7 @@ mod tests {
             let mut placed = false;
             for slots in candidates {
                 let cost = est.cost();
-                if tables.partition_into(&slots, 1, &mut scratch).is_some() {
+                if tables.partition_into(&slots, &mut scratch).is_some() {
                     let ctx = tables.context(slots);
                     let stages = ctx
                         .build_stages(cost, scratch.splits(), procs.len())

@@ -33,8 +33,9 @@
 //! bit-identical (determinism lint H2P011). The robustness invariants
 //! — exactly one typed terminal outcome per request, bounded queue
 //! depth, bounded retries, a causally valid lifecycle stream — are
-//! re-checked after every run by [`ServeReport::verify_invariants`]
-//! and explored concurrently by the `h2p-check` admit/shed model.
+//! re-checked after every run by [`ServeReport::verify_invariants`],
+//! and the queue's accounting is property-tested over random
+//! admit / shed / dispatch sequences.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]

@@ -435,7 +435,7 @@ impl Server {
         let arrivals = generate_arrivals(cfg.seed, cfg.qps, cfg.requests);
         let trace = TraceId::of_names(arrivals.iter().map(|a| a.model.name()));
         let mut admission = AdmissionControl::new(&self.calibration, self.window, cfg.slo_budget);
-        let queue = AdmitQueue::new(admission.limits());
+        let mut queue = AdmitQueue::new(admission.limits());
         let lifecycle = LifecycleLog::new();
         let mut outcomes: Vec<Option<ServeOutcome>> = vec![None; arrivals.len()];
         let mut anomalies: Vec<String> = Vec::new();
@@ -453,7 +453,7 @@ impl Server {
                     &arrivals[next],
                     idle_at,
                     &mut admission,
-                    &queue,
+                    &mut queue,
                     trace,
                     &lifecycle,
                     &mut outcomes,
@@ -601,7 +601,7 @@ impl Server {
         a: &Arrival,
         idle_at: f64,
         admission: &mut AdmissionControl,
-        queue: &AdmitQueue,
+        queue: &mut AdmitQueue,
         trace: TraceId,
         lifecycle: &LifecycleLog,
         outcomes: &mut [Option<ServeOutcome>],

@@ -199,8 +199,8 @@ impl OccupancyProfile {
     }
 }
 
-/// Latency distribution summary (nearest-rank percentiles, matching
-/// `hetero2pipe::executor::percentile`'s convention).
+/// Latency distribution summary. Percentiles use the nearest-rank rule:
+/// `p` picks the sorted sample at index `round(p / 100 · (len − 1))`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyProfile {
     pub count: usize,

@@ -11,7 +11,8 @@
 
 use h2p_models::graph::ModelGraph;
 use h2p_simulator::SocSpec;
-use hetero2pipe::executor::{percentile, response_times};
+use h2p_telemetry::analytics::LatencyProfile;
+use hetero2pipe::executor::response_times;
 use hetero2pipe::online::OnlinePlanner;
 use hetero2pipe::planner::Planner;
 use hetero2pipe::workload::{poisson_arrivals, random_models};
@@ -32,12 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let online = OnlinePlanner::new(planner.clone(), window);
         let planned = online.plan(&requests)?;
         let report = planned.execute_with_arrivals(&soc, &arrivals)?;
-        let resp = response_times(&report, &arrivals);
+        let resp = LatencyProfile::compute(&response_times(&report, &arrivals))
+            .ok_or("no requests to summarize")?;
         println!(
             "  window {window:>2}: makespan {:>7.1} ms  response p50 {:>7.1} ms  p95 {:>7.1} ms",
-            report.makespan_ms,
-            percentile(&resp, 50.0),
-            percentile(&resp, 95.0),
+            report.makespan_ms, resp.p50_ms, resp.p95_ms,
         );
     }
     println!(

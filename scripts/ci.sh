@@ -54,7 +54,7 @@ echo "== h2p modelcheck --exhaustive (schedule-space model checker)"
 # pass by omission.
 MODELCHECK_OUT=$(mktemp)
 $H2P modelcheck --exhaustive --min-schedules 1000 > "$MODELCHECK_OUT"
-for model in scratch_pool intra_request serve_admit_shed; do
+for model in scratch_pool intra_request; do
     grep -q "$model" "$MODELCHECK_OUT" || {
         echo "modelcheck report is missing the $model model" >&2
         rm -f "$MODELCHECK_OUT"; exit 1; }

@@ -928,20 +928,6 @@ fn run_chaos(rest: &[String]) {
 /// floats, so anything beyond rounding noise is a real discrepancy.
 const RECONCILE_EPS: f64 = 1e-6;
 
-/// QoS class a request serves, by model compute size. Delegates to the
-/// serving front-end's classifier so `h2p serve` and `h2p report`
-/// classify a model identically.
-fn qos_class(flops: f64) -> QosClass {
-    h2p_serve::qos_class(flops)
-}
-
-/// Deadline slack per class, as a multiple of the request's summed solo
-/// time (its zero-contention service time). Shared with the serving
-/// front-end's admission policy.
-fn slo_multiplier(class: QosClass) -> f64 {
-    h2p_serve::slo_multiplier(class)
-}
-
 /// Per-request deadlines from a lowered task graph: each request's solo
 /// time sum scaled by its class multiplier. Requests that lowered to
 /// nothing get no deadline.
@@ -957,7 +943,7 @@ fn deadlines_from_tasks(tasks: &[TaskSpec], classes: &[QosClass]) -> Vec<Option<
     classes
         .iter()
         .zip(&solo)
-        .map(|(&c, &s)| (s > 0.0).then(|| slo_multiplier(c) * s))
+        .map(|(&c, &s)| (s > 0.0).then(|| h2p_serve::slo_multiplier(c) * s))
         .collect()
 }
 
@@ -1073,7 +1059,10 @@ fn report_from_live(soc: &SocSpec, scheme: Scheme, models: &[ModelId]) -> Report
         }
     }
 
-    let classes: Vec<QosClass> = reqs.iter().map(|g| qos_class(g.total_flops())).collect();
+    let classes: Vec<QosClass> = reqs
+        .iter()
+        .map(|g| h2p_serve::qos_class(g.total_flops()))
+        .collect();
     let deadlines = deadlines_from_tasks(&tasks, &classes);
     ReportData {
         source: format!("{} on {} ({} request(s))", scheme.name(), soc.name, n),
@@ -1185,7 +1174,10 @@ fn report_from_recovery(
 
     // Deadline basis: the fault-free lowering of the same workload (a
     // separate planner so its lifecycle stream stays untouched).
-    let classes: Vec<QosClass> = reqs.iter().map(|g| qos_class(g.total_flops())).collect();
+    let classes: Vec<QosClass> = reqs
+        .iter()
+        .map(|g| h2p_serve::qos_class(g.total_flops()))
+        .collect();
     let basis = Planner::new(soc)
         .expect("planner")
         .plan(&reqs)
@@ -1277,7 +1269,7 @@ fn report_from_log(soc: &SocSpec, path: &str) -> ReportData {
                 let model = h.label.split('#').next().unwrap_or("");
                 names[r] = model.to_owned();
                 if let Some(id) = parse_model(model) {
-                    classes[r] = qos_class(id.graph().total_flops());
+                    classes[r] = h2p_serve::qos_class(id.graph().total_flops());
                 }
             }
         }

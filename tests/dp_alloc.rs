@@ -64,7 +64,7 @@ fn warm_dp_path_is_allocation_free_and_pool_recycles() {
     // couple of smaller shapes so later sweeps never grow anything.
     for slots in [&[1usize, 2, 3] as &[usize], &[1], &[2, 3]] {
         tables
-            .partition_into(slots, 1, &mut scratch)
+            .partition_into(slots, &mut scratch)
             .expect("feasible");
     }
     scratch.take_cells();
@@ -73,7 +73,7 @@ fn warm_dp_path_is_allocation_free_and_pool_recycles() {
     for _ in 0..32 {
         for slots in [&[1usize, 2, 3] as &[usize], &[1], &[2, 3], &[0, 1, 2]] {
             tables
-                .partition_into(slots, 1, &mut scratch)
+                .partition_into(slots, &mut scratch)
                 .expect("feasible");
         }
     }

@@ -159,8 +159,7 @@ proptest! {
 
             let exact = min_max_partition(n, k, oracle);
             let brute = min_max_partition_exhaustive(n, k, oracle);
-            let kernel =
-                min_max_partition_prefix(n, k, 1, |a| stages[a].prefix(), &mut scratch);
+            let kernel = min_max_partition_prefix(n, k, |a| stages[a].prefix(), &mut scratch);
 
             match (&exact, &kernel) {
                 (Some(p), Some(ms)) => {

@@ -72,10 +72,11 @@ fn mitigation_regression_three_highs_window_four() {
 
 /// Pinned regression from `proptest_invariants.proptest-regressions`:
 /// `partition_dp_is_optimal` once failed at `n = 7, k = 4` with
-/// `seed = 9518207659292512946` — the heterogeneous cost matrix where the
-/// balance-point DP's prefix optimum is not monotone (see the exactness
-/// caveat on `min_max_partition_fast`). The generator's LCG is replayed
-/// here verbatim so the exact matrix is re-checked on every run.
+/// `seed = 9518207659292512946` — the heterogeneous cost matrix where
+/// the prefix optimum `S(j, k)` is not monotone in `j` (the
+/// counterexample to the paper's Property-2 balance-point search, see
+/// DESIGN.md §7). The generator's LCG is replayed here verbatim so the
+/// exact matrix is re-checked on every run.
 #[test]
 fn partition_regression_seven_layers_four_slots() {
     let (n, k) = (7usize, 4usize);
@@ -86,20 +87,11 @@ fn partition_regression_seven_layers_four_slots() {
         ((state >> 33) % 100 + 1) as f64 / 10.0
     };
     let times: Vec<Vec<f64>> = (0..k).map(|_| (0..n).map(|_| next()).collect()).collect();
-    let homogeneous_row: Vec<f64> = (0..n).map(|_| next()).collect();
-    let homogeneous: Vec<Vec<f64>> = (0..k).map(|_| homogeneous_row.clone()).collect();
     let c = oracle(times);
-    let ch = oracle(homogeneous);
     let dp = partition::min_max_partition(n, k, &c).expect("feasible");
-    let fast = partition::min_max_partition_fast(n, k, &c).expect("feasible");
     let brute = partition::min_max_partition_exhaustive(n, k, &c).expect("feasible");
-    // The reference DP is exact; the fast variant is a feasible upper
-    // bound on heterogeneous oracles and exact on homogeneous ones.
+    // The reference DP is exact.
     assert!((dp.makespan_ms - brute.makespan_ms).abs() < 1e-9);
-    assert!(fast.makespan_ms >= brute.makespan_ms - 1e-9);
-    let dph = partition::min_max_partition(n, k, &ch).expect("feasible");
-    let fasth = partition::min_max_partition_fast(n, k, &ch).expect("feasible");
-    assert!((fasth.makespan_ms - dph.makespan_ms).abs() < 1e-9);
     assert!(dp.splits.windows(2).all(|w| w[0] < w[1]));
     assert!(dp.splits.iter().all(|&s| s > 0 && s < n));
 }
@@ -108,9 +100,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The reference DP always matches brute-force enumeration on
-    /// arbitrary heterogeneous oracles; the fast balance-point variant is
-    /// exact on homogeneous oracles and never better than optimal (it
-    /// returns a real partition) on heterogeneous ones.
+    /// arbitrary heterogeneous oracles.
     #[test]
     fn partition_dp_is_optimal(
         n in 2usize..10,
@@ -124,20 +114,10 @@ proptest! {
             ((state >> 33) % 100 + 1) as f64 / 10.0
         };
         let times: Vec<Vec<f64>> = (0..k).map(|_| (0..n).map(|_| next()).collect()).collect();
-        let homogeneous_row: Vec<f64> = (0..n).map(|_| next()).collect();
-        let homogeneous: Vec<Vec<f64>> = (0..k).map(|_| homogeneous_row.clone()).collect();
         let c = oracle(times);
-        let ch = oracle(homogeneous);
         let dp = partition::min_max_partition(n, k, &c).expect("feasible");
-        let fast = partition::min_max_partition_fast(n, k, &c).expect("feasible");
         let brute = partition::min_max_partition_exhaustive(n, k, &c).expect("feasible");
         prop_assert!((dp.makespan_ms - brute.makespan_ms).abs() < 1e-9);
-        // Heterogeneous: the fast variant is a feasible upper bound.
-        prop_assert!(fast.makespan_ms >= brute.makespan_ms - 1e-9);
-        // Homogeneous: it is exact.
-        let dph = partition::min_max_partition(n, k, &ch).expect("feasible");
-        let fasth = partition::min_max_partition_fast(n, k, &ch).expect("feasible");
-        prop_assert!((fasth.makespan_ms - dph.makespan_ms).abs() < 1e-9);
         // Splits are strictly ascending and in range.
         prop_assert!(dp.splits.windows(2).all(|w| w[0] < w[1]));
         prop_assert!(dp.splits.iter().all(|&s| s > 0 && s < n));
