@@ -2,11 +2,11 @@
 //! contention-mitigation pass, end-to-end planning at 2/4/8/16 requests
 //! (frozen sequential reference vs the cached runtime at 1 and 4
 //! threads), simulated execution of a planned 8-request pipeline, an
-//! online window replan, and the recovery re-plan after a processor
-//! dropout. After running, writes the measurements to
-//! `BENCH_planner.json` (path overridable via `H2P_BENCH_OUT`) so
-//! `scripts/ci.sh` and future PRs have a machine-readable trajectory to
-//! regress against.
+//! online window replan, the recovery re-plan after a processor
+//! dropout, and one span entry on a recorder that holds 10,000 spans.
+//! After running, writes the measurements to `BENCH_planner.json` (path
+//! overridable via `H2P_BENCH_OUT`) so `scripts/ci.sh` and future PRs
+//! have a machine-readable trajectory to regress against.
 //!
 //! `H2P_BENCH_QUICK=1` shrinks sampling so the suite finishes in seconds;
 //! `scripts/bench.sh` wraps both modes.
@@ -207,6 +207,29 @@ fn bench_serve_sweep(c: &mut Criterion) {
     });
 }
 
+fn bench_span_enter(c: &mut Criterion) {
+    // One span entered and closed on a recorder that already holds
+    // 10,000 same-name roots: the recorder of a serve loop deep into a
+    // stream, where every cache-hit dispatch opens one `online-inc`
+    // root. Entry must not scan the earlier spans. Each batch starts
+    // from a freshly filled recorder, outside the timing, so the
+    // recorder holds 10,000 roots plus that batch's own.
+    const NAME: &str = "online-inc:1req";
+    c.bench_function("telemetry/span_enter/10000", |b| {
+        b.iter_custom(|iters| {
+            let recorder = h2p_telemetry::SpanRecorder::new();
+            for _ in 0..10_000 {
+                drop(recorder.enter(NAME));
+            }
+            let start = std::time::Instant::now();
+            for _ in 0..iters {
+                drop(recorder.enter(NAME));
+            }
+            start.elapsed()
+        })
+    });
+}
+
 fn median_of(results: &[BenchResult], name: &str) -> Option<f64> {
     results.iter().find(|r| r.name == name).map(|r| r.median_ns)
 }
@@ -293,5 +316,6 @@ fn main() {
     bench_online_replan(&mut criterion);
     bench_recovery_replan(&mut criterion);
     bench_serve_sweep(&mut criterion);
+    bench_span_enter(&mut criterion);
     write_json(&criterion::take_results());
 }

@@ -103,7 +103,10 @@ pub fn coalesce(ids: &[ModelId], max_batch: u32) -> Vec<BatchGroup> {
 pub fn graphs_for_groups(groups: &[BatchGroup]) -> Vec<ModelGraph> {
     groups
         .iter()
-        .map(|g| batched_graph(&g.model.graph(), g.batch))
+        .map(|g| match g.batch {
+            1 => g.model.graph(),
+            b => batched_graph(&g.model.graph(), b),
+        })
         .collect()
 }
 
@@ -196,6 +199,18 @@ mod tests {
     fn batch_of_one_is_identity() {
         let g = ModelId::GoogLeNet.graph();
         assert_eq!(batched_graph(&g, 1), g);
+    }
+
+    #[test]
+    fn graphs_for_groups_expands_each_group() {
+        for model in ModelId::ALL {
+            let g = model.graph();
+            let graphs = graphs_for_groups(&[
+                BatchGroup { model, batch: 1 },
+                BatchGroup { model, batch: 3 },
+            ]);
+            assert_eq!(graphs, vec![g.clone(), batched_graph(&g, 3)], "{model}");
+        }
     }
 
     #[test]

@@ -46,9 +46,10 @@ pub const MIN_PARALLEL_ITEMS: usize = 2;
 /// regression on single-core hosts). `1` means the caller runs the loop
 /// sequentially with zero thread-scope setup.
 ///
-/// A sequential request (`threads <= 1`) answers without querying the
-/// available parallelism, which reads cgroup files on Linux and costs
-/// more than a small map: the planner asks once per planned request.
+/// The planner asks once per planned request, so the clamp must cost
+/// little next to planning one small model: the machine's parallelism
+/// is probed once per process ([`sync::available_parallelism`]), and a
+/// sequential request (`threads <= 1`) answers without asking at all.
 pub fn worker_count(threads: usize, items: usize) -> usize {
     if threads <= 1 || items < MIN_PARALLEL_ITEMS {
         return 1;

@@ -48,14 +48,21 @@ pub use virt::{AtomicBool, AtomicUsize, Mutex, MutexGuard};
 /// active model-check exploration this reports the *virtual* parallelism
 /// of the scenario instead, so `par::worker_count` fans out the modeled
 /// worker count even on a single-core host.
+///
+/// The machine's value is probed once per process: on Linux the probe
+/// reads cgroup files, which costs more than planning a small request,
+/// and the planner asks on every plan.
 pub fn available_parallelism() -> usize {
     #[cfg(feature = "model-check")]
     if let Some(vpar) = model::virtual_parallelism() {
         return vpar;
     }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static PROBED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *PROBED.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// A scoped-thread spawner mirroring [`std::thread::Scope`]. Under

@@ -7,6 +7,8 @@ pub(crate) mod classic;
 pub(crate) mod modern;
 pub(crate) mod transformer;
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::graph::ModelGraph;
@@ -70,8 +72,18 @@ impl ModelId {
         }
     }
 
-    /// Builds the model's layer graph.
+    /// The model's layer graph. Each graph is built once per process
+    /// and cloned from then on, so repeated calls are cheap and always
+    /// equal.
     pub fn graph(self) -> ModelGraph {
+        static GRAPHS: OnceLock<Vec<ModelGraph>> = OnceLock::new();
+        // `ALL` lists the variants in declaration order, so a variant's
+        // discriminant is its index in `ALL`.
+        GRAPHS.get_or_init(|| Self::ALL.map(Self::build).into())[self as usize].clone()
+    }
+
+    /// Builds the model's layer graph from scratch.
+    fn build(self) -> ModelGraph {
         match self {
             ModelId::AlexNet => classic::alexnet(),
             ModelId::Vgg16 => classic::vgg16(),
@@ -151,8 +163,28 @@ mod tests {
     #[test]
     fn graphs_are_deterministic() {
         for id in ModelId::ALL {
-            assert_eq!(id.graph(), id.graph(), "{id}");
+            assert_eq!(id.build(), id.build(), "{id}");
         }
+    }
+
+    /// The memo hands out each model's own graph (which also pins the
+    /// discriminant-to-`ALL` indexing), on repeated calls and from
+    /// threads that may race to initialise it.
+    #[test]
+    fn memoized_graphs_equal_fresh_builds() {
+        let fresh: Vec<ModelGraph> = ModelId::ALL.map(ModelId::build).into();
+        let check = || {
+            for (id, graph) in ModelId::ALL.into_iter().zip(&fresh) {
+                assert_eq!(&id.graph(), graph, "{id}");
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(check);
+            }
+        });
+        check();
+        check();
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! `std::thread::scope` workers. Span ids are content-derived (FNV-1a
 //! over parent id, name, and the sibling ordinal), so the sequential
 //! phase tree of a deterministic planner run hashes to the same ids on
-//! every run — stable anchors for golden tests and trace diffing.
+//! every run — stable anchors for golden tests and trace diffing. The
+//! sibling ordinal is the number of earlier spans with the same parent
+//! and name; a per-`(parent, name)` counter supplies it, so `enter`
+//! costs O(1) however many spans a long-lived recorder holds.
 //! Wall-clock fields (`start_us`, `dur_us`) are measured, not derived,
 //! and are the only non-deterministic part of a record.
 
@@ -44,6 +47,10 @@ struct Inner {
     stacks: HashMap<ThreadId, Vec<usize>>,
     /// Dense lane assignment per thread.
     lanes: HashMap<ThreadId, u64>,
+    /// Spans entered so far per `(parent, name)`: the next sibling's
+    /// ordinal. Records are never removed, so this equals the count of
+    /// earlier records with that parent and name.
+    ordinals: HashMap<(Option<u64>, String), u64>,
 }
 
 /// Records a tree of timed phases. Create one per planner (or share via
@@ -106,13 +113,10 @@ impl SpanRecorder {
             Some(&ix) => (Some(inner.records[ix].id), inner.records[ix].depth + 1),
             None => (None, 0),
         };
-        let parent_hash = parent.unwrap_or(0);
-        let ordinal = inner
-            .records
-            .iter()
-            .filter(|r| r.parent == parent && r.name == name)
-            .count() as u64;
-        let id = fnv1a(parent_hash, &name, ordinal);
+        let next = inner.ordinals.entry((parent, name.clone())).or_insert(0);
+        let ordinal = *next;
+        *next += 1;
+        let id = fnv1a(parent.unwrap_or(0), &name, ordinal);
         let index = inner.records.len();
         inner.records.push(SpanRecord {
             id,
@@ -185,6 +189,7 @@ impl Drop for SpanGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn nested_spans_form_a_tree() {
@@ -248,6 +253,70 @@ mod tests {
         // Worker spans are roots of their own lanes (no cross-thread
         // parenting).
         assert!(records[1..].iter().all(|r| r.parent.is_none()));
+    }
+
+    /// Runs a seeded random enter/drop sequence on the calling thread:
+    /// at most three guards open at once, names from a three-name
+    /// alphabet, and every fourth close picks an arbitrary open guard
+    /// instead of the innermost one.
+    fn random_spans(rec: &SpanRecorder, seed: u64, steps: usize) {
+        const NAMES: [&str; 3] = ["plan", "prepare", "window"];
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as usize
+        };
+        let mut open = Vec::new();
+        for _ in 0..steps {
+            if open.len() < 3 && next() % 3 != 0 {
+                open.push(rec.enter(NAMES[next() % 3]));
+            } else if !open.is_empty() {
+                let ix = if next() % 4 == 0 {
+                    next() % open.len()
+                } else {
+                    open.len() - 1
+                };
+                drop(open.remove(ix));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every id equals the one the original numbering gave: the
+        /// ordinal is the count of earlier records (in enter order)
+        /// with the same parent and name, recounted here by a scan.
+        #[test]
+        fn ids_match_a_scan_over_earlier_records(
+            seed in any::<u64>(),
+            steps in 1usize..96,
+        ) {
+            let rec = SpanRecorder::new();
+            std::thread::scope(|scope| {
+                for k in 1..=2u64 {
+                    let rec = &rec;
+                    scope.spawn(move || {
+                        random_spans(rec, seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15), steps)
+                    });
+                }
+                random_spans(&rec, seed, steps);
+            });
+            let records = rec.records();
+            for (i, r) in records.iter().enumerate() {
+                let ordinal = records[..i]
+                    .iter()
+                    .filter(|e| e.parent == r.parent && e.name == r.name)
+                    .count() as u64;
+                prop_assert_eq!(
+                    r.id,
+                    fnv1a(r.parent.unwrap_or(0), &r.name, ordinal),
+                    "record {} of {}",
+                    i,
+                    records.len()
+                );
+            }
+        }
     }
 
     #[test]
