@@ -61,11 +61,10 @@ fn bench_partition_dp(c: &mut Criterion) {
 }
 
 fn bench_plan_single(c: &mut Criterion) {
-    // One BERT request planned end-to-end: the single-request path hands
-    // the full thread budget to the intra-request subset fan-out, so this
-    // case tracks the tentpole kernel plus the mask-parallel evaluate-all
-    // path (sequential on 1-core hosts — `available_parallelism` in the
-    // JSON says which regime a snapshot measured).
+    // One BERT request planned end-to-end: the request-count clamp leaves
+    // one worker, so at any thread count this case times the sequential
+    // pruned subset search (8 of 15 subset DPs) plus the tail candidates
+    // and the lone assembly.
     let soc = SocSpec::kirin_990();
     let planner = Planner::new(&soc).expect("planner");
     let graphs = [ModelId::Bert.graph()];

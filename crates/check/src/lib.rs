@@ -23,8 +23,8 @@ pub use hetero2pipe::sync::model::InjectedFault;
 pub use scenarios::CheckOptions;
 
 /// Run the standard model suite: cursor partition/error-rule models
-/// (exhaustive), the tables cache (exhaustive), the full planner under
-/// PCT, and the recovery-round event machine.
+/// (exhaustive), the tables cache and the DP scratch pool (exhaustive),
+/// the full planner under PCT, and the recovery-round event machine.
 pub fn run_standard(opts: CheckOptions) -> Vec<ModelReport> {
     vec![
         scenarios::cursor_map(2, 3, None, opts),
@@ -37,7 +37,6 @@ pub fn run_standard(opts: CheckOptions) -> Vec<ModelReport> {
         scenarios::tables_cache(opts),
         scenarios::scratch_pool(opts),
         scenarios::planner_bits(opts),
-        scenarios::intra_request_bits(opts),
         scenarios::recovery_rounds(),
     ]
 }

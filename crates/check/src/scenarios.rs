@@ -244,11 +244,6 @@ pub fn planner_bits(opts: CheckOptions) -> ModelReport {
     )
 }
 
-/// Abstract DFS over the recovery round machine's fault/completion
-/// event space: from a 3-request workload, explore every sequence of
-/// request completions and processor dropouts (up to 2 drops), calling
-/// the real `replan_on_survivors` at every state and asserting no
-/// surviving plan ever assigns work to a down processor.
 /// Exhaustive model of the planner's pooled-scratch pattern
 /// (`Planner::with_plan_scratch`): workers fanning out over `par::map`
 /// each pop a reusable buffer from a shared `sync::Mutex` pool (or
@@ -308,45 +303,11 @@ pub fn scratch_pool(opts: CheckOptions) -> ModelReport {
     )
 }
 
-/// PCT model of the intra-request subset-DP fan-out: a single BERT
-/// request (62 layers, past `INTRA_DP_MIN_LAYERS`) planned at 2 virtual
-/// workers routes the whole thread budget into the per-subset DP
-/// fan-out inside `plan_request_cached` — concurrent kernel runs on
-/// pooled scratches followed by the sequential selection replay. The
-/// plan must stay bit-identical to the frozen sequential reference
-/// under every explored schedule.
-pub fn intra_request_bits(opts: CheckOptions) -> ModelReport {
-    let name = "intra_request_bits(BERT, 2 threads)";
-    let soc = SocSpec::kirin_990();
-    let planner = match Planner::new(&soc) {
-        Ok(p) => p,
-        Err(e) => return setup_failure(name, &e),
-    };
-    let requests: Vec<ModelGraph> = vec![ModelId::Bert.graph()];
-    let reference = match planner.plan_reference(&requests) {
-        Ok(p) => p,
-        Err(e) => return setup_failure(name, &e),
-    };
-    explore_pct(
-        name,
-        2,
-        None,
-        opts.pct_seeds,
-        0x4450_4b46, // "DPKF"
-        opts.stop_on_violation,
-        || {
-            let planned = match planner.plan_with_threads(&requests, 2) {
-                Ok(p) => p,
-                Err(e) => panic!("plan_with_threads failed under schedule: {e}"),
-            };
-            assert!(
-                planned.plan == reference.plan,
-                "single-request plan bits diverged from plan_reference under this schedule"
-            );
-        },
-    )
-}
-
+/// Abstract DFS over the recovery round machine's fault/completion
+/// event space: from a 3-request workload, explore every sequence of
+/// request completions and processor dropouts (up to 2 drops), calling
+/// the real `replan_on_survivors` at every state and asserting no
+/// surviving plan ever assigns work to a down processor.
 pub fn recovery_rounds() -> ModelReport {
     let name = "recovery_rounds(3 requests, <=2 drops)";
     let mut report = ModelReport {

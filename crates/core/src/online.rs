@@ -122,29 +122,40 @@ impl OnlinePlanner {
         if requests.is_empty() {
             return Err(PlanError::EmptyRequestSet);
         }
-        // Windows are planned independently — the third parallel loop of
-        // the planning runtime. When more than one window fans out across
-        // the workers, each window plans with a single inner thread so the
-        // worker pool is not oversubscribed; a lone window keeps the full
-        // inner parallelism. Either way each window's plan is bit-identical
-        // (the planner's thread-count invariance), and the merge below
-        // concatenates windows in arrival order.
         let telemetry = self.planner.telemetry();
         span!(telemetry.spans, "online:{}req", requests.len());
-        let chunks: Vec<&[ModelGraph]> = requests.chunks(self.window).collect();
+        let windows: Vec<(usize, &[ModelGraph])> =
+            requests.chunks(self.window).enumerate().collect();
         telemetry.metrics.inc("online.invocations");
-        telemetry.metrics.add("online.windows", chunks.len() as u64);
+        telemetry
+            .metrics
+            .add("online.windows", windows.len() as u64);
+        let window_plans = self.plan_windows(&windows)?;
+        self.combine(window_plans)
+    }
+
+    /// Plans `(window index, requests)` pairs from scratch, one plan per
+    /// pair in input order — the third parallel loop of the planning
+    /// runtime. When more than one window fans out across the workers,
+    /// each window plans with a single inner thread so the worker pool is
+    /// not oversubscribed; a lone window keeps the full inner parallelism.
+    /// Either way each window's plan is bit-identical (the planner's
+    /// thread-count invariance).
+    fn plan_windows(
+        &self,
+        windows: &[(usize, &[ModelGraph])],
+    ) -> Result<Vec<PlannedPipeline>, PlanError> {
+        let telemetry = self.planner.telemetry();
         let outer_threads = self.planner.config().effective_threads();
-        let inner_threads = if chunks.len() > 1 && outer_threads > 1 {
+        let inner_threads = if windows.len() > 1 && outer_threads > 1 {
             1
         } else {
             outer_threads
         };
-        let window_plans = par::try_map(outer_threads, &chunks, |w, chunk| {
+        par::try_map(outer_threads, windows, |_, &(w, chunk)| {
             span!(telemetry.spans, "window:{}", w);
             self.planner.plan_with_threads(chunk, inner_threads)
-        })?;
-        self.combine(window_plans)
+        })
     }
 
     /// Concatenates per-window plans (window-local request indices) into
@@ -293,19 +304,12 @@ impl OnlinePlanner {
             }
         }
 
-        // Phase 2: plan the missed windows exactly as `plan` would (same
-        // fan-out rules), then memoize them.
+        // Phase 2: plan the missed windows exactly as `plan` would, then
+        // memoize them.
         if !missed.is_empty() {
-            let outer_threads = self.planner.config().effective_threads();
-            let inner_threads = if missed.len() > 1 && outer_threads > 1 {
-                1
-            } else {
-                outer_threads
-            };
-            let fresh = par::try_map(outer_threads, &missed, |_, &w| {
-                span!(telemetry.spans, "window:{}", w);
-                self.planner.plan_with_threads(chunks[w], inner_threads)
-            })?;
+            let to_plan: Vec<(usize, &[ModelGraph])> =
+                missed.iter().map(|&w| (w, chunks[w])).collect();
+            let fresh = self.plan_windows(&to_plan)?;
             let mut cache = match self.window_cache.lock() {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),

@@ -22,10 +22,11 @@
 //!
 //! The production path ([`Planner::plan`]) runs on the [`crate::par`]
 //! runtime with shared per-request cost tables
-//! ([`crate::estimate::RequestTables`]): per-request DP partitioning and
-//! the candidate-order evaluations fan out across worker threads, and a
-//! deterministic index-ordered merge plus a sequential selection replay
-//! guarantee the output is **bit-identical for every thread count** —
+//! ([`crate::estimate::RequestTables`]): requests and the candidate-order
+//! evaluations fan out across worker threads (each request's subset
+//! search runs whole on one worker), and a deterministic index-ordered
+//! merge plus a sequential selection replay guarantee the output is
+//! **bit-identical for every thread count** —
 //! including the frozen sequential reference
 //! ([`Planner::plan_reference`]), which preserves the original
 //! clone-per-mask implementation as the recorded perf baseline (see
@@ -48,21 +49,12 @@ use crate::partition::{min_max_partition, DpScratch};
 use crate::plan::{PipelinePlan, RequestPlan};
 use crate::worksteal::{self, StealReport};
 
-/// Layer-count cutoff below which a single request's subset DP stays
-/// sequential even when spare workers exist. One DP over a CNN-sized
-/// model (VGG16: 22 layers, ≈ 6 µs for all 15 subsets) is cheaper than
-/// one scoped-thread spawn (tens of microseconds), so fanning out only
-/// pays once the per-subset DPs are BERT-sized (62 layers, ≈ 46 µs
-/// total on the committed pre-kernel baseline). Measured on the bench
-/// host; the threshold splits the zoo between those two scales.
-pub const INTRA_DP_MIN_LAYERS: usize = 48;
-
 /// Pooled per-request planning buffers: the flat DP kernel arena plus
 /// the mask-loop buffers of `Planner::plan_request_cached`. Checked out
 /// of the planner's pool ([`Planner::with_plan_scratch`]) so
 /// steady-state planning reuses warm allocations — after the first
-/// request of a given high-water size, the sequential DP path touches
-/// the allocator zero times (pinned by the counting-allocator test).
+/// request of a given high-water size, the subset search touches the
+/// allocator zero times (pinned by the counting-allocator test).
 #[derive(Debug, Default)]
 struct PlanScratch {
     /// The DP kernel arena (table, backtracking, splits).
@@ -212,10 +204,9 @@ impl Planner {
 
     /// Checks a [`PlanScratch`] out of the pool (allocating a fresh one
     /// only on a pool miss), runs `f`, and returns the scratch for
-    /// reuse. Concurrent callers — the per-request fan-out, or the
-    /// per-subset fan-out within one request — each get their own
-    /// scratch; the pool grows to the high-water concurrency and stays
-    /// there.
+    /// reuse. Requests prepared concurrently by the per-request fan-out
+    /// each get their own scratch; the pool grows to the high-water
+    /// concurrency and stays there.
     fn with_plan_scratch<R>(&self, f: impl FnOnce(&mut PlanScratch) -> R) -> R {
         let popped = {
             let mut pool = match self.scratch_pool.lock() {
@@ -333,31 +324,19 @@ impl Planner {
     /// Only subsets of the `allowed` slot mask (bit `s` = pipeline slot
     /// `s`) are searched: planning passes every slot, recovery replans
     /// pass the surviving slots (see
-    /// [`crate::recovery::replan_on_survivors`]).
-    ///
-    /// With `threads > 1` and a model of at least [`INTRA_DP_MIN_LAYERS`]
-    /// layers, the per-subset DPs fan out over the [`par`] runtime:
-    /// every statically-feasible subset is evaluated concurrently (each
-    /// worker on its own pooled scratch) and the winner is selected by a
-    /// sequential replay in ascending mask order. The replay sees the
-    /// same candidates in the same order as the sequential loop, and a
-    /// subset the sequential loop would have pruned can never win — its
-    /// true makespan is at least its bound, which already failed the
-    /// strict `+1e-12` improvement test — so the fan-out is
-    /// bit-identical too (the `h2p-check` intra-request model explores
-    /// its schedules).
+    /// [`crate::recovery::replan_on_survivors`]). The search always runs
+    /// on the calling thread; parallelism lives one level up, across
+    /// requests.
     pub(crate) fn plan_request_cached(
         &self,
         tables: &RequestTables,
         allowed: u32,
-        threads: usize,
     ) -> Result<(RequestContext, Vec<usize>, f64), PlanError> {
         let graph = tables.graph();
         let n = graph.len();
         let k_slots = tables.slot_count();
         let table = tables.table();
         let fallback = tables.fallback();
-        let mask_count = (1usize << k_slots) - 1;
 
         // Statically-feasible check + exact lower bound for one subset:
         // every layer costs at least its cheapest active slot, stage
@@ -416,85 +395,42 @@ impl Planner {
             // loop must never contend on the shared registry lock.
             let mut masks_evaluated = 0u64;
             let mut masks_pruned = 0u64;
-            let mut cells = 0u64;
 
             let mut best_ms: Option<f64> = None; // winner in ps.best_*
-            let workers = par::worker_count(threads, mask_count);
-            if workers > 1 && n >= INTRA_DP_MIN_LAYERS {
-                // Fan-out path: evaluate every statically-feasible
-                // subset concurrently, then replay the selection
-                // sequentially in ascending mask order (see the method
-                // docs for why pruning is unnecessary for identity).
-                let masks: Vec<u32> = (1u32..(1 << k_slots))
-                    .filter(|&mask| {
-                        if mask & !allowed != 0 {
-                            return false;
-                        }
-                        ps.slots.clear();
-                        ps.slots
-                            .extend((0..k_slots).filter(|&s| mask & (1 << s) != 0));
-                        ps.slots.len() <= n
-                            && subset_bound(&ps.lat, n, &ps.slots, &mut ps.mins).is_some()
-                    })
-                    .collect();
-                masks_evaluated = masks.len() as u64;
-                let evaluated = par::map(threads, &masks, |_, &mask| {
-                    let slots: Vec<usize> =
-                        (0..k_slots).filter(|&s| mask & (1 << s) != 0).collect();
-                    self.with_plan_scratch(|ws| {
-                        let found = tables
-                            .partition_into(&slots, &mut ws.dp)
-                            .map(|ms| (slots.clone(), ws.dp.splits().to_vec(), ms));
-                        (found, ws.dp.take_cells())
-                    })
-                });
-                for (found, worker_cells) in evaluated {
-                    cells += worker_cells;
-                    let Some((slots, splits, ms)) = found else {
+            for mask in 1u32..(1 << k_slots) {
+                if mask & !allowed != 0 {
+                    continue;
+                }
+                ps.slots.clear();
+                ps.slots
+                    .extend((0..k_slots).filter(|&s| mask & (1 << s) != 0));
+                if ps.slots.len() > n {
+                    continue;
+                }
+                let Some(bound) = subset_bound(&ps.lat, n, &ps.slots, &mut ps.mins) else {
+                    continue;
+                };
+                if let Some(ms) = best_ms {
+                    if bound + 1e-12 >= ms {
+                        masks_pruned += 1;
                         continue;
-                    };
-                    if best_ms.is_none_or(|b| ms + 1e-12 < b) {
-                        best_ms = Some(ms);
-                        ps.best_slots.clone_from(&slots);
-                        ps.best_splits.clone_from(&splits);
                     }
                 }
-            } else {
-                for mask in 1u32..(1 << k_slots) {
-                    if mask & !allowed != 0 {
-                        continue;
-                    }
-                    ps.slots.clear();
-                    ps.slots
-                        .extend((0..k_slots).filter(|&s| mask & (1 << s) != 0));
-                    if ps.slots.len() > n {
-                        continue;
-                    }
-                    let Some(bound) = subset_bound(&ps.lat, n, &ps.slots, &mut ps.mins) else {
-                        continue;
-                    };
-                    if let Some(ms) = best_ms {
-                        if bound + 1e-12 >= ms {
-                            masks_pruned += 1;
-                            continue;
-                        }
-                    }
-                    masks_evaluated += 1;
-                    let Some(ms) = tables.partition_into(&ps.slots, &mut ps.dp) else {
-                        continue;
-                    };
-                    if best_ms.is_none_or(|b| ms + 1e-12 < b) {
-                        best_ms = Some(ms);
-                        ps.best_slots.clone_from(&ps.slots);
-                        ps.best_splits.clear();
-                        ps.best_splits.extend_from_slice(ps.dp.splits());
-                    }
+                masks_evaluated += 1;
+                let Some(ms) = tables.partition_into(&ps.slots, &mut ps.dp) else {
+                    continue;
+                };
+                if best_ms.is_none_or(|b| ms + 1e-12 < b) {
+                    best_ms = Some(ms);
+                    ps.best_slots.clone_from(&ps.slots);
+                    ps.best_splits.clear();
+                    ps.best_splits.extend_from_slice(ps.dp.splits());
                 }
             }
             let m = &self.telemetry.metrics;
             m.add("planner.dp.masks_evaluated", masks_evaluated);
             m.add("planner.dp.masks_pruned", masks_pruned);
-            m.add("planner.dp.cells", cells + ps.dp.take_cells());
+            m.add("planner.dp.cells", ps.dp.take_cells());
             best_ms.map(|ms| (ps.best_slots.clone(), ps.best_splits.clone(), ms))
         });
 
@@ -522,15 +458,11 @@ impl Planner {
     }
 
     /// Step 1 for one request on the cached tables, producing the context,
-    /// the request plan and the tail-collapse candidates. `dp_threads`
-    /// bounds the *intra*-request subset fan-out: when many requests are
-    /// planned the per-request map already saturates the workers and
-    /// this is 1; a single-request plan hands the whole budget here.
+    /// the request plan and the tail-collapse candidates.
     fn prepare_request(
         &self,
         idx: usize,
         graph: &ModelGraph,
-        dp_threads: usize,
     ) -> Result<PreparedRequest, PlanError> {
         span!(self.telemetry.spans, "prepare:{}:{}", idx, graph.name());
         let procs = self.pipeline_procs();
@@ -542,7 +474,7 @@ impl Planner {
         } else {
             "planner.tables.cache_misses"
         });
-        let (ctx, splits, _) = self.plan_request_cached(&tables, u32::MAX, dp_threads)?;
+        let (ctx, splits, _) = self.plan_request_cached(&tables, u32::MAX)?;
         let stages =
             ctx.build_stages(cost, &splits, k)
                 .ok_or_else(|| PlanError::NoFeasiblePipeline {
@@ -601,16 +533,6 @@ impl Planner {
         // takes the sequential path with zero thread-scope setup, making
         // `plan_with_threads(reqs, 1)` and the t1 bench case the same
         // code path (plans are bit-identical at any value regardless).
-        //
-        // With a single request the request-level map has nothing to fan
-        // out, so the thread budget goes to the *intra*-request subset
-        // DP instead (`plan_request_cached`'s fan-out path) — the
-        // single-large-model replanning case. Bit-identical either way.
-        let dp_threads = if requests.len() == 1 {
-            threads.max(1)
-        } else {
-            1
-        };
         let threads = threads.min(requests.len());
         // h2p-lint: allow(H2P011) — phase timing feeds gauges only, never plan bits
         let total_start = Instant::now();
@@ -626,7 +548,7 @@ impl Planner {
         let prepared = {
             span!(self.telemetry.spans, "prepare");
             par::try_map(threads, requests, |idx, graph| {
-                self.prepare_request(idx, graph, dp_threads)
+                self.prepare_request(idx, graph)
             })?
         };
         self.telemetry.metrics.gauge_add(
@@ -1140,6 +1062,55 @@ mod tests {
         let reference = p.plan_reference(&graphs).unwrap();
         let out = p.plan_with_threads(&graphs, 4).unwrap();
         assert_eq!(out.plan, reference.plan);
+    }
+
+    /// Adding a processor never raises the subset-search optimum: for
+    /// every zoo model on every evaluation SoC and every pair of
+    /// allowed-slot masks `a ⊆ b`, a feasible `a` implies a feasible `b`
+    /// that is no worse up to the strict-improvement epsilon, and the
+    /// chosen slots always lie inside the mask searched.
+    #[test]
+    fn larger_allowed_mask_never_raises_the_optimum() {
+        let mut feasible_pairs = 0usize;
+        for soc in SocSpec::evaluation_platforms() {
+            let p = Planner::new(&soc).unwrap();
+            let procs = p.pipeline_procs();
+            let full = (1u32 << procs.len()) - 1;
+            for id in ModelId::ALL {
+                let (tables, _) = p.estimator().tables_cached(&id.graph(), &procs);
+                let best: Vec<Option<f64>> = (0..=full)
+                    .map(|mask| {
+                        let (ctx, _, ms) = p.plan_request_cached(&tables, mask).ok()?;
+                        for &s in &ctx.active_slots {
+                            assert_ne!(
+                                mask & (1 << s),
+                                0,
+                                "{id:?} on {}: slot {s} outside mask {mask:#b}",
+                                soc.name
+                            );
+                        }
+                        Some(ms)
+                    })
+                    .collect();
+                for b in 1..=full {
+                    for a in (1..=full).filter(|&a| a & !b == 0) {
+                        let Some(ms_a) = best[a as usize] else {
+                            continue;
+                        };
+                        feasible_pairs += 1;
+                        let ms_b = best[b as usize].unwrap_or_else(|| {
+                            panic!("{id:?} on {}: {a:#b} feasible, {b:#b} not", soc.name)
+                        });
+                        assert!(
+                            ms_b <= ms_a + 1e-12,
+                            "{id:?} on {}: mask {b:#b} ({ms_b}) worse than {a:#b} ({ms_a})",
+                            soc.name
+                        );
+                    }
+                }
+            }
+        }
+        assert!(feasible_pairs > 0);
     }
 
     #[test]

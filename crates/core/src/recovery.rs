@@ -285,7 +285,7 @@ pub fn replan_on_survivors(
             .then_some(slot)
         });
         let allowed = blocked_slot.map_or(surviving, |b| surviving & !(1 << b));
-        let (ctx, splits, _) = planner.plan_request_cached(&tables, allowed, 1)?;
+        let (ctx, splits, _) = planner.plan_request_cached(&tables, allowed)?;
         if pending.contains(&r) {
             let stages = ctx
                 .build_stages(cost, &splits, procs.len())

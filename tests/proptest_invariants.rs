@@ -1,8 +1,8 @@
 //! Property-based tests over the core algorithms and data structures:
 //! optimality of the partition DP, optimality of the Hungarian solver,
 //! permutation/resolution invariants of contention mitigation, plan
-//! tiling after the full planning pipeline, simulator determinism and
-//! batching conservation.
+//! tiling after the full planning pipeline, the order hysteresis,
+//! simulator determinism and batching conservation.
 
 use proptest::prelude::*;
 
@@ -94,6 +94,44 @@ fn partition_regression_seven_layers_four_slots() {
     assert!((dp.makespan_ms - brute.makespan_ms).abs() < 1e-9);
     assert!(dp.splits.windows(2).all(|w| w[0] < w[1]));
     assert!(dp.splits.iter().all(|&s| s > 0 && s < n));
+}
+
+/// The order hysteresis never adopts a worse order: over seeded
+/// combinations of 1–8 zoo models on every evaluation SoC, the default
+/// planner's contention-aware estimate is never above the one of the same
+/// configuration without mitigation, which assembles only arrival order.
+/// Arrival order is the incumbent candidate, so the bound holds exactly.
+#[test]
+fn adopted_order_never_estimates_worse_than_arrival_order() {
+    use hetero2pipe::planner::{Planner, PlannerConfig};
+    use hetero2pipe::workload::random_combinations;
+
+    for (seed, soc) in SocSpec::evaluation_platforms().into_iter().enumerate() {
+        let default = Planner::new(&soc).expect("planner trains");
+        let arrival_only = Planner::with_config(
+            &soc,
+            PlannerConfig {
+                contention_mitigation: false,
+                ..PlannerConfig::default()
+            },
+        )
+        .expect("planner trains");
+        for ids in random_combinations(0x4859_5354 + seed as u64, 40, 1, 8) {
+            let graphs: Vec<_> = ids.iter().map(|m| m.graph()).collect();
+            let est = |p: &Planner| {
+                p.plan(&graphs)
+                    .expect("plans")
+                    .plan
+                    .estimated_makespan_contention_ms(&soc)
+            };
+            let (adopted, arrival) = (est(&default), est(&arrival_only));
+            assert!(
+                adopted <= arrival,
+                "{ids:?} on {}: adopted order estimates {adopted} ms, arrival order {arrival} ms",
+                soc.name
+            );
+        }
+    }
 }
 
 proptest! {
