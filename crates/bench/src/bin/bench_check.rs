@@ -309,6 +309,7 @@ fn main() {
         "partition_dp/VGG16",
         "partition_dp/BERT",
         "plan_single/BERT",
+        "prepare_cold/BERT",
         "lap_solve/32",
         "plan/reference/8",
         "plan/t1/8",

@@ -4,8 +4,9 @@
 //! subsystem attached and reports the accumulated phase timings
 //! (prepare = per-request DP partitioning, assemble = candidate-order
 //! evaluation with work stealing and tail search), the DP pruning hit
-//! rate, the LAP work counters, and the cross-invocation estimate-table
-//! cache hit/miss counters — the observability counterpart of the
+//! rate, the LAP work counters, and the hit/miss counters of the
+//! cross-invocation estimate-table cache and of the partition memo on
+//! its entries — the observability counterpart of the
 //! `planner_scaling` wall-clock suite. The raw metrics snapshot is
 //! written as JSON for trend tracking across commits.
 //!
@@ -85,6 +86,18 @@ fn main() {
     };
     println!(
         "tables cache: {hits} hits, {misses} misses across {iters} plans ({hit_rate:.1}% hit rate)"
+    );
+    // The partition memo on those entries: the first plan searches once
+    // per distinct (model, pipeline) pair, every later plan hits.
+    let hits = count("planner.partition.cache_hits");
+    let misses = count("planner.partition.cache_misses");
+    let hit_rate = if hits + misses > 0 {
+        100.0 * hits as f64 / (hits + misses) as f64
+    } else {
+        0.0
+    };
+    println!(
+        "partition memo: {hits} hits, {misses} misses across {iters} plans ({hit_rate:.1}% hit rate)"
     );
 
     std::fs::write(&out, snap.to_json()).expect("write metrics snapshot");

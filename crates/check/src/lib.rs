@@ -23,7 +23,8 @@ pub use hetero2pipe::sync::model::InjectedFault;
 pub use scenarios::CheckOptions;
 
 /// Run the standard model suite: cursor partition/error-rule models
-/// (exhaustive), the tables cache and the DP scratch pool (exhaustive),
+/// (exhaustive), the tables cache, the partition memo and the DP scratch
+/// pool (exhaustive),
 /// the full planner under PCT, and the recovery-round event machine.
 pub fn run_standard(opts: CheckOptions) -> Vec<ModelReport> {
     vec![
@@ -35,6 +36,7 @@ pub fn run_standard(opts: CheckOptions) -> Vec<ModelReport> {
         scenarios::cursor_try_map(2, 4, vec![1, 3], opts),
         scenarios::cursor_try_map(3, 3, vec![0], opts),
         scenarios::tables_cache(opts),
+        scenarios::partition_memo(opts),
         scenarios::scratch_pool(opts),
         scenarios::planner_bits(opts),
         scenarios::recovery_rounds(),

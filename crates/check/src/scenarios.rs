@@ -2,15 +2,18 @@
 //! controlled schedules, plus the abstract recovery-round machine.
 //!
 //! Every scenario runs the *production* code (`par::map`/`try_map`, the
-//! estimator's tables cache, `Planner::plan_with_threads`,
-//! `recovery::replan_on_survivors`) — not a re-implementation — and
-//! asserts the repo's standing determinism invariants:
+//! estimator's tables cache, the partition memo,
+//! `Planner::plan_with_threads`, `recovery::replan_on_survivors`) — not a
+//! re-implementation — and asserts the repo's standing determinism
+//! invariants:
 //!
 //! * cursor claims form an exact partition of the items (no lost, no
 //!   double-claimed index);
 //! * `try_map` reports the lowest-index error and claims stay a prefix;
 //! * concurrent tables-cache lookups return one shared `Arc` with
 //!   exactly one miss;
+//! * concurrent partition lookups on one tables entry return
+//!   bit-identical winners with exactly one subset search;
 //! * `plan_with_threads` is bit-identical to the frozen
 //!   `Planner::plan_reference` under every schedule;
 //! * recovery replans never assign a stage, run or slot to a down
@@ -208,10 +211,79 @@ pub fn tables_cache(opts: CheckOptions) -> ModelReport {
     )
 }
 
+/// Exhaustive model of the partition memo: two scoped threads call
+/// `Planner::plan_request_cached` on one fresh tables entry. Under every
+/// schedule both must receive bit-identical winners, and exactly one of
+/// them may run the subset search (the other waits on the entry's lock
+/// and hits).
+pub fn partition_memo(opts: CheckOptions) -> ModelReport {
+    let name = "partition_memo(2 threads, 1 key)";
+    let soc = SocSpec::kirin_990();
+    let planner = match Planner::new(&soc) {
+        Ok(p) => p,
+        Err(e) => return setup_failure(name, &e),
+    };
+    let graph = Arc::new(ModelId::SqueezeNet.graph());
+    let procs = planner.pipeline_procs();
+    let misses = || {
+        planner
+            .telemetry()
+            .metrics
+            .snapshot()
+            .counter("planner.partition.cache_misses")
+            .unwrap_or(0)
+    };
+    explore_exhaustive(
+        name,
+        2,
+        None,
+        opts.exhaustive_cap,
+        opts.stop_on_violation,
+        || {
+            let tables = planner.estimator().tables(Arc::clone(&graph), &procs);
+            let before = misses();
+            let (a, b) = sync::scope(|s| {
+                let h1 = s.spawn(|| planner.plan_request_cached(&tables, u32::MAX));
+                let h2 = s.spawn(|| planner.plan_request_cached(&tables, u32::MAX));
+                let a = match h1.join() {
+                    Ok(v) => v,
+                    Err(payload) => std::panic::resume_unwind(payload),
+                };
+                let b = match h2.join() {
+                    Ok(v) => v,
+                    Err(payload) => std::panic::resume_unwind(payload),
+                };
+                (a, b)
+            });
+            let (a, b) = match (a, b) {
+                (Ok(a), Ok(b)) => (a, b),
+                (a, b) => panic!(
+                    "SqueezeNet must be placeable: ok={}, ok={}",
+                    a.is_ok(),
+                    b.is_ok()
+                ),
+            };
+            assert!(
+                a.ctx.active_slots == b.ctx.active_slots
+                    && a.splits == b.splits
+                    && a.makespan_ms.to_bits() == b.makespan_ms.to_bits()
+                    && a.stages == b.stages,
+                "concurrent partition lookups returned different winners"
+            );
+            let searches = misses() - before;
+            assert_eq!(
+                searches, 1,
+                "exactly one of two concurrent lookups must search (searches: {searches})"
+            );
+        },
+    )
+}
+
 /// PCT model of the full planner: `plan_with_threads(_, 2)` must stay
 /// bit-identical to the frozen sequential `plan_reference` under every
-/// sampled schedule (warm and cold caches alike — the first schedule
-/// runs cold, the rest warm).
+/// sampled schedule. Every other schedule starts from a cleared tables
+/// cache: a request whose partition is memoized prepares on the calling
+/// thread, so only cold schedules fan the prepare step out.
 pub fn planner_bits(opts: CheckOptions) -> ModelReport {
     let name = "planner_bits(2 requests, 2 threads)";
     let soc = SocSpec::kirin_990();
@@ -224,6 +296,7 @@ pub fn planner_bits(opts: CheckOptions) -> ModelReport {
         Ok(p) => p,
         Err(e) => return setup_failure(name, &e),
     };
+    let runs = AtomicUsize::new(0);
     explore_pct(
         name,
         2,
@@ -232,6 +305,9 @@ pub fn planner_bits(opts: CheckOptions) -> ModelReport {
         0x4845_5432, // "HET2"
         opts.stop_on_violation,
         || {
+            if runs.fetch_add(1, Ordering::SeqCst).is_multiple_of(2) {
+                planner.estimator().clear_tables_cache();
+            }
             let planned = match planner.plan_with_threads(&requests, 2) {
                 Ok(p) => p,
                 Err(e) => panic!("plan_with_threads failed under schedule: {e}"),

@@ -76,6 +76,20 @@ fn tables_cache_single_arc_per_key() {
 }
 
 #[test]
+fn partition_memo_searches_once_per_key() {
+    let report = scenarios::partition_memo(opts());
+    assert!(
+        report.complete,
+        "DFS must enumerate to completion: {report:?}"
+    );
+    assert!(
+        report.schedules > 1,
+        "memo race needs >1 schedule: {report:?}"
+    );
+    assert_eq!(report.violations, 0, "violations: {:?}", report.samples);
+}
+
+#[test]
 fn recovery_rounds_never_use_down_processors() {
     let report = scenarios::recovery_rounds();
     assert!(report.schedules > 50, "too few event paths: {report:?}");

@@ -22,7 +22,7 @@
 //!   `stage_cost`/`copy_in_ms` are pure O(1) lookups. Both paths produce
 //!   bit-identical stage costs.
 
-use crate::sync::{Arc, Mutex};
+use crate::sync::{Arc, Mutex, MutexGuard};
 use std::collections::HashMap;
 
 use h2p_contention::{ContentionClass, IntensityModel};
@@ -35,11 +35,7 @@ use h2p_simulator::soc::SocSpec;
 use crate::error::PlanError;
 use crate::partition::{self, DpScratch, PrefixStage};
 use crate::plan::{StagePlan, StageRun};
-
-/// Memoized intensity predictions, keyed by model name with a full graph
-/// equality check per entry (names alone are not unique — batched graphs
-/// share a base name).
-type IntensityMemo = HashMap<String, Vec<(Arc<ModelGraph>, f64, ContentionClass)>>;
+use crate::planner::PartitionMemo;
 
 /// Cross-invocation memo for [`Estimator::tables_cached`]: per model name,
 /// the `(graph, pipeline processors, tables)` triples already built. The
@@ -54,10 +50,6 @@ pub struct Estimator {
     cost: CostModel,
     intensity: IntensityModel,
     pmu_proc: ProcessorId,
-    /// Cross-call memo for [`Estimator::intensity_and_class`]; shared by
-    /// clones of this estimator (planning the same model zoo repeatedly
-    /// — the online re-planning case — hits the memo).
-    intensity_memo: Arc<Mutex<IntensityMemo>>,
     /// Cross-invocation memo for [`Estimator::tables_cached`]; shared by
     /// clones. Re-planning the same model set every window reuses its
     /// prefix-sum cost tables via `Arc` instead of rebuilding them.
@@ -98,7 +90,6 @@ impl Estimator {
             cost,
             intensity,
             pmu_proc,
-            intensity_memo: Arc::new(Mutex::new(HashMap::new())),
             tables_memo: Arc::new(Mutex::new(HashMap::new())),
         })
     }
@@ -123,7 +114,6 @@ impl Estimator {
             cost,
             intensity,
             pmu_proc,
-            intensity_memo: Arc::new(Mutex::new(HashMap::new())),
             tables_memo: Arc::new(Mutex::new(HashMap::new())),
         })
     }
@@ -146,33 +136,6 @@ impl Estimator {
     /// ℍ/𝕃 classification of a model.
     pub fn classify(&self, graph: &ModelGraph) -> ContentionClass {
         self.intensity.classify(&self.cost, graph, self.pmu_proc)
-    }
-
-    /// Memoized `(predict_intensity, classify)` pair. The memo key is the
-    /// model name, verified with a full graph equality check, so a hit is
-    /// exactly as correct as recomputing; repeated planning of the same
-    /// models (the online case) skips the regression entirely.
-    pub fn intensity_and_class(&self, graph: &Arc<ModelGraph>) -> (f64, ContentionClass) {
-        self.intensity_and_class_of(graph)
-    }
-
-    /// [`Estimator::intensity_and_class`] for a borrowed graph: the same
-    /// memo, cloning the graph into the memo only on a miss.
-    pub fn intensity_and_class_of(&self, graph: &ModelGraph) -> (f64, ContentionClass) {
-        let mut memo = match self.intensity_memo.lock() {
-            Ok(guard) => guard,
-            // The memo is a pure cache: a panic while holding the lock
-            // cannot leave partial state, so a poisoned lock is usable.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let entries = memo.entry(graph.name().to_owned()).or_default();
-        if let Some((_, i, c)) = entries.iter().find(|(g, _, _)| **g == *graph) {
-            return (*i, *c);
-        }
-        let i = self.predict_intensity(graph);
-        let c = self.classify(graph);
-        entries.push((Arc::new(graph.clone()), i, c));
-        (i, c)
     }
 
     /// Builds the per-request context for `graph` on the given active
@@ -222,7 +185,8 @@ impl Estimator {
     /// Builds the shared per-request tables over the **full** pipeline
     /// processor list: one prefix-sum cost table covering every slot, the
     /// operator-fallback arrays for the NPU slot (if any), and one
-    /// copy-in curve per ordered slot pair. Deriving a context for any
+    /// copy-in curve per ordered slot pair, plus the model's predicted
+    /// contention intensity and ℍ/𝕃 class. Deriving a context for any
     /// processor subset from the result is O(stages).
     pub fn tables(&self, graph: Arc<ModelGraph>, pipeline_procs: &[ProcessorId]) -> RequestTables {
         let k = pipeline_procs.len();
@@ -272,6 +236,8 @@ impl Estimator {
                 *cell = from;
             }
         }
+        let intensity = self.predict_intensity(&graph);
+        let class = self.intensity.classify_intensity(intensity);
         RequestTables {
             graph,
             pipeline_procs: pipeline_procs.to_vec(),
@@ -280,53 +246,80 @@ impl Estimator {
             feas_from,
             zero_copy: vec![0.0; n],
             fallback,
+            intensity,
+            class,
+            partitions: Mutex::new(PartitionMemo::default()),
         }
     }
 
     /// The cross-invocation cached variant of [`Estimator::tables`]: the
-    /// same model planned over the same pipeline-processor list (the same
-    /// contention class follows, since the class is a pure function of the
-    /// graph) reuses its shared tables via `Arc` instead of rebuilding
-    /// them — the online re-planning case, where every window re-plans
-    /// the same model set. Returns `(tables, hit)` so callers can record
-    /// cache telemetry. A hit is exactly as correct as rebuilding: the
-    /// memo key is the model name, verified with a full graph equality
-    /// check plus an exact processor-list match (the processor list
-    /// encodes availability — a dropped or depth-truncated slot changes
-    /// it and therefore misses).
+    /// same model planned over the same pipeline-processor list reuses
+    /// its shared tables via `Arc` instead of rebuilding them — the
+    /// online re-planning case, where every window re-plans the same
+    /// model set. Everything memoized on the entry rides along: the
+    /// contention class, and the partitions
+    /// [`crate::planner::Planner::plan_request_cached`] has solved.
+    /// Returns `(tables, hit)` so callers can record cache telemetry. A
+    /// hit is exactly as correct as rebuilding: the memo key is the
+    /// model name, verified with a full graph equality check plus an
+    /// exact processor-list match (the processor list encodes
+    /// availability — a dropped or depth-truncated slot changes it and
+    /// therefore misses). Only a miss allocates the key.
     pub fn tables_cached(
         &self,
         graph: &ModelGraph,
         pipeline_procs: &[ProcessorId],
     ) -> (Arc<RequestTables>, bool) {
-        let mut memo = match self.tables_memo.lock() {
+        let mut memo = self.lock_tables_memo();
+        if let Some(tables) = find_tables(&memo, graph, pipeline_procs) {
+            return (tables, true);
+        }
+        let shared_graph = Arc::new(graph.clone());
+        let tables = Arc::new(self.tables(Arc::clone(&shared_graph), pipeline_procs));
+        memo.entry(graph.name().to_owned()).or_default().push((
+            shared_graph,
+            pipeline_procs.to_vec(),
+            Arc::clone(&tables),
+        ));
+        (tables, false)
+    }
+
+    /// The entry [`Estimator::tables_cached`] would hit, without building
+    /// one on a miss.
+    pub(crate) fn tables_if_cached(
+        &self,
+        graph: &ModelGraph,
+        pipeline_procs: &[ProcessorId],
+    ) -> Option<Arc<RequestTables>> {
+        find_tables(&self.lock_tables_memo(), graph, pipeline_procs)
+    }
+
+    fn lock_tables_memo(&self) -> MutexGuard<'_, TablesMemo> {
+        match self.tables_memo.lock() {
             Ok(guard) => guard,
             // Pure cache: a panic while holding the lock cannot leave
             // partial state, so a poisoned lock is usable.
             Err(poisoned) => poisoned.into_inner(),
-        };
-        let entries = memo.entry(graph.name().to_owned()).or_default();
-        if let Some((_, _, tables)) = entries
-            .iter()
-            .find(|(g, procs, _)| procs == pipeline_procs && **g == *graph)
-        {
-            return (Arc::clone(tables), true);
         }
-        let shared_graph = Arc::new(graph.clone());
-        let tables = Arc::new(self.tables(Arc::clone(&shared_graph), pipeline_procs));
-        entries.push((shared_graph, pipeline_procs.to_vec(), Arc::clone(&tables)));
-        (tables, false)
     }
 
     /// Drops every cached [`RequestTables`] (shared by clones of this
-    /// estimator). Subsequent lookups rebuild and re-populate.
+    /// estimator), and with them their memoized partitions. Subsequent
+    /// lookups rebuild and re-populate.
     pub fn clear_tables_cache(&self) {
-        let mut memo = match self.tables_memo.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        memo.clear();
+        self.lock_tables_memo().clear();
     }
+}
+
+fn find_tables(
+    memo: &TablesMemo,
+    graph: &ModelGraph,
+    pipeline_procs: &[ProcessorId],
+) -> Option<Arc<RequestTables>> {
+    memo.get(graph.name())?
+        .iter()
+        .find(|(g, procs, _)| procs == pipeline_procs && **g == *graph)
+        .map(|(_, _, tables)| Arc::clone(tables))
 }
 
 fn assert_active_slots(active_slots: &[usize]) {
@@ -341,9 +334,9 @@ fn assert_active_slots(active_slots: &[usize]) {
 }
 
 /// Shared per-request planning tables over the full pipeline processor
-/// list (see [`Estimator::tables`]). Cloning is cheap (`Arc` internals);
-/// deriving per-subset contexts does not rebuild any table.
-#[derive(Debug, Clone)]
+/// list (see [`Estimator::tables`]). Deriving per-subset contexts does
+/// not rebuild any table.
+#[derive(Debug)]
 pub struct RequestTables {
     graph: Arc<ModelGraph>,
     pipeline_procs: Vec<ProcessorId>,
@@ -363,6 +356,13 @@ pub struct RequestTables {
     /// `(pipeline slot of the NPU, fallback arrays)`, if the pipeline
     /// includes an NPU.
     fallback: Option<(usize, Arc<NpuFallback>)>,
+    /// The model's regression-predicted contention intensity.
+    intensity: f64,
+    /// The model's ℍ/𝕃 class (the intensity against the threshold).
+    class: ContentionClass,
+    /// Algorithm 1's answers over these tables, one per allowed-slot
+    /// mask searched (see [`crate::planner::Planner::plan_request_cached`]).
+    partitions: Mutex<PartitionMemo>,
 }
 
 impl RequestTables {
@@ -374,6 +374,22 @@ impl RequestTables {
     /// Number of pipeline processor slots covered.
     pub fn slot_count(&self) -> usize {
         self.pipeline_procs.len()
+    }
+
+    /// The model's predicted contention intensity and ℍ/𝕃 class,
+    /// computed once when the entry was built.
+    pub(crate) fn contention(&self) -> (f64, ContentionClass) {
+        (self.intensity, self.class)
+    }
+
+    /// The memo of solved partitions (see [`PartitionMemo`]).
+    pub(crate) fn partitions(&self) -> MutexGuard<'_, PartitionMemo> {
+        match self.partitions.lock() {
+            Ok(guard) => guard,
+            // A panic mid-search leaves the memo as it was before the
+            // search: entries are pushed only once complete.
+            Err(poisoned) => poisoned.into_inner(),
+        }
     }
 
     /// The full-pipeline prefix-sum cost table (row = pipeline slot).
@@ -892,19 +908,25 @@ mod tests {
     }
 
     #[test]
-    fn intensity_memo_matches_direct_calls() {
-        let (_, est) = setup();
-        let g = Arc::new(ModelId::SqueezeNet.graph());
-        let (i1, c1) = est.intensity_and_class(&g);
+    fn tables_entry_contention_matches_direct_calls() {
+        let (soc, est) = setup();
+        let procs = soc.processors_by_power();
+        let g = ModelId::SqueezeNet.graph();
+        let (tables, _) = est.tables_cached(&g, &procs);
+        let (i1, c1) = tables.contention();
         assert_eq!(i1.to_bits(), est.predict_intensity(&g).to_bits());
         assert_eq!(c1, est.classify(&g));
-        // Second call hits the memo and must agree bit-for-bit.
-        let (i2, c2) = est.intensity_and_class(&g);
+        // A second lookup hits the entry and must agree bit-for-bit.
+        let (again, hit) = est.tables_cached(&g, &procs);
+        assert!(hit);
+        let (i2, c2) = again.contention();
         assert_eq!(i1.to_bits(), i2.to_bits());
         assert_eq!(c1, c2);
         // A same-name but different graph must not hit the wrong entry.
-        let batched = Arc::new(crate::batching::batched_graph(&g, 2));
-        let (ib, _) = est.intensity_and_class(&batched);
+        let batched = crate::batching::batched_graph(&g, 2);
+        let (other, hit) = est.tables_cached(&batched, &procs);
+        assert!(!hit);
+        let (ib, _) = other.contention();
         assert_eq!(ib.to_bits(), est.predict_intensity(&batched).to_bits());
     }
 

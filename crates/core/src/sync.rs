@@ -28,10 +28,10 @@
 //!   deadlock, participant panic) it releases all threads to run freely
 //!   and the underlying primitives keep the program memory-safe.
 //!
-//! `worksteal.rs` is intentionally absent from the routing table: its
-//! tail-optimization passes are pure sequential functions over plan
-//! snapshots and own no synchronization state (the model checker reaches
-//! them only *through* `par`/planner fan-out).
+//! `worksteal.rs` takes only `Arc` from here (the shared tail-collapse
+//! candidates): its tail-optimization passes are pure sequential
+//! functions over plan snapshots and own no synchronization state (the
+//! model checker reaches them only *through* `par`/planner fan-out).
 
 pub use std::sync::atomic::Ordering;
 pub use std::sync::Arc;

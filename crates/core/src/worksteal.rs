@@ -25,12 +25,14 @@ use h2p_models::cost::CostModel;
 
 use crate::estimate::{Estimator, RequestContext, RequestTables};
 use crate::plan::{PipelinePlan, StagePlan};
+use crate::sync::Arc;
 
 /// Precomputed single-slot collapse candidates for one request: entry
 /// `slot` holds the stages and derived context of running the whole model
 /// alone on that slot, or `None` where the model is infeasible there.
-/// Computed once per request from its shared cost tables (in parallel with
-/// the rest of step 1) and reused across every candidate-order assembly.
+/// Computed once per cost-tables entry, shared behind an `Arc` by every
+/// request that plans the model, and reused across every candidate-order
+/// assembly.
 pub type CollapseSlots = Vec<Option<(Vec<Option<StagePlan>>, RequestContext)>>;
 
 /// Outcome statistics of the vertical-alignment passes.
@@ -244,7 +246,7 @@ pub fn collapse_candidates(
 pub fn optimize_tail_cached(
     plan: &mut PipelinePlan,
     ctxs: &mut [RequestContext],
-    collapse: &[CollapseSlots],
+    collapse: &[Arc<CollapseSlots>],
 ) -> usize {
     let k = plan.depth();
     let m = plan.requests.len();

@@ -55,16 +55,19 @@ done
 
 echo "== h2p modelcheck --exhaustive (schedule-space model checker)"
 # Exhaustive DFS over the cursor/partition, error-rule, tables-cache,
-# scratch-pool, planner bit-identity and recovery-round models: every
-# explored interleaving must satisfy the determinism invariants, and the
-# sweep must cover at least 1000 distinct schedules. The report must
-# list the DP scratch-pool model — a registry regression that silently
-# drops it must fail here, not pass by omission.
+# partition-memo, scratch-pool, planner bit-identity and recovery-round
+# models: every explored interleaving must satisfy the determinism
+# invariants, and the sweep must cover at least 1000 distinct schedules.
+# The report must list the partition-memo and DP scratch-pool models — a
+# registry regression that silently drops one must fail here, not pass
+# by omission.
 MODELCHECK_OUT=$(mktemp)
 $H2P modelcheck --exhaustive --min-schedules 1000 > "$MODELCHECK_OUT"
-grep -q scratch_pool "$MODELCHECK_OUT" || {
-    echo "modelcheck report is missing the scratch_pool model" >&2
-    rm -f "$MODELCHECK_OUT"; exit 1; }
+for model in partition_memo scratch_pool; do
+    grep -q "$model" "$MODELCHECK_OUT" || {
+        echo "modelcheck report is missing the $model model" >&2
+        rm -f "$MODELCHECK_OUT"; exit 1; }
+done
 rm -f "$MODELCHECK_OUT"
 # The checker must catch both seeded cursor-claim bugs: the dropped
 # claim (skip-claim) and the torn claim (split-claim, which only

@@ -87,27 +87,34 @@ fn warm_dp_path_is_allocation_free_and_pool_recycles() {
 
     // --- Planner scratch pool: a second identical plan must be served
     // entirely from recycled arenas (`planner.dp.scratch_allocs` flat).
+    // Clearing the tables cache drops the memoized partitions, so the
+    // second plan runs its subset searches again and checks scratches
+    // out of the pool instead of answering from the memo.
     let graphs = [ModelId::Bert.graph(), ModelId::Vgg16.graph()];
+    let counter = |name: &str| {
+        planner
+            .telemetry()
+            .metrics
+            .snapshot()
+            .counter(name)
+            .unwrap_or(0)
+    };
     planner.plan_with_threads(&graphs, 1).expect("plan");
-    let after_first = planner
-        .telemetry()
-        .metrics
-        .snapshot()
-        .counter("planner.dp.scratch_allocs")
-        .unwrap_or(0);
+    let allocs_first = counter("planner.dp.scratch_allocs");
+    let dps_first = counter("planner.dp.masks_evaluated");
     assert!(
-        after_first > 0,
+        allocs_first > 0,
         "first plan should have populated the scratch pool"
     );
+    planner.estimator().clear_tables_cache();
     planner.plan_with_threads(&graphs, 1).expect("plan");
-    let after_second = planner
-        .telemetry()
-        .metrics
-        .snapshot()
-        .counter("planner.dp.scratch_allocs")
-        .unwrap_or(0);
+    assert!(
+        counter("planner.dp.masks_evaluated") > dps_first,
+        "second plan ran no subset DP, so it never exercised the pool"
+    );
     assert_eq!(
-        after_first, after_second,
+        allocs_first,
+        counter("planner.dp.scratch_allocs"),
         "second plan allocated new DP scratches instead of recycling the pool"
     );
 }
