@@ -1,15 +1,17 @@
 //! The planner's perf-trajectory suite: partition DP, a cold and a warm
 //! single-request plan, LAP solve, the contention-mitigation pass,
 //! end-to-end planning at 2/4/8/16 requests (frozen sequential reference
-//! vs the cached runtime at 1 and 4 threads), simulated execution of a
-//! planned 8-request pipeline, an online window replan, the recovery
-//! re-plan after a processor dropout, and one span entry on a recorder
-//! that holds 10,000 spans.
+//! vs the cached runtime at 1 and 4 threads), cold 8-request plans at 1
+//! and 4 threads, lowering and simulated execution of a planned
+//! 8-request pipeline, an online window replan, the recovery re-plan
+//! after a processor dropout, and one span entry on a recorder that
+//! holds 10,000 spans.
 //!
 //! Cases that repeat one request set on one planner are warm: from the
 //! second iteration on, the cost tables, the memoized partitions and the
-//! tail candidates come from the tables cache. Only `prepare_cold/BERT`
-//! and `plan/reference/*` pay the subset search on every iteration.
+//! tail candidates come from the tables cache. Only `prepare_cold/BERT`,
+//! `plan_cold/*` and `plan/reference/*` pay the subset search on every
+//! iteration.
 //! After running, writes the measurements to `BENCH_planner.json` (path
 //! overridable via `H2P_BENCH_OUT`) so `scripts/ci.sh` and future PRs
 //! have a machine-readable trajectory to regress against.
@@ -132,8 +134,8 @@ fn bench_mitigation(c: &mut Criterion) {
 
 fn bench_plan_scaling(c: &mut Criterion) {
     // The reference re-solves every request on every iteration; t1 and
-    // t4 are warm (memo-hit prepare on the calling thread, then the four
-    // candidate assemblies, fanned out at t4).
+    // t4 are warm (memo-hit prepare, then the four candidate assemblies,
+    // all on the calling thread), so they time the same code.
     let soc = SocSpec::kirin_990();
     let planner = Planner::new(&soc).expect("planner");
     for m in [2usize, 4, 8, 16] {
@@ -154,12 +156,33 @@ fn bench_plan_scaling(c: &mut Criterion) {
     }
 }
 
+fn bench_plan_cold(c: &mut Criterion) {
+    // The 8-request plan from a cleared tables cache on every iteration,
+    // as `prepare_cold/BERT` does: every request needs a subset search,
+    // so step 1 fans out at t4. This pair is the one parallel path left
+    // in `Planner::plan`, and `t4_vs_t1` is read from it.
+    let soc = SocSpec::kirin_990();
+    let planner = Planner::new(&soc).expect("planner");
+    let graphs = workload(GATE_REQUESTS);
+    for threads in [1, PAR_THREADS] {
+        c.bench_function(&format!("plan_cold/t{threads}/{GATE_REQUESTS}"), |b| {
+            b.iter(|| {
+                planner.estimator().clear_tables_cache();
+                planner.plan_with_threads(&graphs, threads).expect("plan")
+            })
+        });
+    }
+}
+
 fn bench_simulate(c: &mut Criterion) {
-    // The simulator alone: lowering plus the discrete-event run of one
-    // planned 8-request pipeline.
+    // One planned 8-request pipeline: lowering alone, then lowering plus
+    // the discrete-event run.
     let soc = SocSpec::kirin_990();
     let planner = Planner::new(&soc).expect("planner");
     let planned = planner.plan(&workload(8)).expect("plan");
+    c.bench_function("lower/8", |b| {
+        b.iter(|| planned.lower(&soc).expect("lower"))
+    });
     c.bench_function("simulate_8_requests", |b| {
         b.iter(|| planned.execute(&soc).expect("exec"))
     });
@@ -268,30 +291,44 @@ fn write_json(results: &[BenchResult]) {
             )
         })
         .collect();
-    let reference = median_of(results, &format!("plan/reference/{GATE_REQUESTS}"));
-    let t1 = median_of(results, &format!("plan/t1/{GATE_REQUESTS}"));
-    let t4 = median_of(results, &format!("plan/t{PAR_THREADS}/{GATE_REQUESTS}"));
-    let speedup = match (reference, t1, t4) {
-        (Some(reference), Some(t1), Some(t4)) if t4 > 0.0 && t1 > 0.0 => format!(
-            concat!(
-                "  \"speedup\": {{\n",
-                "    \"workload_requests\": {req},\n",
-                "    \"threads\": {thr},\n",
-                "    \"reference_median_ns\": {reference:.1},\n",
-                "    \"t1_median_ns\": {t1:.1},\n",
-                "    \"t{thr}_median_ns\": {t4:.1},\n",
-                "    \"t{thr}_vs_reference\": {vs_ref:.3},\n",
-                "    \"t{thr}_vs_t1\": {vs_t1:.3}\n",
-                "  }}"
-            ),
-            req = GATE_REQUESTS,
-            thr = PAR_THREADS,
-            reference = reference,
-            t1 = t1,
-            t4 = t4,
-            vs_ref = reference / t4,
-            vs_t1 = t1 / t4,
-        ),
+    // `t4_vs_reference` compares the warm t4 plan with the reference;
+    // `t4_vs_t1` compares the cold pair, whose step 1 fans out at t4 (the
+    // warm t1 and t4 cases run identical code).
+    let case = |name: String| median_of(results, &name);
+    let reference = case(format!("plan/reference/{GATE_REQUESTS}"));
+    let t1 = case(format!("plan/t1/{GATE_REQUESTS}"));
+    let t4 = case(format!("plan/t{PAR_THREADS}/{GATE_REQUESTS}"));
+    let cold_t1 = case(format!("plan_cold/t1/{GATE_REQUESTS}"));
+    let cold_t4 = case(format!("plan_cold/t{PAR_THREADS}/{GATE_REQUESTS}"));
+    let speedup = match (reference, t1, t4, cold_t1, cold_t4) {
+        (Some(reference), Some(t1), Some(t4), Some(cold_t1), Some(cold_t4))
+            if t4 > 0.0 && cold_t4 > 0.0 =>
+        {
+            format!(
+                concat!(
+                    "  \"speedup\": {{\n",
+                    "    \"workload_requests\": {req},\n",
+                    "    \"threads\": {thr},\n",
+                    "    \"reference_median_ns\": {reference:.1},\n",
+                    "    \"t1_median_ns\": {t1:.1},\n",
+                    "    \"t{thr}_median_ns\": {t4:.1},\n",
+                    "    \"cold_t1_median_ns\": {cold_t1:.1},\n",
+                    "    \"cold_t{thr}_median_ns\": {cold_t4:.1},\n",
+                    "    \"t{thr}_vs_reference\": {vs_ref:.3},\n",
+                    "    \"t{thr}_vs_t1\": {vs_t1:.3}\n",
+                    "  }}"
+                ),
+                req = GATE_REQUESTS,
+                thr = PAR_THREADS,
+                reference = reference,
+                t1 = t1,
+                t4 = t4,
+                cold_t1 = cold_t1,
+                cold_t4 = cold_t4,
+                vs_ref = reference / t4,
+                vs_t1 = cold_t1 / cold_t4,
+            )
+        }
         _ => "  \"speedup\": null".to_owned(),
     };
     let scratch = median_of(results, "online/replan_w4/16");
@@ -335,6 +372,7 @@ fn main() {
     bench_lap(&mut criterion);
     bench_mitigation(&mut criterion);
     bench_plan_scaling(&mut criterion);
+    bench_plan_cold(&mut criterion);
     bench_simulate(&mut criterion);
     bench_online_replan(&mut criterion);
     bench_recovery_replan(&mut criterion);

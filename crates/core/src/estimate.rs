@@ -21,6 +21,12 @@
 //!   planner derives, so deriving a context is O(stages) and
 //!   `stage_cost`/`copy_in_ms` are pure O(1) lookups. Both paths produce
 //!   bit-identical stage costs.
+//!
+//! Either way, [`RequestContext::build_stages`] derives a stage's DRAM
+//! bandwidth from the per-layer latency and traffic the cost table (and
+//! the NPU-fallback arrays) kept from their one roofline evaluation per
+//! layer and processor, summed in the cost model's own order, instead of
+//! re-evaluating the roofline for every stage it builds.
 
 use crate::sync::{Arc, Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -504,6 +510,9 @@ pub(crate) struct NpuFallback {
     /// boundary `l` (between layers `l` and `l+1`) costs a copy iff the
     /// two layers run on different processors.
     pub(crate) copy_prefix: Vec<f64>,
+    /// `traffic_bytes[i]` = analytical DRAM traffic of layer `i` on the
+    /// processor it runs on (NPU if supported, else the fallback CPU).
+    traffic_bytes: Vec<Option<f64>>,
     supported: Vec<bool>,
 }
 
@@ -521,17 +530,18 @@ impl NpuFallback {
             .map(|l| l.op.npu_supported())
             .collect();
         let mut lat_prefix = Vec::with_capacity(n + 1);
+        let mut traffic_bytes = Vec::with_capacity(n);
         lat_prefix.push(0.0);
         for i in 0..n {
             let proc = if supported[i] { npu } else { fallback };
+            let (ms, traffic) = cost.layer_cost_for(graph, i, proc);
             // Invariant of the cost table: the fallback processor is a
             // CPU and CPUs support every operator, so the lookup cannot
             // miss. A miss would be a zoo/cost-model bug worth a crash.
             #[allow(clippy::expect_used)]
-            let ms = cost
-                .layer_latency_for(graph, i, proc)
-                .expect("fallback CPU supports every operator");
+            let ms = ms.expect("fallback CPU supports every operator");
             lat_prefix.push(lat_prefix[i] + ms);
+            traffic_bytes.push(traffic);
         }
         let mut copy_prefix = Vec::with_capacity(n);
         copy_prefix.push(0.0);
@@ -553,8 +563,22 @@ impl NpuFallback {
             fallback,
             lat_prefix,
             copy_prefix,
+            traffic_bytes,
             supported,
         }
+    }
+
+    /// DRAM traffic of the homogeneous run `range`, summed layer by layer
+    /// as [`CostModel::slice_traffic_bytes`] sums it on the run's
+    /// processor, so the result is bit-identical to that call; 0 where it
+    /// returns `None`.
+    fn run_traffic_bytes(&self, range: LayerRange) -> f64 {
+        let mut total = 0.0;
+        for &layer in &self.traffic_bytes[range.first..=range.last] {
+            let Some(layer) = layer else { return 0.0 };
+            total += layer;
+        }
+        total
     }
 
     /// The processor that absorbs NPU-unsupported operators.
@@ -720,22 +744,19 @@ impl RequestContext {
                 )
             };
             let copy_in_ms = self.copy_in_ms(cost, a, prev);
-            let bandwidth_gbps = if runs.is_empty() {
-                self.cost_slice_bandwidth(cost, range, proc).unwrap_or(0.0)
-            } else {
-                // Mixed-processor stage: aggregate traffic over the runs.
-                let traffic: f64 = runs
-                    .iter()
-                    .map(|r| {
-                        cost.slice_traffic_bytes(&self.graph, r.range, r.proc)
-                            .unwrap_or(0.0)
-                    })
-                    .sum();
-                if exec_ms > 0.0 {
-                    traffic / (exec_ms * 1e6)
-                } else {
-                    0.0
+            // Bandwidth from the per-layer latency and traffic the tables
+            // kept at build time, summed in the cost model's order.
+            let bandwidth_gbps = match fallback_stage {
+                Some(fb) if !runs.is_empty() => {
+                    // Mixed-processor stage: aggregate traffic over the runs.
+                    let traffic: f64 = runs.iter().map(|r| fb.run_traffic_bytes(r.range)).sum();
+                    if exec_ms > 0.0 {
+                        traffic / (exec_ms * 1e6)
+                    } else {
+                        0.0
+                    }
                 }
+                _ => self.table.slice_bandwidth_gbps(self.rows[a], range),
             };
             let intensity = bandwidth_gbps / h2p_contention::counters::REFERENCE_BANDWIDTH_GBPS;
             let raw_footprint = self.graph.slice_weight_bytes(range)
@@ -755,15 +776,6 @@ impl RequestContext {
             prev = end;
         }
         Some(stages)
-    }
-
-    fn cost_slice_bandwidth(
-        &self,
-        cost: &CostModel,
-        range: LayerRange,
-        proc: ProcessorId,
-    ) -> Option<f64> {
-        cost.slice_bandwidth_gbps(&self.graph, range, proc)
     }
 
     /// Recovers the active-stage split points from a slot-indexed stage

@@ -1,13 +1,16 @@
 //! Minimal deterministic parallel runtime for the planner's hot loops.
 //!
-//! The planner's three expensive loops — per-request DP partitioning,
-//! candidate-order evaluation and per-window online planning — are
-//! embarrassingly parallel: every item is computed from shared read-only
-//! state and the results are combined by index. This module provides
-//! exactly that shape on top of scoped threads, with every primitive
-//! (cursor atomics, stop flag, spawn/join) routed through the
-//! [`crate::sync`] shim so the `h2p-check` model checker can explore
-//! schedules of these exact loops:
+//! Two planner loops fan out: the per-request subset searches of step 1
+//! (only when two or more requests miss the partition memo) and
+//! per-window online planning. Both are embarrassingly parallel: every
+//! item is computed from shared read-only state and the results are
+//! combined by index. The candidate-order assemblies of steps 2–3 run in
+//! a plain loop on the calling thread, since an incremental assembly
+//! costs less than a scoped spawn. This module provides the fork-join
+//! shape on top of scoped threads, with one claim loop ([`try_map`];
+//! [`map`] wraps it) and every primitive (the claim cursor, spawn/join)
+//! routed through the [`crate::sync`] shim so the `h2p-check` model
+//! checker can explore schedules of this exact loop:
 //!
 //! * no `unsafe`, no new dependencies, no thread pool — workers live only
 //!   for the duration of one call;
@@ -22,7 +25,7 @@
 //! A worker panic propagates out of the scope and aborts the whole map,
 //! exactly like a panic in the equivalent sequential loop.
 
-use crate::sync::{self, AtomicBool, AtomicUsize, Ordering};
+use crate::sync::{self, AtomicUsize, Ordering};
 
 /// The number of worker threads to use by default: the machine's
 /// available parallelism, or 1 if it cannot be queried. Routed through
@@ -58,17 +61,19 @@ pub fn worker_count(threads: usize, items: usize) -> usize {
 }
 
 /// How many contiguous items a worker claims per cursor fetch. Small maps
-/// (the planner's: a handful of requests or candidate orders, each worth
+/// (the planner's: a handful of requests or windows, each worth
 /// hundreds of microseconds) claim one item at a time for best load
 /// balance; large maps claim runs of items so the shared cursor is
 /// touched O(workers) times instead of O(items). Chunks are contiguous
-/// and the cursor is monotone, so the claimed set is always a prefix of
-/// the items regardless of chunk size.
+/// and handed out in increasing order, so the claimed set is always a
+/// prefix of the items regardless of chunk size.
 fn chunk_size(items: usize, workers: usize) -> usize {
     (items / (workers * 8)).max(1)
 }
 
-/// Applies `f` to every item and returns the results in item order.
+/// Applies `f` to every item and returns the results in item order:
+/// [`try_map`] with a closure that cannot fail, so both share one claim
+/// loop.
 ///
 /// With `threads <= 1` (or fewer than two items) this is a plain
 /// sequential map; otherwise up to `threads` scoped workers (including
@@ -81,60 +86,16 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = worker_count(threads, items.len());
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+    match try_map(threads, items, |idx, item| {
+        Ok::<R, std::convert::Infallible>(f(idx, item))
+    }) {
+        Ok(out) => out,
+        Err(never) => match never {},
     }
-    let chunk = chunk_size(items.len(), workers);
-    let cursor = AtomicUsize::new(0);
-    let run = |_worker: usize| {
-        let mut local: Vec<(usize, R)> = Vec::new();
-        loop {
-            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= items.len() {
-                break;
-            }
-            let end = (start + chunk).min(items.len());
-            for (idx, item) in items[start..end].iter().enumerate() {
-                let idx = start + idx;
-                local.push((idx, f(idx, item)));
-            }
-        }
-        local
-    };
-    let mut produced: Vec<Vec<(usize, R)>> = sync::scope(|scope| {
-        let handles: Vec<_> = (1..workers).map(|w| scope.spawn(move || run(w))).collect();
-        let mut all = vec![run(0)];
-        for h in handles {
-            // A panicked worker re-raises here, unwinding the scope.
-            match h.join() {
-                Ok(local) => all.push(local),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        all
-    });
-    // Deterministic index-ordered merge.
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    for local in produced.drain(..) {
-        for (idx, value) in local {
-            slots[idx] = Some(value);
-        }
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(idx, v)| match v {
-            Some(v) => v,
-            // Unreachable: the cursor hands out every index exactly once
-            // and worker panics abort the scope above.
-            None => panic!("par::map lost the result of item {idx}"),
-        })
-        .collect()
 }
 
-/// Fallible variant of [`map`]: returns all results in item order, or the
-/// error of the lowest-index failing item — the same error a sequential
+/// Applies a fallible `f` to every item: returns all results in item
+/// order, or the error of the lowest-index failing item — the same error a sequential
 /// short-circuiting loop would surface. After the first error is
 /// observed, workers stop claiming new items (already-claimed items still
 /// run to completion, keeping the claimed set a prefix of the items, which
@@ -156,13 +117,9 @@ where
     }
     let chunk = chunk_size(items.len(), workers);
     let cursor = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
     let run = |_worker: usize| {
         let mut local: Vec<(usize, Result<R, E>)> = Vec::new();
         loop {
-            if failed.load(Ordering::Relaxed) {
-                break;
-            }
             let start = cursor.fetch_add(chunk, Ordering::Relaxed);
             if start >= items.len() {
                 break;
@@ -175,7 +132,10 @@ where
                 let idx = start + idx;
                 let out = f(idx, item);
                 if out.is_err() {
-                    failed.store(true, Ordering::Relaxed);
+                    // Stop further claims: every later fetch lands past
+                    // the last item, and everything handed out so far
+                    // (a prefix) still runs.
+                    cursor.store(items.len(), Ordering::Relaxed);
                 }
                 local.push((idx, out));
             }
@@ -205,10 +165,10 @@ where
         match slot {
             Some(Ok(v)) => out.push(v),
             Some(Err(e)) => return Err(e),
-            // Only reachable when an error tripped the stop flag before
+            // Only reachable when an error stopped the claims before
             // this index was claimed; the error lives at a lower index
             // and was returned above — reaching here is a runtime bug.
-            None => panic!("par::try_map lost item {idx} without an error"),
+            None => panic!("par::try_map lost the result of item {idx} without an error"),
         }
     }
     Ok(out)

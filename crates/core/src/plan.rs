@@ -33,11 +33,11 @@ pub fn sensitivity(intensity: f64) -> f64 {
 }
 
 /// Stable small hash of a model name for staging-dedup keys.
-fn model_key(name: &str) -> usize {
+fn model_key(name: &str) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     name.hash(&mut h);
-    h.finish() as usize
+    h.finish()
 }
 
 /// One contiguous sub-run of a stage during NPU operator fallback: a run
@@ -149,30 +149,57 @@ impl PipelinePlan {
     }
 
     /// The cells of column `j`: `(position, slot, stage_ms)` of every
-    /// stage executing concurrently in that column.
-    pub fn column_cells(&self, j: usize) -> Vec<(usize, usize, f64)> {
-        let k = self.depth();
-        let mut cells = Vec::new();
-        for slot in 0..k {
-            if j < slot {
-                continue;
-            }
+    /// stage executing concurrently in that column, in ascending slot
+    /// order. Allocation-free: the cells are read off the plan as the
+    /// iterator advances.
+    pub fn column_cells(&self, j: usize) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        self.column_stages(j, None)
+            .map(|(pos, slot, stage)| (pos, slot, stage.total_ms()))
+    }
+
+    /// The stages of column `j` as `(position, slot, stage)`, in ascending
+    /// slot order. With `row = Some((pos, stages))`, request `pos`'s
+    /// stages are read from `stages` instead of the plan, which lets a
+    /// search price a candidate row without writing it into the plan.
+    pub(crate) fn column_stages<'a>(
+        &'a self,
+        j: usize,
+        row: Option<(usize, &'a [Option<StagePlan>])>,
+    ) -> impl Iterator<Item = (usize, usize, &'a StagePlan)> + 'a {
+        // Slot `s` holds position `j - s`, which exists for
+        // `j + 1 - m <= s <= j`.
+        let first = (j + 1).saturating_sub(self.requests.len());
+        let end = self.depth().min(j + 1);
+        (first..end).filter_map(move |slot| {
             let pos = j - slot;
-            if pos >= self.requests.len() {
-                continue;
-            }
-            if let Some(stage) = self.requests[pos].stages.get(slot).and_then(|s| s.as_ref()) {
-                cells.push((pos, slot, stage.total_ms()));
-            }
-        }
-        cells
+            let stages = match row {
+                Some((p, stages)) if p == pos => stages,
+                _ => &self.requests[pos].stages,
+            };
+            stages
+                .get(slot)
+                .and_then(Option::as_ref)
+                .map(|stage| (pos, slot, stage))
+        })
+    }
+
+    /// The longest cell of column `j` (0 for an empty column): the time
+    /// the column lasts in the synchronous pipeline. `row` substitutes one
+    /// request's stages as in [`PipelinePlan::column_stages`].
+    pub(crate) fn column_max_ms(
+        &self,
+        j: usize,
+        row: Option<(usize, &[Option<StagePlan>])>,
+    ) -> f64 {
+        self.column_stages(j, row)
+            .map(|(_, _, stage)| stage.total_ms())
+            .fold(0.0, f64::max)
     }
 
     /// The bubble size `|B_j|` of column `j` (Eq. 3).
     pub fn bubble_ms(&self, j: usize) -> f64 {
-        let cells = self.column_cells(j);
-        let max = cells.iter().map(|c| c.2).fold(0.0, f64::max);
-        cells.iter().map(|c| max - c.2).sum()
+        let max = self.column_max_ms(j, None);
+        self.column_cells(j).map(|c| max - c.2).sum()
     }
 
     /// Total bubbles over all columns — the vertical objective (Eq. 5).
@@ -186,50 +213,8 @@ impl PipelinePlan {
     /// faithful planning objective.
     pub fn estimated_makespan_ms(&self) -> f64 {
         (0..self.column_count())
-            .map(|j| self.column_cells(j).iter().map(|c| c.2).fold(0.0, f64::max))
+            .map(|j| self.column_max_ms(j, None))
             .sum()
-    }
-
-    /// Allocation-free twin of [`PipelinePlan::estimated_makespan_ms`]
-    /// that evaluates the makespan *as if* request `pos`'s stages were
-    /// replaced by `stages`, without mutating the plan. Cells are folded
-    /// in the same slot-ascending order with the same `f64::max`/sum
-    /// operations, so the result is bit-identical to substituting the
-    /// stages and calling `estimated_makespan_ms` — which is what the
-    /// cached tail search relies on.
-    pub fn estimated_makespan_ms_substituting(
-        &self,
-        pos: usize,
-        stages: &[Option<StagePlan>],
-    ) -> f64 {
-        let k = self.depth();
-        let m = self.requests.len();
-        if m == 0 {
-            return 0.0;
-        }
-        let mut total = 0.0f64;
-        for j in 0..(m + k - 1) {
-            let mut max = 0.0f64;
-            for slot in 0..k {
-                if j < slot {
-                    continue;
-                }
-                let p = j - slot;
-                if p >= m {
-                    continue;
-                }
-                let row: &[Option<StagePlan>] = if p == pos {
-                    stages
-                } else {
-                    &self.requests[p].stages
-                };
-                if let Some(stage) = row.get(slot).and_then(|s| s.as_ref()) {
-                    max = f64::max(max, stage.total_ms());
-                }
-            }
-            total += max;
-        }
-        total
     }
 
     /// Contention-aware makespan estimate (Eq. 2's `T_co` term folded
@@ -244,41 +229,38 @@ impl PipelinePlan {
     pub fn estimated_makespan_contention_ms(&self, soc: &SocSpec) -> f64 {
         let n_procs = soc.processors.len();
         let mut avail = vec![0.0f64; n_procs];
-        let mut seen: std::collections::HashSet<(usize, usize, usize, usize)> =
-            std::collections::HashSet::new();
+        // Slices already staged, as `(model, processor, first, last)`. A
+        // plan stages a few dozen slices, so a linear scan stays cheap.
+        let mut staged: Vec<(u64, usize, usize, usize)> = Vec::new();
         let mut makespan = 0.0f64;
         for (pos, req) in self.requests.iter().enumerate() {
+            let model = model_key(&req.model);
             let mut prev_end = 0.0f64;
             for (slot, stage) in req.stages.iter().enumerate() {
                 let Some(stage) = stage else { continue };
                 let key = (
-                    model_key(&req.model),
+                    model,
                     stage.proc.index(),
                     stage.range.first,
                     stage.range.last,
                 );
-                let upload = if seen.insert(key) {
-                    stage.footprint_bytes as f64 / (crate::executor::WEIGHT_STAGING_GBPS * 1e6)
-                } else {
+                let upload = if staged.contains(&key) {
                     0.0
+                } else {
+                    staged.push(key);
+                    stage.footprint_bytes as f64 / (crate::executor::WEIGHT_STAGING_GBPS * 1e6)
                 };
                 // Expected co-runners: the other cells of this stage's
                 // column in the staggered schedule.
-                let cells = self.column_cells(pos + slot);
-                let corunners = cells
-                    .iter()
-                    .filter(|&&(p2, s2, _)| !(p2 == pos && s2 == slot));
+                let corunners = self
+                    .column_stages(pos + slot, None)
+                    .filter(|&(p2, s2, _)| !(p2 == pos && s2 == slot))
+                    .map(|(_, _, other)| (soc.processor(other.proc), other.intensity));
                 let slow = slowdown_for(
                     &soc.coupling,
                     soc.processor(stage.proc),
                     sensitivity(stage.intensity),
-                    // `column_cells` only yields populated cells, so the
-                    // filter_map never actually drops anything.
-                    corunners.filter_map(|&(p2, s2, _)| {
-                        self.requests[p2].stages[s2]
-                            .as_ref()
-                            .map(|other| (soc.processor(other.proc), other.intensity))
-                    }),
+                    corunners,
                 );
                 let dur = (stage.total_ms() + upload) * (1.0 + slow);
                 let start = avail[stage.proc.index()].max(prev_end);
@@ -306,13 +288,8 @@ impl PipelinePlan {
     pub fn peak_footprint_bytes(&self) -> u64 {
         (0..self.column_count())
             .map(|j| {
-                self.column_cells(j)
-                    .iter()
-                    .map(|&(pos, slot, _)| {
-                        self.requests[pos].stages[slot]
-                            .as_ref()
-                            .map_or(0, |s| s.footprint_bytes)
-                    })
+                self.column_stages(j, None)
+                    .map(|(_, _, stage)| stage.footprint_bytes)
                     .sum()
             })
             .max()
@@ -375,13 +352,11 @@ mod tests {
     #[test]
     fn column_indexing_is_staggered() {
         let p = plan(vec![request(&[1.0, 2.0]), request(&[3.0, 4.0])], 2);
+        let cells = |j| p.column_cells(j).collect::<Vec<_>>();
         assert_eq!(p.column_count(), 3);
-        assert_eq!(p.column_cells(0), vec![(0, 0, 1.0)]);
-        let c1 = p.column_cells(1);
-        assert_eq!(c1.len(), 2);
-        assert!(c1.contains(&(1, 0, 3.0)));
-        assert!(c1.contains(&(0, 1, 2.0)));
-        assert_eq!(p.column_cells(2), vec![(1, 1, 4.0)]);
+        assert_eq!(cells(0), vec![(0, 0, 1.0)]);
+        assert_eq!(cells(1), vec![(1, 0, 3.0), (0, 1, 2.0)]);
+        assert_eq!(cells(2), vec![(1, 1, 4.0)]);
     }
 
     #[test]
@@ -398,10 +373,9 @@ mod tests {
         let mut r = request(&[1.0, 2.0]);
         r.stages[0] = None; // NPU fallback: request skips slot 0.
         let p = plan(vec![r, request(&[3.0, 4.0])], 2);
-        assert_eq!(p.column_cells(0), vec![]);
+        assert_eq!(p.column_cells(0).count(), 0);
         assert_eq!(p.bubble_ms(0), 0.0);
-        let c1 = p.column_cells(1);
-        assert_eq!(c1.len(), 2);
+        assert_eq!(p.column_cells(1).count(), 2);
     }
 
     #[test]

@@ -32,16 +32,17 @@
 //! h2pbench workloads, every timed plan-batch lookup hits the memo, and
 //! serve-chaos survivor replans hit it 79% of the time.
 //!
-//! # Parallel planning runtime
+//! # Planning runtime
 //!
-//! The production path ([`Planner::plan`]) runs on the [`crate::par`]
-//! runtime with shared per-request cost tables
-//! ([`crate::estimate::RequestTables`]): requests that still need a
-//! subset search and the candidate-order evaluations fan out across
-//! worker threads (each request's subset search runs whole on one
-//! worker), and a deterministic index-ordered merge plus a sequential
-//! selection replay guarantee the output is
-//! **bit-identical for every thread count** —
+//! The production path ([`Planner::plan`]) shares per-request cost
+//! tables ([`crate::estimate::RequestTables`]). Requests that still need
+//! a subset search fan out across worker threads on the [`crate::par`]
+//! runtime (each search runs whole on one worker) and merge by index.
+//! Steps 2–3 then assemble the four candidate orders one after another
+//! on the calling thread: an assembly prices work-stealing and tail
+//! candidates on per-column ledgers ([`crate::worksteal`]) and reads the
+//! step-1 contexts without copying them, so it costs less than a thread
+//! spawn. The output is **bit-identical for every thread count** —
 //! including the frozen sequential reference
 //! ([`Planner::plan_reference`]), which preserves the original
 //! clone-per-mask implementation as the recorded perf baseline (see
@@ -337,6 +338,16 @@ pub struct Planner {
     /// the steady-state DP is allocation-free. Pool misses allocate and
     /// bump `planner.dp.scratch_allocs`.
     scratch_pool: Arc<Mutex<Vec<PlanScratch>>>,
+}
+
+/// One candidate order after the vertical passes (steps 2–3).
+struct Assembly {
+    plan: PipelinePlan,
+    steal: Option<StealReport>,
+    /// The tail search's merges, `(original request, slot)`.
+    merges: Vec<(usize, usize)>,
+    /// The contention-aware makespan estimate the order is ranked by.
+    estimate_ms: f64,
 }
 
 /// Everything step 1 produces for one request, computed independently
@@ -708,15 +719,6 @@ impl Planner {
         if requests.is_empty() {
             return Err(PlanError::EmptyRequestSet);
         }
-        // Fan-out clamp: never ask for more workers than there are
-        // requests — the candidate-order map below always has four
-        // items, so without this a 2-request plan at `threads = 4`
-        // spawns four workers for two requests' worth of work and the
-        // spawn overhead eats the gain. With `threads == 1` every map
-        // takes the sequential path with zero thread-scope setup, making
-        // `plan_with_threads(reqs, 1)` and the t1 bench case the same
-        // code path (plans are bit-identical at any value regardless).
-        let threads = threads.min(requests.len());
         // h2p-lint: allow(H2P011) — phase timing feeds gauges only, never plan bits
         let total_start = Instant::now();
         span!(self.telemetry.spans, "plan:{}req", requests.len());
@@ -725,10 +727,12 @@ impl Planner {
         let soc = self.estimator.cost().soc();
 
         // Step 1: horizontal partitioning, independently per request —
-        // the first parallel loop. A request whose partition is already
-        // memoized prepares in microseconds, less than a scoped spawn
-        // costs, so the loop fans out only when two or more requests
-        // still need a subset search.
+        // the planner's only parallel loop. A request whose partition is
+        // already memoized prepares in microseconds, less than a scoped
+        // spawn costs, so the loop fans out only when two or more
+        // requests still need a subset search, and `par` never starts
+        // more workers than there are requests (`threads == 1` runs it on
+        // the calling thread with no thread-scope setup).
         // h2p-lint: allow(H2P011) — phase timing feeds gauges only, never plan bits
         let prepare_start = Instant::now();
         let prepared = {
@@ -768,33 +772,31 @@ impl Planner {
         // vertical alignment. Both the mitigated and the original order
         // are assembled and the better estimated makespan wins — the
         // re-ordering is a heuristic, so the planner checks it paid off.
-        // `assemble` also returns the contention-aware estimate so the
-        // candidate evaluations below are fully independent.
-        let assemble = |ordered: Vec<RequestPlan>| -> (
-            PipelinePlan,
-            Vec<RequestContext>,
-            Option<StealReport>,
-            usize,
-            f64,
-        ) {
+        // An assembly reads the step-1 contexts without copying them: the
+        // tail search reports its merges, and only the adopted order's
+        // contexts are rebuilt from them below.
+        let assemble = |ordered: Vec<RequestPlan>| -> Assembly {
             span!(self.telemetry.spans, "assemble:{}req", ordered.len());
-            let mut ctxs = contexts.to_vec();
             let mut plan = PipelinePlan {
                 procs: procs.clone(),
                 requests: ordered,
             };
-            let steal = if self.config.work_stealing {
-                Some(worksteal::align_by_stealing(&mut plan, &ctxs, cost))
+            let steal = self
+                .config
+                .work_stealing
+                .then(|| worksteal::align_by_stealing(&mut plan, &contexts, cost));
+            let merges = if self.config.tail_optimization {
+                worksteal::optimize_tail_cached(&mut plan, &collapse)
             } else {
-                None
+                Vec::new()
             };
-            let tail = if self.config.tail_optimization {
-                worksteal::optimize_tail_cached(&mut plan, &mut ctxs, &collapse)
-            } else {
-                0
-            };
-            let est = plan.estimated_makespan_contention_ms(soc);
-            (plan, ctxs, steal, tail, est)
+            let estimate_ms = plan.estimated_makespan_contention_ms(soc);
+            Assembly {
+                plan,
+                steal,
+                merges,
+                estimate_ms,
+            }
         };
 
         // h2p-lint: allow(H2P011) — phase timing feeds gauges only, never plan bits
@@ -830,40 +832,20 @@ impl Planner {
                     interleave.push(by_time[hi]);
                 }
             }
-            let orders: Vec<(Option<&MitigationOutcome>, Vec<usize>)> = vec![
-                (None, (0..plans.len()).collect()),
+            let candidates: [(Option<&MitigationOutcome>, Vec<usize>); 3] = [
                 (Some(&outcome), outcome.order.clone()),
                 (None, by_time),
                 (None, interleave),
             ];
-            // Second parallel loop: the candidate assemblies (work
-            // stealing + tail search + contention estimate each) are
-            // independent; selection is replayed sequentially below, so
-            // the adopted order and hysteresis behaviour are identical
-            // to a sequential evaluation.
-            let results = par::map(threads, &orders, |_, (_, order)| {
-                let reordered: Vec<RequestPlan> = order
-                    .iter()
-                    .map(|&orig_pos| plans[orig_pos].clone())
-                    .collect();
-                assemble(reordered)
-            });
-            let mut results = results.into_iter();
-            // The cursor hands out every index, so `results` has exactly
-            // `orders.len()` entries; the first is the arrival order.
-            let Some(mut best) = results.next() else {
-                unreachable!("candidate evaluation produced no results")
-            };
-            let mut best_est = best.4;
-            for ((mit, _), candidate) in orders.iter().skip(1).zip(results) {
-                let est = candidate.4;
+            let mut best = assemble(plans.clone());
+            for (mit, order) in candidates {
+                let candidate = assemble(order.iter().map(|&orig| plans[orig].clone()).collect());
                 // Hysteresis: a re-ordering must beat the incumbent's
                 // estimate by a clear margin before it is adopted (see
                 // `PlannerConfig::ORDER_HYSTERESIS`).
-                if est < best_est * PlannerConfig::ORDER_HYSTERESIS {
-                    best_est = est;
+                if candidate.estimate_ms < best.estimate_ms * PlannerConfig::ORDER_HYSTERESIS {
                     best = candidate;
-                    mitigation = mit.map(|m| (*m).clone());
+                    mitigation = mit.cloned();
                 }
             }
             best
@@ -872,7 +854,14 @@ impl Planner {
             // the plans are moved, not cloned.
             assemble(plans)
         };
-        let (plan, contexts, steal, tail_merges, _) = best;
+        let Assembly {
+            plan,
+            steal,
+            merges,
+            ..
+        } = best;
+        let tail_merges = merges.len();
+        worksteal::apply_merges(&mut contexts, &collapse, &merges);
 
         let metrics = &self.telemetry.metrics;
         metrics.gauge_add(

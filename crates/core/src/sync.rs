@@ -37,12 +37,12 @@ pub use std::sync::atomic::Ordering;
 pub use std::sync::Arc;
 
 #[cfg(not(feature = "model-check"))]
-pub use std::sync::atomic::{AtomicBool, AtomicUsize};
+pub use std::sync::atomic::AtomicUsize;
 #[cfg(not(feature = "model-check"))]
 pub use std::sync::{Mutex, MutexGuard};
 
 #[cfg(feature = "model-check")]
-pub use virt::{AtomicBool, AtomicUsize, Mutex, MutexGuard};
+pub use virt::{AtomicUsize, Mutex, MutexGuard};
 
 /// The machine's available parallelism (or 1 when unknown). Inside an
 /// active model-check exploration this reports the *virtual* parallelism
@@ -205,30 +205,6 @@ mod virt {
                 }
                 None => self.inner.fetch_add(v, order),
             }
-        }
-    }
-
-    /// Virtualized [`std::sync::atomic::AtomicBool`].
-    #[derive(Debug, Default)]
-    pub struct AtomicBool {
-        inner: std::sync::atomic::AtomicBool,
-    }
-
-    impl AtomicBool {
-        pub fn new(v: bool) -> Self {
-            Self {
-                inner: std::sync::atomic::AtomicBool::new(v),
-            }
-        }
-
-        pub fn load(&self, order: Ordering) -> bool {
-            model::yield_point();
-            self.inner.load(order)
-        }
-
-        pub fn store(&self, v: bool, order: Ordering) {
-            model::yield_point();
-            self.inner.store(v, order);
         }
     }
 

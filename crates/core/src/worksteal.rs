@@ -20,6 +20,15 @@
 //! does not increase the plan's total bubbles (stealing) or estimated
 //! makespan (tail), so both passes are monotone improvements by
 //! construction.
+//!
+//! Both passes price a candidate incrementally. A request at position
+//! `pos` occupies exactly the `K` columns `pos..pos + K`, so a column
+//! ledger keeps one value per column (its bubble, or its longest cell),
+//! recomputes only those `K` columns for a candidate, and re-sums every
+//! column in column order. The re-sum adds the same per-column
+//! values in the same order as [`PipelinePlan::total_bubble_ms`] and
+//! [`PipelinePlan::estimated_makespan_ms`], so every guarded accept
+//! compares exactly the value a whole-plan rescan would return.
 
 use h2p_models::cost::CostModel;
 
@@ -97,6 +106,45 @@ pub fn align_to_targets(
     Some(splits)
 }
 
+/// Per-column values of a plan under single-request edits: one bubble or
+/// one longest-cell time per column, and their total.
+struct ColumnLedger {
+    columns: Vec<f64>,
+    /// The values of the columns last overwritten by [`ColumnLedger::set`],
+    /// for [`ColumnLedger::restore`].
+    saved: Vec<f64>,
+    total: f64,
+}
+
+impl ColumnLedger {
+    fn new(plan: &PipelinePlan, value: impl Fn(usize) -> f64) -> Self {
+        let columns: Vec<f64> = (0..plan.column_count()).map(value).collect();
+        let total = columns.iter().sum();
+        ColumnLedger {
+            columns,
+            saved: Vec::new(),
+            total,
+        }
+    }
+
+    /// Overwrites the columns of the request at `pos` (`pos..pos + k`)
+    /// with `value`, keeping their old values for
+    /// [`ColumnLedger::restore`], and returns the re-summed total.
+    fn set(&mut self, pos: usize, k: usize, value: impl Fn(usize) -> f64) -> f64 {
+        self.saved.clear();
+        for j in pos..pos + k {
+            self.saved
+                .push(std::mem::replace(&mut self.columns[j], value(j)));
+        }
+        self.columns.iter().sum()
+    }
+
+    /// Undoes the last [`ColumnLedger::set`] of the request at `pos`.
+    fn restore(&mut self, pos: usize) {
+        self.columns[pos..pos + self.saved.len()].copy_from_slice(&self.saved);
+    }
+}
+
 /// Algorithm 3: slide contention windows of size `K` over the plan and
 /// re-balance each non-critical request's splits towards the window's
 /// critical path. `ctxs` is indexed by *original* request index
@@ -108,9 +156,13 @@ pub fn align_by_stealing(
 ) -> StealReport {
     let k = plan.depth().max(1);
     let m = plan.requests.len();
-    let bubbles_before_ms = plan.total_bubble_ms();
+    // Per-column bubbles; a candidate re-prices only its own K columns.
+    let mut bubbles = ColumnLedger::new(plan, |j| plan.bubble_ms(j));
+    let bubbles_before_ms = bubbles.total;
     let mut adjustments = 0usize;
     let mut windows = 0usize;
+    let mut critical_stage_ms = vec![0.0f64; k];
+    let mut targets: Vec<f64> = Vec::with_capacity(k);
 
     let mut u = 0usize;
     while u < m {
@@ -127,9 +179,9 @@ pub fn align_by_stealing(
             break;
         };
         let critical_total = plan.requests[critical].total_ms();
-        let critical_stage_ms: Vec<f64> = (0..k)
-            .map(|s| plan.requests[critical].stage_ms(s))
-            .collect();
+        for (s, ms) in critical_stage_ms.iter_mut().enumerate() {
+            *ms = plan.requests[critical].stage_ms(s);
+        }
 
         for pos in u..end {
             if pos == critical {
@@ -147,23 +199,20 @@ pub fn align_by_stealing(
             // path has no stage there, aim for an even share.
             let offset = pos as isize - critical as isize;
             let fallback = critical_total / ctx.stage_count() as f64;
-            let targets: Vec<f64> = ctx
-                .active_slots
-                .iter()
-                .map(|&s| {
-                    let partner = s as isize + offset;
-                    let t = if (0..k as isize).contains(&partner) {
-                        critical_stage_ms[partner as usize]
-                    } else {
-                        0.0
-                    };
-                    if t > 0.0 {
-                        t
-                    } else {
-                        fallback
-                    }
-                })
-                .collect();
+            targets.clear();
+            targets.extend(ctx.active_slots.iter().map(|&s| {
+                let partner = s as isize + offset;
+                let t = if (0..k as isize).contains(&partner) {
+                    critical_stage_ms[partner as usize]
+                } else {
+                    0.0
+                };
+                if t > 0.0 {
+                    t
+                } else {
+                    fallback
+                }
+            }));
             let Some(splits) = align_to_targets(ctx, cost, &targets) else {
                 continue;
             };
@@ -171,12 +220,17 @@ pub fn align_by_stealing(
                 continue;
             };
             // Guarded accept: keep only if total bubbles do not grow.
-            let before = plan.total_bubble_ms();
+            let before = bubbles.total;
             let saved = std::mem::replace(&mut plan.requests[pos].stages, stages);
-            if plan.total_bubble_ms() > before + 1e-9 {
+            let after = bubbles.set(pos, k, |j| plan.bubble_ms(j));
+            if after > before + 1e-9 {
                 plan.requests[pos].stages = saved;
-            } else if plan.requests[pos].stages != saved {
-                adjustments += 1;
+                bubbles.restore(pos);
+            } else {
+                bubbles.total = after;
+                if plan.requests[pos].stages != saved {
+                    adjustments += 1;
+                }
             }
         }
         u += k; // slide by K, as in Algorithm 3 line 15
@@ -187,7 +241,7 @@ pub fn align_by_stealing(
         adjustments,
         tail_merges: 0,
         bubbles_before_ms,
-        bubbles_after_ms: plan.total_bubble_ms(),
+        bubbles_after_ms: bubbles.total,
     }
 }
 
@@ -239,39 +293,65 @@ pub fn collapse_candidates(
 /// single-processor local search with the same visit order and the same
 /// guarded accept (`makespan + 1e-9 < best`), but reading precomputed
 /// [`CollapseSlots`] (indexed by *original* request index) instead of
-/// rebuilding a context per `(position, slot)` pair, and evaluating each
-/// candidate with the allocation-free
-/// [`PipelinePlan::estimated_makespan_ms_substituting`]. Bit-identical
-/// merge decisions to the reference.
+/// rebuilding a context per `(position, slot)` pair. Each candidate is
+/// priced on a per-column ledger of longest cells: only the request's `K`
+/// columns are re-read, with the candidate's stages in place of the
+/// request's, and the columns are re-summed in order, so every comparison
+/// sees the value [`PipelinePlan::estimated_makespan_ms`] would return
+/// for the substituted plan. Bit-identical merge decisions to the
+/// reference.
+///
+/// Returns the merges as `(original request, slot)` pairs in visit order;
+/// the collapsed request's context is `collapse[request][slot]`'s (see
+/// [`apply_merges`]).
 pub fn optimize_tail_cached(
     plan: &mut PipelinePlan,
-    ctxs: &mut [RequestContext],
     collapse: &[Arc<CollapseSlots>],
-) -> usize {
+) -> Vec<(usize, usize)> {
     let k = plan.depth();
     let m = plan.requests.len();
+    let mut merges = Vec::new();
     if m == 0 || k < 2 {
-        return 0;
+        return merges;
     }
-    let mut merges = 0usize;
+    let mut maxima = ColumnLedger::new(plan, |j| plan.column_max_ms(j, None));
     for pos in 0..m {
         let orig = plan.requests[pos].request;
-        let mut best_makespan = plan.estimated_makespan_ms();
-        let mut best: Option<&(Vec<Option<StagePlan>>, RequestContext)> = None;
-        for candidate in collapse[orig].iter().flatten() {
-            let makespan = plan.estimated_makespan_ms_substituting(pos, &candidate.0);
+        let mut best_makespan = maxima.total;
+        let mut best: Option<(usize, &[Option<StagePlan>])> = None;
+        for (slot, candidate) in collapse[orig].iter().enumerate() {
+            let Some((stages, _)) = candidate else {
+                continue;
+            };
+            let row = Some((pos, stages.as_slice()));
+            let makespan = maxima.set(pos, k, |j| plan.column_max_ms(j, row));
+            maxima.restore(pos);
             if makespan + 1e-9 < best_makespan {
                 best_makespan = makespan;
-                best = Some(candidate);
+                best = Some((slot, stages));
             }
         }
-        if let Some((stages, ctx)) = best {
-            plan.requests[pos].stages = stages.clone();
-            ctxs[orig] = ctx.clone();
-            merges += 1;
+        if let Some((slot, stages)) = best {
+            plan.requests[pos].stages = stages.to_vec();
+            maxima.total = maxima.set(pos, k, |j| plan.column_max_ms(j, None));
+            merges.push((orig, slot));
         }
     }
     merges
+}
+
+/// Points every request collapsed by [`optimize_tail_cached`] at its
+/// single-slot context: `ctxs` is indexed by original request index.
+pub fn apply_merges(
+    ctxs: &mut [RequestContext],
+    collapse: &[Arc<CollapseSlots>],
+    merges: &[(usize, usize)],
+) {
+    for &(orig, slot) in merges {
+        if let Some((_, ctx)) = &collapse[orig][slot] {
+            ctxs[orig] = ctx.clone();
+        }
+    }
 }
 
 /// The K-way single-processor collapse search over the given positions.

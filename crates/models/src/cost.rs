@@ -189,13 +189,31 @@ impl CostModel {
         idx: usize,
         proc: ProcessorId,
     ) -> Option<f64> {
+        self.layer_cost_for(graph, idx, proc).0
+    }
+
+    /// Latency and DRAM traffic of layer `idx` of `graph` on `proc`, from
+    /// one roofline evaluation: the latency is what
+    /// [`CostModel::layer_latency_for`] returns (a measured profile entry
+    /// overrides the estimate), the traffic is the analytical
+    /// [`LayerCost::traffic_bytes`]. Each is `None` where the operator is
+    /// unsupported on `proc` (and, for the latency, unmeasured).
+    pub fn layer_cost_for(
+        &self,
+        graph: &ModelGraph,
+        idx: usize,
+        proc: ProcessorId,
+    ) -> (Option<f64>, Option<f64>) {
         let layer = &graph.layers()[idx];
-        if let Some(p) = &self.profile {
-            if let Some(ms) = p.lookup(graph.name(), &layer.name, proc) {
-                return Some(ms);
-            }
-        }
-        self.layer_latency_ms(layer, proc)
+        let analytical = self.layer_cost(layer, proc);
+        let measured = self
+            .profile
+            .as_ref()
+            .and_then(|p| p.lookup(graph.name(), &layer.name, proc));
+        (
+            measured.or(analytical.map(|c| c.latency_ms)),
+            analytical.map(|c| c.traffic_bytes),
+        )
     }
 
     /// The SoC the model is bound to.
@@ -318,19 +336,26 @@ impl CostModel {
 
     /// Builds a prefix-sum [`CostTable`] for `graph` over the given
     /// ordered processor sequence, enabling O(1) slice-cost queries in the
-    /// planner's DP.
+    /// planner's DP. Each `(layer, processor)` pair is evaluated once
+    /// ([`CostModel::layer_cost_for`]); the table keeps the per-layer
+    /// latency and traffic of that evaluation next to the prefix sums.
     pub fn table(&self, graph: &ModelGraph, procs: &[ProcessorId]) -> CostTable {
         let n = graph.len();
         let mut prefix_ms = Vec::with_capacity(procs.len());
         let mut unsupported = Vec::with_capacity(procs.len());
+        let mut layer_ms = Vec::with_capacity(procs.len());
+        let mut traffic_bytes = Vec::with_capacity(procs.len());
         for &p in procs {
             let mut pm = Vec::with_capacity(n + 1);
             let mut un = Vec::with_capacity(n + 1);
+            let mut lat = Vec::with_capacity(n);
+            let mut traffic = Vec::with_capacity(n);
             pm.push(0.0);
             un.push(0u32);
             let (mut pm_acc, mut un_acc) = (0.0f64, 0u32);
             for idx in 0..n {
-                let (ms, bad) = match self.layer_latency_for(graph, idx, p) {
+                let (ms, bytes) = self.layer_cost_for(graph, idx, p);
+                let (ms, bad) = match ms {
                     Some(ms) => (ms, 0),
                     None => (0.0, 1),
                 };
@@ -338,9 +363,13 @@ impl CostModel {
                 un_acc += bad;
                 pm.push(pm_acc);
                 un.push(un_acc);
+                lat.push(ms);
+                traffic.push(bytes);
             }
             prefix_ms.push(pm);
             unsupported.push(un);
+            layer_ms.push(lat);
+            traffic_bytes.push(traffic);
         }
         // Boundary copy bytes after each layer.
         let boundary_bytes: Vec<u64> = (0..n).map(|i| graph.boundary_bytes(i)).collect();
@@ -349,6 +378,8 @@ impl CostModel {
             procs: procs.to_vec(),
             prefix_ms,
             unsupported,
+            layer_ms,
+            traffic_bytes,
             boundary_bytes,
         }
     }
@@ -365,6 +396,12 @@ pub struct CostTable {
     prefix_ms: Vec<Vec<f64>>,
     /// Running count of unsupported layers, same indexing.
     unsupported: Vec<Vec<u32>>,
+    /// `layer_ms[slot][i]` = latency of layer `i` on that slot (0 where
+    /// unsupported): the terms `prefix_ms` accumulates.
+    layer_ms: Vec<Vec<f64>>,
+    /// `traffic_bytes[slot][i]` = analytical DRAM traffic of layer `i` on
+    /// that slot, `None` where the roofline has no estimate.
+    traffic_bytes: Vec<Vec<Option<f64>>>,
     boundary_bytes: Vec<u64>,
 }
 
@@ -390,6 +427,32 @@ impl CostTable {
             return None;
         }
         Some(self.prefix_ms[slot][j + 1] - self.prefix_ms[slot][i])
+    }
+
+    /// Average DRAM bandwidth demand of layers `range` on slot `slot` in
+    /// GB/s, from the per-layer values kept at build time. The latency and
+    /// the traffic are summed layer by layer from the range's first layer,
+    /// as [`CostModel::slice_bandwidth_gbps`] sums them, so the result is
+    /// bit-identical to that call on the slot's processor, with 0 where it
+    /// returns `None` (an unsupported layer in the range).
+    pub fn slice_bandwidth_gbps(&self, slot: usize, range: LayerRange) -> f64 {
+        let (i, j) = (range.first, range.last);
+        if self.unsupported[slot][j + 1] - self.unsupported[slot][i] > 0 {
+            return 0.0;
+        }
+        let mut ms = 0.0;
+        for &layer in &self.layer_ms[slot][i..=j] {
+            ms += layer;
+        }
+        let mut bytes = 0.0;
+        for &layer in &self.traffic_bytes[slot][i..=j] {
+            let Some(layer) = layer else { return 0.0 };
+            bytes += layer;
+        }
+        if ms <= 0.0 {
+            return 0.0;
+        }
+        bytes / (ms * 1e6)
     }
 
     /// Activation bytes crossing the boundary after layer `i`.
@@ -510,6 +573,43 @@ mod tests {
                         (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9),
                         (None, None) => {}
                         _ => panic!("support mismatch at slot={slot} i={i} j={j}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cost_table_bandwidth_matches_the_cost_model_bit_for_bit() {
+        // The table's cached per-layer latency and traffic must reproduce
+        // `slice_bandwidth_gbps` exactly, including where that returns
+        // `None`: an unsupported layer, or a measured latency for a layer
+        // the roofline cannot estimate (traffic unknown).
+        let (soc, mut cm) = kirin();
+        let procs = soc.processors_by_power();
+        let npu = soc.processor_by_name("NPU").unwrap();
+        let bert = ModelId::Bert.graph();
+        let mut profile = crate::profile::ProfileTable::new();
+        profile.record(bert.name(), &bert.layers()[0].name, npu, 0.8);
+        profile.record(bert.name(), &bert.layers()[2].name, npu, 0.3);
+        for profiled in [false, true] {
+            if profiled {
+                cm.set_profile(profile.clone());
+            }
+            for id in [ModelId::Bert, ModelId::YoloV4, ModelId::SqueezeNet] {
+                let g = id.graph();
+                let table = cm.table(&g, &procs);
+                for (slot, &proc) in procs.iter().enumerate() {
+                    for i in 0..g.len() {
+                        for j in i..g.len().min(i + 9) {
+                            let range = LayerRange::new(i, j);
+                            let direct = cm.slice_bandwidth_gbps(&g, range, proc).unwrap_or(0.0);
+                            assert_eq!(
+                                table.slice_bandwidth_gbps(slot, range).to_bits(),
+                                direct.to_bits(),
+                                "{id} slot {slot} [{i},{j}] profiled={profiled}"
+                            );
+                        }
                     }
                 }
             }

@@ -16,6 +16,13 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== experiments/ reproduce (seeded experiment binaries)"
+# Every seeded experiment binary must reproduce its committed output
+# byte for byte (ext_granularity prints wall-clock DP times and is left
+# out). A change that moves a figure regenerates experiments/ and the
+# numbers in EXPERIMENTS.md and README.md in the same change.
+bash scripts/run_experiments.sh --check
+
 echo "== h2pbench replay reconciliation"
 # The benchmark is a workspace of its own that compiles against these
 # crates by path, so the builds above never touch it. Building it here
@@ -260,8 +267,9 @@ rm -f "$BENCH_OLD"
 
 echo "== bench-sanity gate"
 # On hosts that can actually run the benched 4 workers concurrently, the
-# parallel gates become hard failures: t4 must beat the sequential
-# reference and must not lose to t1. On smaller hosts the speedup block
+# parallel gates become hard failures: the warm t4 plan must beat the
+# sequential reference, and the cold t4 plan (whose subset searches fan
+# out) must not lose to cold t1. On smaller hosts the speedup block
 # is recorded advisory-only (bench_check already skipped its gates above)
 # and this step records the host class instead of asserting.
 CORES=$(nproc)

@@ -1,11 +1,33 @@
 #!/usr/bin/env bash
 # Regenerates every table and figure of the paper and stores the raw
 # output under experiments/. Used to populate EXPERIMENTS.md.
+#
+#   scripts/run_experiments.sh           # rewrite experiments/
+#   scripts/run_experiments.sh --check   # rerun into a scratch directory
+#                                        # and diff against experiments/
+#
+# Every binary is seeded, so a rerun reproduces experiments/ byte for
+# byte — except ext_granularity, which prints wall-clock DP times and is
+# left out of the --check comparison.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-mkdir -p experiments
+
+CHECK=0
+for arg in "$@"; do
+  case "$arg" in
+    --check) CHECK=1 ;;
+    *) echo "unknown argument: $arg" >&2; exit 2 ;;
+  esac
+done
 
 COMBOS="${COMBOS:-100}"
+if [ "$CHECK" = "1" ]; then
+  OUT=$(mktemp -d)
+  trap 'rm -rf "$OUT"' EXIT
+else
+  OUT=experiments
+  mkdir -p "$OUT"
+fi
 
 bins=(
   zoo_summary
@@ -28,15 +50,35 @@ bins=(
 )
 for b in "${bins[@]}"; do
   echo "== running $b"
-  cargo run --release -q -p h2p-bench --bin "$b" >"experiments/$b.txt" 2>&1
+  cargo run --release -q -p h2p-bench --bin "$b" >"$OUT/$b.txt" 2>&1
 done
 
 echo "== running fig07_overall (--combos $COMBOS)"
 cargo run --release -q -p h2p-bench --bin fig07_overall -- --combos "$COMBOS" \
-  >"experiments/fig07_overall.txt" 2>&1
+  >"$OUT/fig07_overall.txt" 2>&1
 
 echo "== running fig08_ablation (--combos $COMBOS)"
 cargo run --release -q -p h2p-bench --bin fig08_ablation -- --combos "$COMBOS" \
-  >"experiments/fig08_ablation.txt" 2>&1
+  >"$OUT/fig08_ablation.txt" 2>&1
 
-echo "done; outputs in experiments/"
+if [ "$CHECK" = "0" ]; then
+  echo "done; outputs in experiments/"
+  exit 0
+fi
+
+status=0
+for f in "$OUT"/*.txt; do
+  name=$(basename "$f")
+  if [ "$name" = "ext_granularity.txt" ]; then
+    continue
+  fi
+  if ! cmp -s "experiments/$name" "$f"; then
+    echo "experiments/$name differs from a fresh run:" >&2
+    diff -u "experiments/$name" "$f" | head -20 >&2 || true
+    status=1
+  fi
+done
+if [ "$status" = "0" ]; then
+  echo "experiments/ matches a fresh run of every deterministic binary"
+fi
+exit "$status"

@@ -1,7 +1,8 @@
 //! Property-based tests over the core algorithms and data structures:
-//! optimality of the partition DP, optimality of the Hungarian solver,
-//! permutation/resolution invariants of contention mitigation, plan
-//! tiling after the full planning pipeline, the order hysteresis,
+//! optimality of the partition DP and its scale invariance, optimality of
+//! the Hungarian solver, permutation/resolution invariants of contention
+//! mitigation, plan tiling after the full planning pipeline, the order
+//! hysteresis, the incremental column accounting of the vertical passes,
 //! simulator determinism and batching conservation.
 
 use proptest::prelude::*;
@@ -134,6 +135,179 @@ fn adopted_order_never_estimates_worse_than_arrival_order() {
     }
 }
 
+/// Every stage of `plan` as `(request, slot, range, processor, time and
+/// bandwidth bits)`, so two plans compare bit for bit.
+type StageBits = (usize, usize, usize, usize, usize, [u64; 4]);
+
+fn stage_bits(plan: &hetero2pipe::plan::PipelinePlan) -> Vec<StageBits> {
+    let mut bits = Vec::new();
+    for req in &plan.requests {
+        for (slot, stage) in req.stages.iter().enumerate() {
+            if let Some(s) = stage {
+                bits.push((
+                    req.request,
+                    slot,
+                    s.range.first,
+                    s.range.last,
+                    s.proc.index(),
+                    [
+                        s.exec_ms.to_bits(),
+                        s.copy_in_ms.to_bits(),
+                        s.intensity.to_bits(),
+                        s.bandwidth_gbps.to_bits(),
+                    ],
+                ));
+            }
+        }
+    }
+    bits
+}
+
+/// The vertical passes price candidates on per-column ledgers instead of
+/// whole-plan rescans, and must decide exactly as rescans would. Over
+/// seeded combinations of 1–12 zoo models on every evaluation SoC, on
+/// the same stolen plan, the cached tail search makes exactly the merges
+/// of the reference search (same stage bits, same collapsed slots, same
+/// count), and work stealing reports bubble totals bit-identical to
+/// `total_bubble_ms` of the plan before and after.
+#[test]
+fn incremental_column_accounting_matches_whole_plan_rescans() {
+    use hetero2pipe::planner::{Planner, PlannerConfig};
+    use hetero2pipe::workload::random_combinations;
+    use hetero2pipe::worksteal;
+    use std::sync::Arc;
+
+    // Step 1 alone: arrival order, min-max partitions, base contexts.
+    let step1 = PlannerConfig {
+        contention_mitigation: false,
+        work_stealing: false,
+        tail_optimization: false,
+        ..PlannerConfig::default()
+    };
+    let (mut adjustments, mut merges_seen) = (0usize, 0usize);
+    for (seed, soc) in SocSpec::evaluation_platforms().into_iter().enumerate() {
+        let planner = Planner::with_config(&soc, step1).expect("planner trains");
+        let est = planner.estimator();
+        let procs = planner.pipeline_procs();
+        for ids in random_combinations(0x434f_4c53 + seed as u64, 24, 1, 12) {
+            let graphs: Vec<_> = ids.iter().map(|m| m.graph()).collect();
+            let base = planner.plan(&graphs).expect("plans");
+            let mut stolen = base.plan.clone();
+            let before = stolen.total_bubble_ms();
+            let report = worksteal::align_by_stealing(&mut stolen, &base.contexts, est.cost());
+            assert_eq!(
+                report.bubbles_before_ms.to_bits(),
+                before.to_bits(),
+                "{ids:?} on {}: bubbles before stealing",
+                soc.name
+            );
+            assert_eq!(
+                report.bubbles_after_ms.to_bits(),
+                stolen.total_bubble_ms().to_bits(),
+                "{ids:?} on {}: bubbles after stealing",
+                soc.name
+            );
+            adjustments += report.adjustments;
+
+            let mut reference = stolen.clone();
+            let mut reference_ctxs = base.contexts.clone();
+            let reference_merges =
+                worksteal::optimize_tail(&mut reference, &mut reference_ctxs, est);
+            let collapse: Vec<_> = graphs
+                .iter()
+                .map(|g| {
+                    let (tables, _) = est.tables_cached(g, &procs);
+                    Arc::new(worksteal::collapse_candidates(
+                        &tables,
+                        est.cost(),
+                        procs.len(),
+                    ))
+                })
+                .collect();
+            let mut cached = stolen.clone();
+            let merges = worksteal::optimize_tail_cached(&mut cached, &collapse);
+            assert_eq!(
+                merges.len(),
+                reference_merges,
+                "{ids:?} on {}: merge count",
+                soc.name
+            );
+            assert_eq!(
+                stage_bits(&cached),
+                stage_bits(&reference),
+                "{ids:?} on {}: stage bits after the tail search",
+                soc.name
+            );
+            let mut ctxs = base.contexts.clone();
+            worksteal::apply_merges(&mut ctxs, &collapse, &merges);
+            for &(request, slot) in &merges {
+                assert_eq!(reference_ctxs[request].active_slots, vec![slot]);
+            }
+            for (r, ctx) in ctxs.iter().enumerate() {
+                assert_eq!(
+                    ctx.active_slots, reference_ctxs[r].active_slots,
+                    "{ids:?} on {}: request {r} collapsed differently",
+                    soc.name
+                );
+            }
+            merges_seen += merges.len();
+        }
+    }
+    assert!(adjustments > 0 && merges_seen > 0, "the passes must act");
+}
+
+/// Scaling every stage cost by `c` scales the DP optimum by `c` (a
+/// plan-quality invariant): over every zoo model's shared-table contexts
+/// on every evaluation SoC, a power-of-two `c` keeps the splits and gives
+/// makespan bits exactly `c ×` the original, and any other `c` stays
+/// within 1e-12 relative of `c ×` the original.
+#[test]
+fn scaling_zoo_stage_costs_scales_the_dp_optimum() {
+    use hetero2pipe::estimate::Estimator;
+    use std::sync::Arc;
+
+    let mut checked = 0usize;
+    for soc in SocSpec::evaluation_platforms() {
+        let est = Estimator::new(&soc).expect("estimator trains");
+        let procs = soc.processors_by_power();
+        let k = procs.len();
+        for id in ModelId::ALL {
+            let g = id.graph();
+            let tables = est.tables(Arc::new(g.clone()), &procs);
+            for mask in 1u32..(1 << k) {
+                let slots: Vec<usize> = (0..k).filter(|&s| mask & (1 << s) != 0).collect();
+                let ctx = tables.context(slots.clone());
+                let scaled = |c: f64| {
+                    partition::min_max_partition(g.len(), slots.len(), |a, i, j| {
+                        ctx.stage_cost(est.cost(), a, i, j).map(|x| x * c)
+                    })
+                };
+                let Some(base) = scaled(1.0) else { continue };
+                for c in [0.125, 0.5, 2.0, 64.0, 1024.0] {
+                    let p = scaled(c).expect("scaling keeps feasibility");
+                    assert_eq!(p.splits, base.splits, "{id} slots {slots:?} c={c}");
+                    assert_eq!(
+                        p.makespan_ms.to_bits(),
+                        (c * base.makespan_ms).to_bits(),
+                        "{id} slots {slots:?} c={c}"
+                    );
+                }
+                for c in [0.3, 1.7, 3.0, 10.0, 1000.0 / 7.0] {
+                    let p = scaled(c).expect("scaling keeps feasibility");
+                    let expected = c * base.makespan_ms;
+                    assert!(
+                        (p.makespan_ms - expected).abs() <= 1e-12 * expected,
+                        "{id} slots {slots:?} c={c}: {} vs {expected}",
+                        p.makespan_ms
+                    );
+                }
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -162,6 +336,40 @@ proptest! {
         // The reported makespan equals the max stage time.
         let max_stage = dp.stage_ms.iter().copied().fold(0.0, f64::max);
         prop_assert!((dp.makespan_ms - max_stage).abs() < 1e-12);
+    }
+
+    /// Scaling every cost of a random heterogeneous matrix by `c` scales
+    /// the DP optimum by `c`: exactly, splits included, for a power of
+    /// two, and within 1e-12 relative for any other `c`.
+    #[test]
+    fn scaling_costs_scales_the_dp_optimum(
+        n in 2usize..10,
+        k in 1usize..5,
+        seed in any::<u64>(),
+        exponent in 0i32..21,
+        c_milli in 1u32..100_000,
+    ) {
+        let k = k.min(n);
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) % 100 + 1) as f64 / 10.0
+        };
+        let times: Vec<Vec<f64>> = (0..k).map(|_| (0..n).map(|_| next()).collect()).collect();
+        let c = oracle(times);
+        let scaled = |factor: f64| {
+            partition::min_max_partition(n, k, |s, i, j| c(s, i, j).map(|x| x * factor))
+                .expect("feasible")
+        };
+        let base = scaled(1.0);
+        let pow2 = 2f64.powi(exponent - 10);
+        let p = scaled(pow2);
+        prop_assert_eq!(&p.splits, &base.splits);
+        prop_assert_eq!(p.makespan_ms.to_bits(), (pow2 * base.makespan_ms).to_bits());
+        let factor = c_milli as f64 / 1000.0;
+        let expected = factor * base.makespan_ms;
+        let p = scaled(factor);
+        prop_assert!((p.makespan_ms - expected).abs() <= 1e-12 * expected);
     }
 
     /// The Hungarian solver is optimal against permutation brute force
