@@ -48,12 +48,12 @@ pub fn run(
     seed: u64,
     params: AnnealingParams,
 ) -> Result<SearchOutcome, PlanError> {
-    let (base, estimator) = base_plan(soc, requests)?;
+    let base = base_plan(soc, requests)?;
     let n = requests.len();
     let mut rng = StdRng::seed_from_u64(seed);
 
     let mut order: Vec<usize> = (0..n).collect();
-    let mut energy = evaluate_order(&base, &estimator, &order);
+    let mut energy = evaluate_order(&base, &order);
     let mut best_order = order.clone();
     let mut best = energy;
     let mut temp = energy * params.initial_temp_frac;
@@ -67,7 +67,7 @@ pub fn run(
                 b += 1;
             }
             order.swap(a, b);
-            let e = evaluate_order(&base, &estimator, &order);
+            let e = evaluate_order(&base, &order);
             evaluated += 1;
             let accept = e <= energy || {
                 let d = (e - energy) / temp.max(1e-9);
@@ -86,7 +86,7 @@ pub fn run(
         }
     }
 
-    let report = realize(&base, &estimator, &best_order, soc)?;
+    let report = realize(&base, &best_order, soc)?;
     Ok(SearchOutcome {
         report,
         best_order,
@@ -129,9 +129,9 @@ mod tests {
             ModelId::Bert,
             ModelId::MobileNetV2,
         ]);
-        let (base, est) = base_plan(&soc, &reqs).unwrap();
+        let base = base_plan(&soc, &reqs).unwrap();
         let identity: Vec<usize> = (0..reqs.len()).collect();
-        let id_e = evaluate_order(&base, &est, &identity);
+        let id_e = evaluate_order(&base, &identity);
         let sa = run(&soc, &reqs, 1, AnnealingParams::default()).unwrap();
         assert!(sa.best_estimate_ms <= id_e + 1e-9);
     }

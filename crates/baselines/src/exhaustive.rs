@@ -8,6 +8,8 @@
 //! ablation study, which is exactly its role in the paper: Hetero²Pipe's
 //! polynomial-time plan lands within a few percent of this optimum.
 
+use std::sync::Arc;
+
 use h2p_models::graph::ModelGraph;
 use h2p_simulator::soc::SocSpec;
 use hetero2pipe::error::PlanError;
@@ -15,7 +17,7 @@ use hetero2pipe::estimate::Estimator;
 use hetero2pipe::executor::{self, ExecutionReport};
 use hetero2pipe::plan::PipelinePlan;
 use hetero2pipe::planner::{PlannedPipeline, Planner, PlannerConfig};
-use hetero2pipe::worksteal;
+use hetero2pipe::worksteal::{self, CollapseSlots};
 
 /// Result of a vertical-arrangement search.
 #[derive(Debug, Clone)]
@@ -32,11 +34,17 @@ pub struct SearchOutcome {
     pub complete: bool,
 }
 
+/// The horizontal-only plan every arrangement permutes, with what the
+/// vertical passes read: the estimator and each request's tail-collapse
+/// candidates (indexed by original request index).
+pub(crate) struct Base {
+    planned: PlannedPipeline,
+    estimator: Estimator,
+    collapse: Vec<Arc<CollapseSlots>>,
+}
+
 /// Builds the horizontal-only plan shared by every arrangement.
-pub(crate) fn base_plan(
-    soc: &SocSpec,
-    requests: &[ModelGraph],
-) -> Result<(PlannedPipeline, Estimator), PlanError> {
+pub(crate) fn base_plan(soc: &SocSpec, requests: &[ModelGraph]) -> Result<Base, PlanError> {
     let cfg = PlannerConfig {
         contention_mitigation: false,
         work_stealing: false,
@@ -46,48 +54,57 @@ pub(crate) fn base_plan(
     let planner = Planner::with_config(soc, cfg)?;
     let planned = planner.plan(requests)?;
     let estimator = planner.estimator().clone();
-    Ok((planned, estimator))
+    // The candidates the reference tail search would rebuild for every
+    // order it scores, built once per request from the cached tables.
+    let collapse = requests
+        .iter()
+        .map(|graph| {
+            let (tables, _) = estimator.tables_cached(graph, &planned.plan.procs);
+            let slots = tables.slot_count();
+            Arc::new(worksteal::collapse_candidates(
+                &tables,
+                estimator.cost(),
+                slots,
+            ))
+        })
+        .collect();
+    Ok(Base {
+        planned,
+        estimator,
+        collapse,
+    })
 }
 
-/// Estimated makespan of one arrangement: permute the base plan's
-/// requests, apply work stealing, and read the column-sum estimate.
-pub(crate) fn evaluate_order(
-    base: &PlannedPipeline,
-    estimator: &Estimator,
-    order: &[usize],
-) -> f64 {
+/// One arrangement after the planner's vertical passes: the base plan's
+/// requests permuted into `order`, then work stealing and the tail
+/// search.
+fn arrange(base: &Base, order: &[usize]) -> PipelinePlan {
     let mut plan = PipelinePlan {
-        procs: base.plan.procs.clone(),
+        procs: base.planned.plan.procs.clone(),
         requests: order
             .iter()
-            .map(|&i| base.plan.requests[i].clone())
+            .map(|&i| base.planned.plan.requests[i].clone())
             .collect(),
     };
-    let mut ctxs = base.contexts.clone();
-    worksteal::align_by_stealing(&mut plan, &ctxs, estimator.cost());
-    worksteal::optimize_tail(&mut plan, &mut ctxs, estimator);
-    plan.estimated_makespan_contention_ms(estimator.cost().soc())
+    worksteal::align_by_stealing(&mut plan, &base.planned.contexts, base.estimator.cost());
+    worksteal::optimize_tail_cached(&mut plan, &base.collapse);
+    plan
 }
 
-/// Realizes an arrangement end to end: stealing + tail optimization +
-/// simulator execution.
+/// Estimated makespan of one arrangement: the column-sum estimate of
+/// [`arrange`]'s plan.
+pub(crate) fn evaluate_order(base: &Base, order: &[usize]) -> f64 {
+    arrange(base, order).estimated_makespan_contention_ms(base.estimator.cost().soc())
+}
+
+/// Realizes an arrangement end to end: [`arrange`] plus simulator
+/// execution.
 pub(crate) fn realize(
-    base: &PlannedPipeline,
-    estimator: &Estimator,
+    base: &Base,
     order: &[usize],
     soc: &SocSpec,
 ) -> Result<ExecutionReport, PlanError> {
-    let mut plan = PipelinePlan {
-        procs: base.plan.procs.clone(),
-        requests: order
-            .iter()
-            .map(|&i| base.plan.requests[i].clone())
-            .collect(),
-    };
-    let mut ctxs = base.contexts.clone();
-    worksteal::align_by_stealing(&mut plan, &ctxs, estimator.cost());
-    worksteal::optimize_tail(&mut plan, &mut ctxs, estimator);
-    executor::execute(&plan, soc)
+    executor::execute(&arrange(base, order), soc)
 }
 
 /// How candidate arrangements are scored during the search.
@@ -126,12 +143,12 @@ pub fn run_with(
     max_permutations: usize,
     evaluation: Evaluation,
 ) -> Result<SearchOutcome, PlanError> {
-    let (base, estimator) = base_plan(soc, requests)?;
+    let base = base_plan(soc, requests)?;
     let n = requests.len();
     let score = |order: &[usize]| -> Result<f64, PlanError> {
         Ok(match evaluation {
-            Evaluation::Estimate => evaluate_order(&base, &estimator, order),
-            Evaluation::Simulated => realize(&base, &estimator, order, soc)?.makespan_ms,
+            Evaluation::Estimate => evaluate_order(&base, order),
+            Evaluation::Simulated => realize(&base, order, soc)?.makespan_ms,
         })
     };
     let mut order: Vec<usize> = (0..n).collect();
@@ -168,7 +185,7 @@ pub fn run_with(
         }
     }
 
-    let report = realize(&base, &estimator, &best_order, soc)?;
+    let report = realize(&base, &best_order, soc)?;
     Ok(SearchOutcome {
         report,
         best_order,
@@ -208,9 +225,9 @@ mod tests {
             ModelId::Vgg16,
             ModelId::MobileNetV2,
         ]);
-        let (base, est) = base_plan(&soc, &reqs).unwrap();
+        let base = base_plan(&soc, &reqs).unwrap();
         let identity: Vec<usize> = (0..reqs.len()).collect();
-        let id_est = evaluate_order(&base, &est, &identity);
+        let id_est = evaluate_order(&base, &identity);
         let out = run(&soc, &reqs, 10_000).unwrap();
         assert!(out.best_estimate_ms <= id_est + 1e-9);
     }

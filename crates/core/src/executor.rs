@@ -192,10 +192,7 @@ impl LoweredPlan {
     /// logged piecewise interference rates — strictly stronger than the
     /// envelope-only audit [`LoweredPlan::execute`] runs. Callers that
     /// audit a deliberately corrupted trace (`h2p trace --corrupt`) do so
-    /// on their own copy afterwards. When the `H2P_CHROME_TRACE`
-    /// environment variable names a path, the run's Chrome Trace JSON is
-    /// additionally written there (best-effort: a write failure is
-    /// reported on stderr, never fails the run).
+    /// on their own copy afterwards.
     ///
     /// # Errors
     ///
@@ -219,23 +216,11 @@ impl LoweredPlan {
             final_task,
             executed_requests,
         } = self;
-        let dump_path = std::env::var_os("H2P_CHROME_TRACE");
-        let needs_specs = cfg!(debug_assertions) || dump_path.is_some();
-        let specs = needs_specs.then(|| (sim.soc().clone(), sim.tasks().to_vec()));
+        #[cfg(debug_assertions)]
+        let (audit_soc, audit_tasks) = (sim.soc().clone(), sim.tasks().to_vec());
         let (trace, events) = sim.run_with_events().map_err(PlanError::Simulation)?;
         #[cfg(debug_assertions)]
-        if let Some((soc, tasks)) = &specs {
-            h2p_simulator::audit::assert_clean_with_events(soc, tasks, &events, &trace);
-        }
-        if let (Some(path), Some((soc, tasks))) = (dump_path, &specs) {
-            let doc = h2p_simulator::export::chrome_trace(soc, tasks, &events);
-            if let Err(err) = std::fs::write(&path, doc.to_json()) {
-                eprintln!(
-                    "h2p: failed to write H2P_CHROME_TRACE {}: {err}",
-                    std::path::Path::new(&path).display()
-                );
-            }
-        }
+        h2p_simulator::audit::assert_clean_with_events(&audit_soc, &audit_tasks, &events, &trace);
         Ok((
             assemble_report(trace, &final_task, executed_requests),
             events,

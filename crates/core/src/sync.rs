@@ -6,7 +6,7 @@
 //! `#[inline]` wrappers around `std::thread::scope` that add nothing but
 //! a struct field. Under `cfg(feature = "model-check")` the same names
 //! resolve to *virtualized* primitives whose every operation is a yield
-//! point of a controlled scheduler ([`model`]): a model checker (the
+//! point of a controlled scheduler (the `model` submodule): a model checker (the
 //! `h2p-check` crate) can then enumerate thread interleavings
 //! deterministically — DFS-exhaustive for small configurations,
 //! randomized PCT-style for larger ones — and assert the planner's

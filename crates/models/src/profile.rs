@@ -4,7 +4,7 @@
 //! execution times (`T_e` tables measured once per model/processor), not
 //! an analytical model. [`ProfileTable`] is that interface: measure your
 //! layers however you like (on-device timers, vendor profilers), record
-//! them here, and attach the table to a [`CostModel`] — every overridden
+//! them here, and attach the table to a [`CostModel`](crate::CostModel) — every overridden
 //! layer then uses the measurement while unmeasured layers keep the
 //! analytical roofline estimate. Serializable, so profiles can be
 //! collected once per device and shipped with an application.

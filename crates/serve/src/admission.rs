@@ -23,7 +23,7 @@
 //!   latencies (`burn_rate > 1`) gets the floor limit — queueing it
 //!   deeper could never meet the SLO anyway.
 //!
-//! [`RejectReason`]: crate::RejectReason
+//! [`RejectReason::Shedding`]: crate::RejectReason::Shedding
 
 use h2p_models::cost::CostModel;
 use h2p_models::zoo::ModelId;

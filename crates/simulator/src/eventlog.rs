@@ -1,8 +1,8 @@
 //! Typed ingestion of the JSON-lines engine event log.
 //!
-//! [`EngineEvent::json_line`] and the `h2p trace --events` writer emit
-//! one flat JSON object per line: a `task` header line per submitted
-//! task followed by the events in simulation-time order. This module is
+//! [`EngineEvent::json_line`] and [`task_header_line`] emit one flat
+//! JSON object per line: a `task` header line per submitted task
+//! followed by the events in simulation-time order. This module is
 //! the trusted read path back: [`parse_event_log`] turns that text into
 //! typed [`EngineEvent`]s and [`TaskHeader`]s, rejecting malformed
 //! lines and non-finite timestamps with a line-numbered [`ParseError`]
@@ -25,7 +25,7 @@ use std::fmt;
 
 use h2p_telemetry::lifecycle::{LifecycleEvent, LifecycleStage, RequestId, TraceId};
 
-use crate::engine::EngineEvent;
+use crate::engine::{EngineEvent, TaskSpec};
 use crate::faults::FaultKind;
 use crate::processor::ProcessorId;
 
@@ -49,6 +49,18 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// The `task` header line for submitted task `task`: the metadata a
+/// log carries so that it describes itself ([`TaskHeader`] reads it
+/// back).
+pub fn task_header_line(task: usize, spec: &TaskSpec) -> String {
+    format!(
+        "{{\"event\":\"task\",\"task\":{task},\"label\":\"{}\",\"processor\":{},\"solo_ms\":{}}}",
+        json_escape(&spec.label),
+        spec.processor.index(),
+        spec.solo_ms
+    )
 }
 
 /// A typed failure while ingesting an event log. Every variant carries
@@ -547,12 +559,8 @@ mod tests {
         let (_, events) = sim.run_with_events().expect("runs");
         let mut text = String::new();
         for (i, t) in tasks.iter().enumerate() {
-            text.push_str(&format!(
-                "{{\"event\":\"task\",\"task\":{i},\"label\":\"{}\",\"processor\":{},\"solo_ms\":{}}}\n",
-                json_escape(&t.label),
-                t.processor.index(),
-                t.solo_ms
-            ));
+            text.push_str(&task_header_line(i, t));
+            text.push('\n');
         }
         for e in &events {
             text.push_str(&e.json_line());

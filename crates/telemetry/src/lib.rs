@@ -8,7 +8,7 @@
 //!   table. Designed for coarse-grained recording: hot loops count
 //!   locally and flush once, so instrumentation never sits on a planner
 //!   hot path.
-//! - [`span`] — RAII phase spans with deterministic content-derived ids
+//! - [`span`](mod@span) — RAII phase spans with deterministic content-derived ids
 //!   and per-thread lanes, recording the planner's phase tree.
 //! - [`lifecycle`] — the causal request-lifecycle model: typed
 //!   admit → plan → window → execute → recover/degrade → complete
@@ -94,7 +94,7 @@ pub(crate) fn json_escape(s: &str) -> String {
 
 /// Formats a float as a JSON number; non-finite values (which would
 /// produce invalid JSON) become `null`.
-pub(crate) fn json_num(v: f64) -> String {
+pub fn json_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

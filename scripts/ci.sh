@@ -10,6 +10,13 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings (intra-doc links)"
+# Workspace feature unification turns `model-check` on for hetero2pipe,
+# which hides links that only resolve under it; document that crate on
+# its own too so its default-feature docs are checked.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc -p hetero2pipe --no-deps
+
 echo "== cargo build --release"
 cargo build --release --workspace
 

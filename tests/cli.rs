@@ -206,3 +206,25 @@ fn unknown_inputs_exit_with_usage() {
     assert!(!ok);
     assert!(stderr.contains("usage"));
 }
+
+#[test]
+fn malformed_values_exit_2_with_usage() {
+    for args in [
+        &["chaos", "--seeds", "0"][..],
+        &["serve", "--qps-sweep", "5"],
+        &["modelcheck", "--inject", "nope"],
+        &["report", "--slo-budget", "2"],
+        &["lint", "--source", "--mutant", "nope"],
+        &["plan", "--threads", "x"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_h2p"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let flag = args[args.len() - 2];
+        assert!(stderr.contains(flag), "{args:?} names {flag}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+}
