@@ -4,8 +4,8 @@
 //! vs the cached runtime at 1 and 4 threads), cold 8-request plans at 1
 //! and 4 threads, lowering and simulated execution of a planned
 //! 8-request pipeline, an online window replan, the recovery re-plan
-//! after a processor dropout, and one span entry on a recorder that
-//! holds 10,000 spans.
+//! after a processor dropout, the serve loop's batching step, and one
+//! span entry on a recorder that holds 10,000 spans.
 //!
 //! Cases that repeat one request set on one planner are warm: from the
 //! second iteration on, the cost tables, the memoized partitions and the
@@ -19,14 +19,13 @@
 //! `H2P_BENCH_QUICK=1` shrinks sampling so the suite finishes in seconds;
 //! `scripts/bench.sh` wraps both modes.
 
-use std::sync::Arc;
-
 use criterion::{BenchResult, BenchmarkId, Criterion};
 
 use h2p_contention::ContentionClass;
 use h2p_models::graph::ModelGraph;
 use h2p_models::zoo::ModelId;
 use h2p_simulator::SocSpec;
+use hetero2pipe::batching::{coalesce, graphs_for_groups};
 use hetero2pipe::online::OnlinePlanner;
 use hetero2pipe::planner::Planner;
 use hetero2pipe::workload::random_models;
@@ -55,7 +54,7 @@ fn bench_partition_dp(c: &mut Criterion) {
     let mut scratch = partition::DpScratch::new();
     for id in [ModelId::Vgg16, ModelId::Bert] {
         let graph = id.graph();
-        let tables = planner.estimator().tables(Arc::new(graph.clone()), &procs);
+        let tables = planner.estimator().tables(&graph, &procs);
         let n = graph.len();
         group.bench_with_input(BenchmarkId::from_parameter(id.name()), &n, |b, _| {
             b.iter(|| {
@@ -220,7 +219,7 @@ fn bench_recovery_replan(c: &mut Criterion) {
     // times the lookups, the stage-vector copies and the stealing pass.
     let soc = SocSpec::kirin_990();
     let planner = Planner::new(&soc).expect("planner");
-    let graphs: Vec<Arc<ModelGraph>> = workload(8).into_iter().map(Arc::new).collect();
+    let graphs = workload(8);
     let pending: Vec<usize> = (0..graphs.len()).collect();
     let mut down = vec![false; soc.processors.len()];
     down[planner.pipeline_procs()[0].index()] = true;
@@ -229,6 +228,15 @@ fn bench_recovery_replan(c: &mut Criterion) {
             hetero2pipe::recovery::replan_on_survivors(&planner, &graphs, &pending, &down)
                 .expect("replan")
         })
+    });
+}
+
+fn bench_batching(c: &mut Criterion) {
+    // The serve loop's batching step for one dispatch of every zoo model
+    // once: `coalesce` finds no adjacent duplicates, so the ten batch-1
+    // groups expand to clones of the memoized zoo graphs.
+    c.bench_function("batching/graphs_for_groups/10", |b| {
+        b.iter(|| graphs_for_groups(&coalesce(&ModelId::ALL, 8)))
     });
 }
 
@@ -376,6 +384,7 @@ fn main() {
     bench_simulate(&mut criterion);
     bench_online_replan(&mut criterion);
     bench_recovery_replan(&mut criterion);
+    bench_batching(&mut criterion);
     bench_serve_sweep(&mut criterion);
     bench_span_enter(&mut criterion);
     write_json(&criterion::take_results());

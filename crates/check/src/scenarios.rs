@@ -223,7 +223,7 @@ pub fn partition_memo(opts: CheckOptions) -> ModelReport {
         Ok(p) => p,
         Err(e) => return setup_failure(name, &e),
     };
-    let graph = Arc::new(ModelId::SqueezeNet.graph());
+    let graph = ModelId::SqueezeNet.graph();
     let procs = planner.pipeline_procs();
     let misses = || {
         planner
@@ -240,7 +240,7 @@ pub fn partition_memo(opts: CheckOptions) -> ModelReport {
         opts.exhaustive_cap,
         opts.stop_on_violation,
         || {
-            let tables = planner.estimator().tables(Arc::clone(&graph), &procs);
+            let tables = planner.estimator().tables(&graph, &procs);
             let before = misses();
             let (a, b) = sync::scope(|s| {
                 let h1 = s.spawn(|| planner.plan_request_cached(&tables, u32::MAX));
@@ -399,11 +399,10 @@ pub fn recovery_rounds() -> ModelReport {
         Ok(p) => p,
         Err(e) => return setup_failure(name, &e),
     };
-    let graphs: Vec<Arc<ModelGraph>> =
-        [ModelId::SqueezeNet, ModelId::MobileNetV2, ModelId::AlexNet]
-            .iter()
-            .map(|id| Arc::new(id.graph()))
-            .collect();
+    let graphs: Vec<ModelGraph> = [ModelId::SqueezeNet, ModelId::MobileNetV2, ModelId::AlexNet]
+        .iter()
+        .map(|id| id.graph())
+        .collect();
     let procs = planner.pipeline_procs();
     let down_len = procs.iter().map(|p| p.index()).max().unwrap_or(0) + 1;
     // Replans are a pure function of (down set, pending count): memoize
@@ -456,7 +455,7 @@ pub fn recovery_rounds() -> ModelReport {
 
 fn validate_replan(
     planner: &Planner,
-    graphs: &[Arc<ModelGraph>],
+    graphs: &[ModelGraph],
     pending: &[usize],
     down: &[bool],
 ) -> Result<(), String> {

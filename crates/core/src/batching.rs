@@ -210,6 +210,11 @@ mod tests {
                 BatchGroup { model, batch: 3 },
             ]);
             assert_eq!(graphs, vec![g.clone(), batched_graph(&g, 3)], "{model}");
+            assert_eq!(
+                graphs[0].layers().as_ptr(),
+                g.layers().as_ptr(),
+                "{model}: a batch of one shares the zoo graph's storage"
+            );
         }
     }
 

@@ -44,11 +44,13 @@ use crate::plan::{StagePlan, StageRun};
 use crate::planner::PartitionMemo;
 
 /// Cross-invocation memo for [`Estimator::tables_cached`]: per model name,
-/// the `(graph, pipeline processors, tables)` triples already built. The
-/// pipeline-processor list is part of the key because it encodes processor
-/// availability (a dropped or depth-truncated slot changes the list), and
-/// the graph is compared in full because names alone are not unique.
-type TablesMemo = HashMap<String, Vec<(Arc<ModelGraph>, Vec<ProcessorId>, Arc<RequestTables>)>>;
+/// the tables already built, each keyed by the graph and the pipeline
+/// processor list it holds. The processor list is part of the key because
+/// it encodes processor availability (a dropped or depth-truncated slot
+/// changes the list). Names alone are not unique, so the graph is compared
+/// too; a graph cloned from the entry's own (every zoo model's is) shares
+/// its storage and compares by pointer, any other graph in full.
+type TablesMemo = HashMap<String, Vec<Arc<RequestTables>>>;
 
 /// Bundles the cost model and the trained contention-intensity model.
 #[derive(Debug, Clone)]
@@ -178,7 +180,7 @@ impl Estimator {
             });
         let rows = (0..active_slots.len()).collect();
         RequestContext {
-            graph: Arc::new(graph.clone()),
+            graph: graph.clone(),
             active_slots,
             procs,
             rows,
@@ -194,16 +196,16 @@ impl Estimator {
     /// copy-in curve per ordered slot pair, plus the model's predicted
     /// contention intensity and ℍ/𝕃 class. Deriving a context for any
     /// processor subset from the result is O(stages).
-    pub fn tables(&self, graph: Arc<ModelGraph>, pipeline_procs: &[ProcessorId]) -> RequestTables {
+    pub fn tables(&self, graph: &ModelGraph, pipeline_procs: &[ProcessorId]) -> RequestTables {
         let k = pipeline_procs.len();
         let n = graph.len();
-        let table = Arc::new(self.cost.table(&graph, pipeline_procs));
+        let table = Arc::new(self.cost.table(graph, pipeline_procs));
         let fallback = pipeline_procs
             .iter()
             .position(|&p| self.cost.soc().processor(p).kind == ProcessorKind::Npu)
             .map(|slot| {
                 let core =
-                    NpuFallback::build(&self.cost, &graph, pipeline_procs[slot], self.pmu_proc);
+                    NpuFallback::build(&self.cost, graph, pipeline_procs[slot], self.pmu_proc);
                 (slot, Arc::new(core))
             });
         // Copy-in curve for a stage on slot `q` receiving from slot `p`:
@@ -242,10 +244,10 @@ impl Estimator {
                 *cell = from;
             }
         }
-        let intensity = self.predict_intensity(&graph);
+        let intensity = self.predict_intensity(graph);
         let class = self.intensity.classify_intensity(intensity);
         RequestTables {
-            graph,
+            graph: graph.clone(),
             pipeline_procs: pipeline_procs.to_vec(),
             table,
             copy_pairs,
@@ -267,10 +269,12 @@ impl Estimator {
     /// [`crate::planner::Planner::plan_request_cached`] has solved.
     /// Returns `(tables, hit)` so callers can record cache telemetry. A
     /// hit is exactly as correct as rebuilding: the memo key is the
-    /// model name, verified with a full graph equality check plus an
-    /// exact processor-list match (the processor list encodes
-    /// availability — a dropped or depth-truncated slot changes it and
-    /// therefore misses). Only a miss allocates the key.
+    /// model name, verified by graph equality plus an exact
+    /// processor-list match (the processor list encodes availability — a
+    /// dropped or depth-truncated slot changes it and therefore misses).
+    /// Graph equality is a pointer compare when `graph` shares the
+    /// entry's storage, as every clone of a zoo graph does, and a full
+    /// comparison otherwise. Only a miss allocates the key.
     pub fn tables_cached(
         &self,
         graph: &ModelGraph,
@@ -280,13 +284,10 @@ impl Estimator {
         if let Some(tables) = find_tables(&memo, graph, pipeline_procs) {
             return (tables, true);
         }
-        let shared_graph = Arc::new(graph.clone());
-        let tables = Arc::new(self.tables(Arc::clone(&shared_graph), pipeline_procs));
-        memo.entry(graph.name().to_owned()).or_default().push((
-            shared_graph,
-            pipeline_procs.to_vec(),
-            Arc::clone(&tables),
-        ));
+        let tables = Arc::new(self.tables(graph, pipeline_procs));
+        memo.entry(graph.name().to_owned())
+            .or_default()
+            .push(Arc::clone(&tables));
         (tables, false)
     }
 
@@ -324,8 +325,8 @@ fn find_tables(
 ) -> Option<Arc<RequestTables>> {
     memo.get(graph.name())?
         .iter()
-        .find(|(g, procs, _)| procs == pipeline_procs && **g == *graph)
-        .map(|(_, _, tables)| Arc::clone(tables))
+        .find(|t| t.pipeline_procs == pipeline_procs && t.graph == *graph)
+        .map(Arc::clone)
 }
 
 fn assert_active_slots(active_slots: &[usize]) {
@@ -344,7 +345,7 @@ fn assert_active_slots(active_slots: &[usize]) {
 /// not rebuild any table.
 #[derive(Debug)]
 pub struct RequestTables {
-    graph: Arc<ModelGraph>,
+    graph: ModelGraph,
     pipeline_procs: Vec<ProcessorId>,
     table: Arc<CostTable>,
     /// `copy_pairs[p * k + q]` for `p < q`: per-start-layer copy-in cost
@@ -373,7 +374,7 @@ pub struct RequestTables {
 
 impl RequestTables {
     /// The model these tables describe.
-    pub fn graph(&self) -> &Arc<ModelGraph> {
+    pub fn graph(&self) -> &ModelGraph {
         &self.graph
     }
 
@@ -483,7 +484,7 @@ impl RequestTables {
             copy_cache.push(Arc::clone(&self.copy_pairs[w[0] * k + w[1]]));
         }
         RequestContext {
-            graph: Arc::clone(&self.graph),
+            graph: self.graph.clone(),
             rows: active_slots.clone(),
             active_slots,
             procs,
@@ -640,9 +641,8 @@ struct FallbackAt {
 /// the pipeline, and a prefix-sum cost table over those slots' processors.
 #[derive(Debug, Clone)]
 pub struct RequestContext {
-    /// The model being planned (shared, never deep-cloned on the
-    /// planning path).
-    pub graph: Arc<ModelGraph>,
+    /// The model being planned (a clone shares the graph's storage).
+    pub graph: ModelGraph,
     /// Indices into the pipeline's processor slots this request uses,
     /// strictly ascending.
     pub active_slots: Vec<usize>,
@@ -840,7 +840,7 @@ mod tests {
         let procs = soc.processors_by_power();
         for id in [ModelId::ResNet50, ModelId::Bert, ModelId::YoloV4] {
             let g = id.graph();
-            let tables = est.tables(Arc::new(g.clone()), &procs);
+            let tables = est.tables(&g, &procs);
             for slots in [
                 vec![0usize],
                 vec![2],
@@ -889,7 +889,7 @@ mod tests {
         for id in [ModelId::ResNet50, ModelId::Bert, ModelId::YoloV4] {
             let g = id.graph();
             let n = g.len();
-            let tables = est.tables(Arc::new(g.clone()), &procs);
+            let tables = est.tables(&g, &procs);
             for slots in [
                 vec![0usize],
                 vec![1],
@@ -934,6 +934,12 @@ mod tests {
         let (i2, c2) = again.contention();
         assert_eq!(i1.to_bits(), i2.to_bits());
         assert_eq!(c1, c2);
+        // An independently built copy shares no storage with the entry's
+        // graph and still hits, through the full comparison.
+        let rebuilt = ModelGraph::new(g.name(), g.input_bytes(), g.layers().to_vec());
+        let (same, hit) = est.tables_cached(&rebuilt, &procs);
+        assert!(hit);
+        assert!(Arc::ptr_eq(&same, &tables));
         // A same-name but different graph must not hit the wrong entry.
         let batched = crate::batching::batched_graph(&g, 2);
         let (other, hit) = est.tables_cached(&batched, &procs);

@@ -78,7 +78,7 @@ impl PlannedPipeline {
     /// Converts this pipeline's plan to the analyzer IR, using the
     /// planning contexts as the source of model-graph truth.
     pub fn plan_ir(&self) -> PlanIr {
-        let graphs: Vec<&ModelGraph> = self.contexts.iter().map(|c| c.graph.as_ref()).collect();
+        let graphs: Vec<&ModelGraph> = self.contexts.iter().map(|c| &c.graph).collect();
         plan_ir(&self.plan, &graphs)
     }
 

@@ -19,8 +19,10 @@
 //! The key has three components, each pinning one way a cached plan can
 //! go stale:
 //!
-//! * the **window's model graphs** (full equality — names alone are not
-//!   unique),
+//! * the **window's model graphs** (graph equality — names alone are not
+//!   unique; a dispatch's graphs are clones of the memoized zoo graphs,
+//!   which share storage with the entry's and compare by pointer, while
+//!   batched or independently built graphs are compared in full),
 //! * the **contention class** of every request (read from the request's
 //!   cost-tables entry on every lookup, so a reclassification
 //!   invalidates),

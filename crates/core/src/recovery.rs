@@ -35,7 +35,6 @@
 //! plus exact event replay — and the plan lint with availability mask
 //! (H2P009: no task may target a down processor).
 
-use crate::sync::Arc;
 use std::collections::BTreeMap;
 
 use h2p_models::graph::ModelGraph;
@@ -244,7 +243,7 @@ impl FaultScript {
 /// of survivors can host a request.
 pub fn replan_on_survivors(
     planner: &Planner,
-    graphs: &[Arc<ModelGraph>],
+    graphs: &[ModelGraph],
     pending: &[usize],
     down: &[bool],
 ) -> Result<(PipelinePlan, Vec<RequestContext>), PlanError> {
@@ -320,7 +319,6 @@ pub fn run_with_recovery(
     let soc = planner.soc().clone();
     let n_proc = soc.processors.len();
     let m = requests.len();
-    let graphs: Vec<Arc<ModelGraph>> = requests.iter().map(|g| Arc::new(g.clone())).collect();
     let mut script = FaultScript::compile(faults, n_proc, m)?;
     let telemetry = planner.telemetry();
 
@@ -396,7 +394,7 @@ pub fn run_with_recovery(
                         LifecycleStage::Recover { round },
                     );
                 }
-                match replan_on_survivors(planner, &graphs, &pending, &down) {
+                match replan_on_survivors(planner, requests, &pending, &down) {
                     Ok((plan, _)) => plan,
                     Err(
                         e @ (PlanError::NoSurvivingProcessors
@@ -755,9 +753,9 @@ mod tests {
         let soc = SocSpec::kirin_990();
         let planner = Planner::new(&soc).unwrap();
         let cpu_b = soc.processor_by_name("CPU_B").unwrap();
-        let graphs: Vec<Arc<ModelGraph>> = [ModelId::Bert, ModelId::ResNet50, ModelId::YoloV4]
+        let graphs: Vec<ModelGraph> = [ModelId::Bert, ModelId::ResNet50, ModelId::YoloV4]
             .iter()
-            .map(|m| Arc::new(m.graph()))
+            .map(|m| m.graph())
             .collect();
         let pending: Vec<usize> = (0..graphs.len()).collect();
         let mut down = vec![false; soc.processors.len()];
@@ -773,13 +771,12 @@ mod tests {
         }
         // End-to-end: the same drop recovers audit-clean with no task
         // ever started on the dead core.
-        let reqs: Vec<ModelGraph> = graphs.iter().map(|g| (**g).clone()).collect();
         let faults = [FaultSpec::ProcessorDropout {
             processor: cpu_b,
             at_ms: 1.0,
         }];
         let report =
-            run_with_recovery(&planner, &reqs, &faults, &RecoveryPolicy::default()).unwrap();
+            run_with_recovery(&planner, &graphs, &faults, &RecoveryPolicy::default()).unwrap();
         assert!(report.is_recovered(), "{:?}", report.outcome);
         assert!(report.all_rounds_audit_clean());
         let mut dead = false;

@@ -412,7 +412,7 @@ mod tests {
         let mut scratch = DpScratch::new();
         for (idx, id) in models.iter().enumerate() {
             let graph = id.graph();
-            let tables = est.tables(std::sync::Arc::new(graph.clone()), &procs);
+            let tables = est.tables(&graph, &procs);
             // Choose all slots if feasible, else skip the NPU slot (0).
             let candidates: Vec<Vec<usize>> = vec![vec![0, 1, 2, 3], vec![1, 2, 3]];
             let mut placed = false;

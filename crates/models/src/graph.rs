@@ -5,6 +5,8 @@
 //! [`ModelGraph`] is the linearized layer chain such slicing operates on;
 //! a [`LayerRange`] is one candidate slice.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::layer::Layer;
@@ -48,11 +50,33 @@ impl std::fmt::Display for LayerRange {
 }
 
 /// A model's linearized execution chain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The name and the layers sit behind `Arc`s and are never mutated, so
+/// a clone shares its source's storage and costs two reference-count
+/// increments: every planner, server and dispatch that clones the
+/// memoized zoo graph holds the same layers.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ModelGraph {
-    name: String,
-    layers: Vec<Layer>,
+    name: Arc<str>,
+    layers: Arc<[Layer]>,
     input_bytes: u64,
+}
+
+/// Field-by-field equality, where a field whose storage both graphs
+/// share is equal without reading it. Clones of one graph therefore
+/// compare in O(1) — the memo lookups of the planner and the window
+/// cache key on this — while independently built graphs (batched
+/// graphs, rebuilt or deserialized ones) take the full comparison.
+///
+/// The shortcut is exact except for NaN: shared layers compare equal
+/// even when a layer holds a NaN, which a full comparison would report
+/// unequal. [`ModelGraph::validate`] flags non-finite FLOPs.
+impl PartialEq for ModelGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.input_bytes == other.input_bytes
+            && (Arc::ptr_eq(&self.name, &other.name) || self.name == other.name)
+            && (Arc::ptr_eq(&self.layers, &other.layers) || self.layers == other.layers)
+    }
 }
 
 impl ModelGraph {
@@ -64,8 +88,8 @@ impl ModelGraph {
     pub fn new(name: impl Into<String>, input_bytes: u64, layers: Vec<Layer>) -> Self {
         assert!(!layers.is_empty(), "a model must have at least one layer");
         ModelGraph {
-            name: name.into(),
-            layers,
+            name: name.into().into(),
+            layers: layers.into(),
             input_bytes,
         }
     }
@@ -317,6 +341,92 @@ mod tests {
         assert_eq!(problems.len(), 2, "{problems:?}");
         assert!(problems.iter().any(|p| p.contains("invalid flops")));
         assert!(problems.iter().any(|p| p.contains("previous output")));
+    }
+
+    /// What `==` must agree with: every field compared by value.
+    fn fields_eq(a: &ModelGraph, b: &ModelGraph) -> bool {
+        a.name() == b.name() && a.input_bytes() == b.input_bytes() && a.layers() == b.layers()
+    }
+
+    /// The graph `g` with its layer chain rewritten by `edit`, in fresh
+    /// storage.
+    fn rebuilt(g: &ModelGraph, edit: impl FnOnce(&mut Vec<Layer>)) -> ModelGraph {
+        let mut layers = g.layers().to_vec();
+        edit(&mut layers);
+        ModelGraph::new(g.name(), g.input_bytes(), layers)
+    }
+
+    #[test]
+    fn clones_share_layer_storage() {
+        for id in crate::zoo::ModelId::ALL {
+            let a = id.graph();
+            let b = a.clone();
+            assert_eq!(a.layers().as_ptr(), b.layers().as_ptr(), "{id}");
+            assert_eq!(a.name().as_ptr(), b.name().as_ptr(), "{id}");
+            assert_eq!(a.layers().as_ptr(), id.graph().layers().as_ptr(), "{id}");
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn equality_agrees_with_a_field_by_field_comparison() {
+        let zoo = crate::zoo::ModelId::ALL.map(|id| id.graph());
+        for g in &zoo {
+            let mut variants = vec![(g.clone(), true), (rebuilt(g, |_| {}), true)];
+            variants.push((
+                ModelGraph::new(
+                    format!("{}'", g.name()),
+                    g.input_bytes(),
+                    g.layers().to_vec(),
+                ),
+                false,
+            ));
+            variants.push((
+                ModelGraph::new(g.name(), g.input_bytes() + 1, g.layers().to_vec()),
+                false,
+            ));
+            type Edit = fn(&mut Layer);
+            let edits: [Edit; 9] = [
+                |l| l.name.push('\''),
+                |l| {
+                    l.op = if l.op == OpKind::Conv {
+                        OpKind::Fc
+                    } else {
+                        OpKind::Conv
+                    }
+                },
+                |l| l.flops = l.flops * 2.0 + 1.0,
+                |l| l.input_bytes += 1,
+                |l| l.output_bytes += 1,
+                |l| l.weight_bytes += 1,
+                |l| l.working_set_bytes += 1,
+                |l| l.locality *= 0.5,
+                |l| l.touched_bytes_override = Some(l.touched_bytes_override.map_or(1, |t| t + 1)),
+            ];
+            for i in 0..g.len() {
+                for edit in edits {
+                    variants.push((rebuilt(g, |layers| edit(&mut layers[i])), false));
+                }
+            }
+            for (v, equal) in &variants {
+                assert_eq!(*v == *g, *equal, "{}", g.name());
+                assert_eq!(*g == *v, fields_eq(g, v), "{}", g.name());
+            }
+            // The rebuilt copy shares nothing, so it took the full
+            // comparison.
+            assert_ne!(variants[1].0.layers().as_ptr(), g.layers().as_ptr());
+            for other in &zoo {
+                assert_eq!(g == other, fields_eq(g, other));
+            }
+        }
+    }
+
+    #[test]
+    fn shared_storage_compares_equal_even_with_a_nan_layer() {
+        let nan = rebuilt(&toy(), |layers| layers[1].flops = f64::NAN);
+        assert_eq!(nan, nan.clone(), "shared storage is not read");
+        assert_ne!(nan, rebuilt(&nan, |_| {}), "a full comparison sees the NaN");
+        assert_eq!(nan.validate(3.0).len(), 1, "validate flags the NaN");
     }
 
     #[test]

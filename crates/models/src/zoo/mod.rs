@@ -73,8 +73,9 @@ impl ModelId {
     }
 
     /// The model's layer graph. Each graph is built once per process
-    /// and cloned from then on, so repeated calls are cheap and always
-    /// equal.
+    /// and cloned from then on: every call returns a graph sharing that
+    /// one copy's storage, so repeated calls cost two reference-count
+    /// increments and compare equal by pointer.
     pub fn graph(self) -> ModelGraph {
         static GRAPHS: OnceLock<Vec<ModelGraph>> = OnceLock::new();
         // `ALL` lists the variants in declaration order, so a variant's

@@ -568,6 +568,12 @@ impl Simulation {
         let mut down = vec![false; n_proc];
         let mut failed: Vec<FailedTask> = Vec::new();
         let mut last_fault_factor = vec![1.0f64; n_proc];
+        // Per-event scratch, allocated once per run and refilled each
+        // event: the occupied processors, their progress rates, and the
+        // tasks a finish phase made ready.
+        let mut active: Vec<usize> = Vec::with_capacity(n_proc);
+        let mut rates = vec![0.0f64; n_proc];
+        let mut newly_ready: Vec<usize> = Vec::new();
         const EPS: f64 = 1e-9;
 
         while completed < n {
@@ -636,7 +642,8 @@ impl Simulation {
                 }
             }
 
-            let active: Vec<usize> = (0..n_proc).filter(|&p| running[p].is_some()).collect();
+            active.clear();
+            active.extend((0..n_proc).filter(|&p| running[p].is_some()));
             if active.is_empty() {
                 // Nothing running: either jump to the next release, or
                 // the remaining tasks form a dependency cycle.
@@ -694,7 +701,7 @@ impl Simulation {
 
             // Rate phase: effective progress rate for every running task.
             let mem_factor = memory.rate_factor();
-            let mut rates = vec![0.0f64; n_proc];
+            rates.fill(0.0);
             for &p in &active {
                 // Invariant: `active` lists exactly the occupied slots.
                 #[allow(clippy::expect_used)]
@@ -845,7 +852,7 @@ impl Simulation {
 
             // Finish phase: retire completed tasks in processor order,
             // then release successors in task-id order for determinism.
-            let mut newly_ready: Vec<usize> = Vec::new();
+            newly_ready.clear();
             for (p, slot) in running.iter_mut().enumerate() {
                 let done = matches!(slot, Some(r) if r.remaining_ms <= EPS);
                 if !done {
@@ -887,7 +894,7 @@ impl Simulation {
                 }
             }
             newly_ready.sort_unstable();
-            for s in newly_ready {
+            for &s in &newly_ready {
                 defer_or_queue(
                     s,
                     time_ms,

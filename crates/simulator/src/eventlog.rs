@@ -29,27 +29,10 @@ use crate::engine::{EngineEvent, TaskSpec};
 use crate::faults::FaultKind;
 use crate::processor::ProcessorId;
 
-/// Escapes a string for embedding in a JSON string literal: quotes,
-/// backslashes and control characters. Task labels are arbitrary
-/// (models may be named anything), so every writer that interpolates a
-/// label into a JSON line must route it through here.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Task labels are arbitrary (models may be named anything), so every
+/// writer that interpolates a label into a JSON line must route it
+/// through [`json_escape`].
+pub use h2p_telemetry::json_escape;
 
 /// The `task` header line for submitted task `task`: the metadata a
 /// log carries so that it describes itself ([`TaskHeader`] reads it

@@ -74,9 +74,12 @@ macro_rules! span {
     };
 }
 
-/// Escapes a string for inclusion in a JSON string literal. Shared by
-/// the metrics snapshot and the chrome exporter.
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal: quotes,
+/// backslashes and control characters. The one escaper of the
+/// workspace: the metrics snapshot, the chrome exporter, the lifecycle
+/// log and the simulator's event log all route names and labels through
+/// it.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

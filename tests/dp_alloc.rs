@@ -16,7 +16,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use h2p_models::zoo::ModelId;
 use h2p_simulator::SocSpec;
@@ -56,9 +55,7 @@ fn warm_dp_path_is_allocation_free_and_pool_recycles() {
     let procs = soc.processors_by_power();
 
     // --- Steady-state kernel: zero allocations once the arena is warm.
-    let tables = planner
-        .estimator()
-        .tables(Arc::new(ModelId::Bert.graph()), &procs);
+    let tables = planner.estimator().tables(&ModelId::Bert.graph(), &procs);
     let mut scratch = DpScratch::new();
     // Warm at the high-water shape first (largest subset), then touch a
     // couple of smaller shapes so later sweeps never grow anything.

@@ -7,8 +7,6 @@
 //! the partitions memoized on it) must never change what a recovery
 //! replan produces.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 
 use h2p_models::graph::ModelGraph;
@@ -98,9 +96,7 @@ proptest! {
         let soc = pick_soc(seed);
         let warm = Planner::new(&soc).expect("planner");
         let fresh = Planner::new(&soc).expect("planner");
-        let graphs: Vec<Arc<ModelGraph>> =
-            pick_workload(seed, m).into_iter().map(Arc::new).collect();
-        let plain: Vec<ModelGraph> = graphs.iter().map(|g| (**g).clone()).collect();
+        let graphs = pick_workload(seed, m);
         let pending: Vec<usize> = (0..graphs.len()).collect();
         // A random subset of pipeline slots goes down, but never all of
         // them (all-down is its own typed error, pinned elsewhere).
@@ -120,7 +116,7 @@ proptest! {
         let down = down_of(mask);
         // Warm the caches; `fresh` stays cold. Outcomes of the warm-up
         // calls are irrelevant (a survivor set may host nothing).
-        warm.plan(&plain).expect("warm-up plan");
+        warm.plan(&graphs).expect("warm-up plan");
         let _ = replan_on_survivors(&warm, &graphs, &pending, &down_of(other_mask));
         let _ = replan_on_survivors(&warm, &graphs, &pending, &down);
         let warm_out = replan_on_survivors(&warm, &graphs, &pending, &down);

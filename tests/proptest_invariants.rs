@@ -264,7 +264,6 @@ fn incremental_column_accounting_matches_whole_plan_rescans() {
 #[test]
 fn scaling_zoo_stage_costs_scales_the_dp_optimum() {
     use hetero2pipe::estimate::Estimator;
-    use std::sync::Arc;
 
     let mut checked = 0usize;
     for soc in SocSpec::evaluation_platforms() {
@@ -273,7 +272,7 @@ fn scaling_zoo_stage_costs_scales_the_dp_optimum() {
         let k = procs.len();
         for id in ModelId::ALL {
             let g = id.graph();
-            let tables = est.tables(Arc::new(g.clone()), &procs);
+            let tables = est.tables(&g, &procs);
             for mask in 1u32..(1 << k) {
                 let slots: Vec<usize> = (0..k).filter(|&s| mask & (1 << s) != 0).collect();
                 let ctx = tables.context(slots.clone());
