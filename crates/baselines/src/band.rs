@@ -43,7 +43,10 @@ fn fallback_segments(graph: &ModelGraph) -> Vec<LayerRange> {
 /// # Errors
 ///
 /// Returns [`PlanError`] if a segment cannot run anywhere.
-pub fn lower(soc: &SocSpec, requests: &[ModelGraph]) -> Result<LoweredPlan, PlanError> {
+pub fn lower<'soc>(
+    soc: &'soc SocSpec,
+    requests: &[ModelGraph],
+) -> Result<LoweredPlan<'soc>, PlanError> {
     if requests.is_empty() {
         return Err(PlanError::EmptyRequestSet);
     }
@@ -51,12 +54,12 @@ pub fn lower(soc: &SocSpec, requests: &[ModelGraph]) -> Result<LoweredPlan, Plan
     let procs: Vec<ProcessorId> = soc.processors_by_power();
     // Estimated availability per processor (planner-side view).
     let mut avail = vec![0.0f64; soc.processors.len()];
-    let mut sim = Simulation::new(soc.clone());
+    let mut sim = Simulation::new(soc);
     let mut final_tasks: Vec<Option<TaskId>> = vec![None; requests.len()];
     // First-touch weight staging: Band's dynamic processor switching means
     // a repeat request whose segment lands on a *different* processor must
     // re-stage its weights there — the memory churn the paper criticizes.
-    let mut seen: std::collections::HashSet<(String, usize, usize, usize)> =
+    let mut seen: std::collections::HashSet<(&str, usize, usize, usize)> =
         std::collections::HashSet::new();
 
     for (idx, graph) in requests.iter().enumerate() {
@@ -93,7 +96,7 @@ pub fn lower(soc: &SocSpec, requests: &[ModelGraph]) -> Result<LoweredPlan, Plan
                 * cost.footprint_scale()) as u64;
             let upload = hetero2pipe::executor::staging_ms(
                 &mut seen,
-                (graph.name().to_owned(), p.index(), seg.first, seg.last),
+                (graph.name(), p.index(), seg.first, seg.last),
                 footprint,
             );
             let mut spec = TaskSpec::new(

@@ -9,7 +9,7 @@
 
 use h2p_models::cost::CostModel;
 use h2p_models::graph::{LayerRange, ModelGraph};
-use h2p_simulator::engine::{Simulation, TaskId, TaskSpec};
+use h2p_simulator::engine::{Simulation, TaskId, TaskLabel, TaskSpec};
 use h2p_simulator::processor::ProcessorKind;
 use h2p_simulator::soc::SocSpec;
 use hetero2pipe::error::PlanError;
@@ -20,7 +20,10 @@ use hetero2pipe::executor::{ExecutionReport, LoweredPlan};
 /// # Errors
 ///
 /// Returns [`PlanError`] if the SoC lacks a CPU or GPU.
-pub fn lower(soc: &SocSpec, requests: &[ModelGraph]) -> Result<LoweredPlan, PlanError> {
+pub fn lower<'soc>(
+    soc: &'soc SocSpec,
+    requests: &[ModelGraph],
+) -> Result<LoweredPlan<'soc>, PlanError> {
     if requests.is_empty() {
         return Err(PlanError::EmptyRequestSet);
     }
@@ -33,7 +36,7 @@ pub fn lower(soc: &SocSpec, requests: &[ModelGraph]) -> Result<LoweredPlan, Plan
     let workers = [big, gpu];
     let cost = CostModel::new(soc);
     let mut avail = [0.0f64; 2];
-    let mut sim = Simulation::new(soc.clone());
+    let mut sim = Simulation::new(soc);
     let mut final_tasks: Vec<Option<TaskId>> = vec![None; requests.len()];
     let mut seen = std::collections::HashSet::new();
 
@@ -61,15 +64,19 @@ pub fn lower(soc: &SocSpec, requests: &[ModelGraph]) -> Result<LoweredPlan, Plan
         let footprint = (graph.footprint_bytes() as f64 * cost.footprint_scale()) as u64;
         let upload = hetero2pipe::executor::staging_ms(
             &mut seen,
-            (graph.name().to_owned(), p.index(), 0, graph.len() - 1),
+            (graph.name(), p.index(), 0, graph.len() - 1),
             footprint,
         );
         let bw = cost.slice_bandwidth_gbps(graph, whole, p).unwrap_or(0.0);
         let id = sim.add_task(
-            TaskSpec::new(format!("{}#{idx}", graph.name()), p, best_ms + upload)
-                .intensity(bw / h2p_contention::counters::REFERENCE_BANDWIDTH_GBPS)
-                .bandwidth(bw)
-                .footprint(footprint),
+            TaskSpec::new(
+                TaskLabel::stage(graph.shared_name().clone(), idx, 0),
+                p,
+                best_ms + upload,
+            )
+            .intensity(bw / h2p_contention::counters::REFERENCE_BANDWIDTH_GBPS)
+            .bandwidth(bw)
+            .footprint(footprint),
         );
         final_tasks[idx] = Some(id);
     }

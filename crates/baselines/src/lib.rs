@@ -84,7 +84,11 @@ impl Scheme {
     /// # Errors
     ///
     /// Returns [`PlanError`] if planning fails.
-    pub fn lower(self, soc: &SocSpec, requests: &[ModelGraph]) -> Result<LoweredPlan, PlanError> {
+    pub fn lower<'soc>(
+        self,
+        soc: &'soc SocSpec,
+        requests: &[ModelGraph],
+    ) -> Result<LoweredPlan<'soc>, PlanError> {
         match self {
             Scheme::MnnSerial => mnn_serial::lower(soc, requests),
             Scheme::PipeIt => executor::lower(&pipe_it::plan(soc, requests)?, soc),

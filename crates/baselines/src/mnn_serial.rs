@@ -8,7 +8,7 @@
 
 use h2p_models::cost::CostModel;
 use h2p_models::graph::{LayerRange, ModelGraph};
-use h2p_simulator::engine::{Simulation, TaskId, TaskSpec};
+use h2p_simulator::engine::{Simulation, TaskId, TaskLabel, TaskSpec};
 use h2p_simulator::processor::ProcessorKind;
 use h2p_simulator::soc::SocSpec;
 use hetero2pipe::error::PlanError;
@@ -19,7 +19,10 @@ use hetero2pipe::executor::{ExecutionReport, LoweredPlan};
 /// # Errors
 ///
 /// Returns [`PlanError::NoCpu`] if the SoC lacks a big CPU cluster.
-pub fn lower(soc: &SocSpec, requests: &[ModelGraph]) -> Result<LoweredPlan, PlanError> {
+pub fn lower<'soc>(
+    soc: &'soc SocSpec,
+    requests: &[ModelGraph],
+) -> Result<LoweredPlan<'soc>, PlanError> {
     if requests.is_empty() {
         return Err(PlanError::EmptyRequestSet);
     }
@@ -27,7 +30,7 @@ pub fn lower(soc: &SocSpec, requests: &[ModelGraph]) -> Result<LoweredPlan, Plan
         .processor_by_kind(ProcessorKind::CpuBig)
         .ok_or(PlanError::NoCpu)?;
     let cost = CostModel::new(soc);
-    let mut sim = Simulation::new(soc.clone());
+    let mut sim = Simulation::new(soc);
     let mut final_tasks: Vec<Option<TaskId>> = Vec::with_capacity(requests.len());
     let mut seen = std::collections::HashSet::new();
     for (idx, graph) in requests.iter().enumerate() {
@@ -39,15 +42,19 @@ pub fn lower(soc: &SocSpec, requests: &[ModelGraph]) -> Result<LoweredPlan, Plan
         })?;
         let upload = hetero2pipe::executor::staging_ms(
             &mut seen,
-            (graph.name().to_owned(), big.index(), 0, graph.len() - 1),
+            (graph.name(), big.index(), 0, graph.len() - 1),
             (graph.footprint_bytes() as f64 * cost.footprint_scale()) as u64,
         );
         let bw = cost.slice_bandwidth_gbps(graph, whole, big).unwrap_or(0.0);
         let id = sim.add_task(
-            TaskSpec::new(format!("{}#{idx}", graph.name()), big, ms + upload)
-                .intensity(bw / h2p_contention::counters::REFERENCE_BANDWIDTH_GBPS)
-                .bandwidth(bw)
-                .footprint((graph.footprint_bytes() as f64 * cost.footprint_scale()) as u64),
+            TaskSpec::new(
+                TaskLabel::stage(graph.shared_name().clone(), idx, 0),
+                big,
+                ms + upload,
+            )
+            .intensity(bw / h2p_contention::counters::REFERENCE_BANDWIDTH_GBPS)
+            .bandwidth(bw)
+            .footprint((graph.footprint_bytes() as f64 * cost.footprint_scale()) as u64),
         );
         final_tasks.push(Some(id));
     }

@@ -61,7 +61,7 @@ pub fn plan(soc: &SocSpec, requests: &[ModelGraph]) -> Result<PipelinePlan, Plan
             })?;
         plans.push(RequestPlan {
             request: idx,
-            model: graph.name().to_owned(),
+            model: graph.shared_name().clone(),
             stages,
             intensity: estimator.predict_intensity(graph),
             class: estimator.classify(graph),

@@ -55,7 +55,7 @@ fn study(
     let requests: Vec<RequestPlan> = (0..copies)
         .map(|r| RequestPlan {
             request: r,
-            model: graph.name().to_owned(),
+            model: graph.shared_name().clone(),
             stages: stages.clone(),
             intensity: est.predict_intensity(graph),
             class: est.classify(graph),

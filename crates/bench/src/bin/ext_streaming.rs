@@ -168,7 +168,7 @@ fn serial_with_arrivals(soc: &SocSpec, requests: &[ModelGraph], arrivals: &[f64]
     use h2p_simulator::engine::{Simulation, TaskSpec};
     let big = soc.processor_by_name("CPU_B").expect("CPU_B");
     let cost = CostModel::new(soc);
-    let mut sim = Simulation::new(soc.clone());
+    let mut sim = Simulation::new(soc);
     for (i, g) in requests.iter().enumerate() {
         let whole = LayerRange::new(0, g.len() - 1);
         let ms = cost

@@ -40,7 +40,7 @@ fn co_run(soc: &SocSpec, p0: &str, p1: &str) -> (f64, f64) {
     };
     let (ta, solo_a) = spec(ModelId::YoloV4, a);
     let (tb, solo_b) = spec(ModelId::Vgg16, b);
-    let mut sim = Simulation::new(soc.clone());
+    let mut sim = Simulation::new(soc);
     sim.add_task(ta);
     sim.add_task(tb);
     let trace = sim.run().expect("co-run");

@@ -30,7 +30,7 @@ fn main() {
         // Run enough back-to-back inferences to pass the thermal time
         // constant (~tens of seconds of busy time).
         let reps = ((60_000.0 / solo).ceil() as usize).clamp(20, 4000);
-        let mut sim = Simulation::new(soc.clone());
+        let mut sim = Simulation::new(&soc);
         for i in 0..reps {
             sim.add_task(TaskSpec::new(format!("r{i}"), pid, solo));
         }

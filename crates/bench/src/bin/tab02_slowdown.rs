@@ -47,7 +47,7 @@ fn co_exec(
     let (spec_b, solo_b) = task(b, pb);
     let reps_a = (solo_b / solo_a).ceil().max(1.0) as usize;
     let reps_b = (solo_a / solo_b).ceil().max(1.0) as usize;
-    let mut sim = Simulation::new(soc.clone());
+    let mut sim = Simulation::new(soc);
     let first_a = sim.task_count();
     for _ in 0..reps_a {
         sim.add_task(spec_a.clone());

@@ -184,8 +184,8 @@ pub fn tables_cache(opts: CheckOptions) -> ModelReport {
         || {
             est.clear_tables_cache();
             let (a, b) = sync::scope(|s| {
-                let h1 = s.spawn(|| est.tables_cached(&graph, &procs));
-                let h2 = s.spawn(|| est.tables_cached(&graph, &procs));
+                let h1 = s.spawn(|| est.tables_cached(&graph, procs));
+                let h2 = s.spawn(|| est.tables_cached(&graph, procs));
                 let a = match h1.join() {
                     Ok(v) => v,
                     Err(payload) => std::panic::resume_unwind(payload),
@@ -240,7 +240,7 @@ pub fn partition_memo(opts: CheckOptions) -> ModelReport {
         opts.exhaustive_cap,
         opts.stop_on_violation,
         || {
-            let tables = planner.estimator().tables(&graph, &procs);
+            let tables = planner.estimator().tables(&graph, procs);
             let before = misses();
             let (a, b) = sync::scope(|s| {
                 let h1 = s.spawn(|| planner.plan_request_cached(&tables, u32::MAX));
@@ -403,7 +403,7 @@ pub fn recovery_rounds() -> ModelReport {
         .iter()
         .map(|id| id.graph())
         .collect();
-    let procs = planner.pipeline_procs();
+    let procs = planner.pipeline_procs().to_vec();
     let down_len = procs.iter().map(|p| p.index()).max().unwrap_or(0) + 1;
     // Replans are a pure function of (down set, pending count): memoize
     // the validation verdict across the whole event DFS.

@@ -11,8 +11,9 @@
 //! plan genuinely executes badly.
 
 use std::collections::HashSet;
+use std::hash::Hash;
 
-use h2p_simulator::engine::{request_of_label, EngineEvent, Simulation, TaskId, TaskSpec};
+use h2p_simulator::engine::{EngineEvent, Simulation, TaskId, TaskLabel, TaskSpec};
 use h2p_simulator::soc::SocSpec;
 use h2p_simulator::timeline::Trace;
 use h2p_telemetry::lifecycle::{LifecycleLog, LifecycleStage, RequestId, TraceId};
@@ -31,11 +32,10 @@ pub const WEIGHT_STAGING_GBPS: f64 = 2.0;
 /// reuse the resident session — which is precisely why the paper argues
 /// static pipeline plans beat Band's fallback-driven dynamic switching
 /// ("constant new memory allocation and data transfer").
-pub fn staging_ms(
-    seen: &mut HashSet<(String, usize, usize, usize)>,
-    key: (String, usize, usize, usize),
-    bytes: u64,
-) -> f64 {
+///
+/// `key` names the placement, typically `(model, processor, first
+/// layer, last layer)` with the model name borrowed from the plan.
+pub fn staging_ms<K: Eq + Hash>(seen: &mut HashSet<K>, key: K, bytes: u64) -> f64 {
     if seen.insert(key) {
         bytes as f64 / (WEIGHT_STAGING_GBPS * 1e6)
     } else {
@@ -102,15 +102,16 @@ pub fn execute_with_arrivals(
 /// Produced by [`lower`]/[`lower_with_arrivals`]. Splitting lowering
 /// from execution lets callers inspect the exact [`TaskSpec`]s a plan
 /// turns into — the `h2p trace` subcommand uses this to audit and
-/// event-log a run.
+/// event-log a run. The lowered plan borrows the SoC it runs on, and
+/// executing it borrows the task graph, so neither is copied.
 #[derive(Debug, Clone)]
-pub struct LoweredPlan {
-    sim: Simulation,
+pub struct LoweredPlan<'soc> {
+    sim: Simulation<'soc>,
     final_task: Vec<Option<TaskId>>,
     executed_requests: usize,
 }
 
-impl LoweredPlan {
+impl<'soc> LoweredPlan<'soc> {
     /// Wraps an externally-built task graph (baseline schemes lower their
     /// own) so it flows through the same execute/audit/lint path as plans
     /// lowered by [`lower`]. `final_task[i]` is the last task of request
@@ -118,7 +119,7 @@ impl LoweredPlan {
     /// to nothing); `executed_requests` is how many requests the graph
     /// serves.
     pub fn from_parts(
-        sim: Simulation,
+        sim: Simulation<'soc>,
         final_task: Vec<Option<TaskId>>,
         executed_requests: usize,
     ) -> Self {
@@ -130,7 +131,7 @@ impl LoweredPlan {
     }
 
     /// The simulation holding the lowered task graph.
-    pub fn simulation(&self) -> &Simulation {
+    pub fn simulation(&self) -> &Simulation<'soc> {
         &self.sim
     }
 
@@ -138,7 +139,7 @@ impl LoweredPlan {
     /// [`LoweredPlan::from_parts`]). The recovery runner uses this to
     /// execute the task graph under a fault injector instead of the
     /// plain `execute` path.
-    pub fn into_parts(self) -> (Simulation, Vec<Option<TaskId>>, usize) {
+    pub fn into_parts(self) -> (Simulation<'soc>, Vec<Option<TaskId>>, usize) {
         (self.sim, self.final_task, self.executed_requests)
     }
 
@@ -159,7 +160,7 @@ impl LoweredPlan {
     ///
     /// Debug builds panic if the trace fails its audit — that is a
     /// simulator bug, never a planner input problem.
-    pub fn execute(self) -> Result<ExecutionReport, PlanError> {
+    pub fn execute(&self) -> Result<ExecutionReport, PlanError> {
         // Debug builds statically lint the task graph before running it —
         // the pre-execution counterpart of the post-execution audit below.
         #[cfg(debug_assertions)]
@@ -170,17 +171,14 @@ impl LoweredPlan {
                 "lowered task graph fails its static lint:\n{diags}"
             );
         }
-        let LoweredPlan {
-            sim,
-            final_task,
-            executed_requests,
-        } = self;
+        let trace = self.sim.run().map_err(PlanError::Simulation)?;
         #[cfg(debug_assertions)]
-        let (audit_soc, audit_tasks) = (sim.soc().clone(), sim.tasks().to_vec());
-        let trace = sim.run().map_err(PlanError::Simulation)?;
-        #[cfg(debug_assertions)]
-        h2p_simulator::audit::assert_clean(&audit_soc, &audit_tasks, &trace);
-        Ok(assemble_report(trace, &final_task, executed_requests))
+        h2p_simulator::audit::assert_clean(self.sim.soc(), self.sim.tasks(), &trace);
+        Ok(assemble_report(
+            trace,
+            &self.final_task,
+            self.executed_requests,
+        ))
     }
 
     /// Runs the simulation and additionally returns the engine's
@@ -202,7 +200,7 @@ impl LoweredPlan {
     ///
     /// Debug builds panic if the trace fails the reconciled audit — that
     /// is a simulator bug, never a planner input problem.
-    pub fn execute_logged(self) -> Result<(ExecutionReport, Vec<EngineEvent>), PlanError> {
+    pub fn execute_logged(&self) -> Result<(ExecutionReport, Vec<EngineEvent>), PlanError> {
         #[cfg(debug_assertions)]
         {
             let diags = self.lint();
@@ -211,33 +209,30 @@ impl LoweredPlan {
                 "lowered task graph fails its static lint:\n{diags}"
             );
         }
-        let LoweredPlan {
-            sim,
-            final_task,
-            executed_requests,
-        } = self;
+        let (trace, events) = self.sim.run_with_events().map_err(PlanError::Simulation)?;
         #[cfg(debug_assertions)]
-        let (audit_soc, audit_tasks) = (sim.soc().clone(), sim.tasks().to_vec());
-        let (trace, events) = sim.run_with_events().map_err(PlanError::Simulation)?;
-        #[cfg(debug_assertions)]
-        h2p_simulator::audit::assert_clean_with_events(&audit_soc, &audit_tasks, &events, &trace);
+        h2p_simulator::audit::assert_clean_with_events(
+            self.sim.soc(),
+            self.sim.tasks(),
+            &events,
+            &trace,
+        );
         Ok((
-            assemble_report(trace, &final_task, executed_requests),
+            assemble_report(trace, &self.final_task, self.executed_requests),
             events,
         ))
     }
 }
 
-/// Groups a trace's spans by originating request, parsed from the
-/// lowering labels (`{model}#{request}@s{slot}` and
-/// `{model}#{request}@s{slot}r{run}`). Entry `i` is the `(start, end)`
-/// envelope over request `i`'s spans — the async request slice the
-/// chrome exporter draws — or `None` for indices the trace never
-/// mentions (and for spans with foreign labels).
+/// Groups a trace's spans by originating request, read from the
+/// lowering labels ([`TaskLabel::request`]). Entry `i` is the
+/// `(start, end)` envelope over request `i`'s spans — the async request
+/// slice the chrome exporter draws — or `None` for indices the trace
+/// never mentions (and for spans with foreign labels).
 pub fn request_slices(trace: &Trace) -> Vec<Option<(f64, f64)>> {
     let mut out: Vec<Option<(f64, f64)>> = Vec::new();
     for span in &trace.spans {
-        let Some(r) = request_of_label(&span.label) else {
+        let Some(r) = span.label.request() else {
             continue;
         };
         if out.len() <= r {
@@ -294,7 +289,10 @@ pub fn record_request_lifecycle(
 ///
 /// Returns [`PlanError::EmptyRequest`] if a request lowers to zero
 /// tasks.
-pub fn lower(plan: &PipelinePlan, soc: &SocSpec) -> Result<LoweredPlan, PlanError> {
+pub fn lower<'soc>(
+    plan: &PipelinePlan,
+    soc: &'soc SocSpec,
+) -> Result<LoweredPlan<'soc>, PlanError> {
     lower_with_arrivals(plan, soc, &[])
 }
 
@@ -305,12 +303,19 @@ pub fn lower(plan: &PipelinePlan, soc: &SocSpec) -> Result<LoweredPlan, PlanErro
 ///
 /// Returns [`PlanError::EmptyRequest`] if a request lowers to zero
 /// tasks.
-pub fn lower_with_arrivals(
+pub fn lower_with_arrivals<'soc>(
     plan: &PipelinePlan,
-    soc: &SocSpec,
+    soc: &'soc SocSpec,
     arrivals: &[f64],
-) -> Result<LoweredPlan, PlanError> {
-    let mut sim = Simulation::new(soc.clone());
+) -> Result<LoweredPlan<'soc>, PlanError> {
+    let mut sim = Simulation::new(soc);
+    sim.reserve(
+        plan.requests
+            .iter()
+            .flat_map(|r| r.stages.iter().flatten())
+            .map(|stage| stage.runs.len().max(1))
+            .sum(),
+    );
     let request_count = plan
         .requests
         .iter()
@@ -319,7 +324,7 @@ pub fn lower_with_arrivals(
         .unwrap_or(0);
     let mut final_task: Vec<Option<TaskId>> = vec![None; request_count];
 
-    let mut seen: HashSet<(String, usize, usize, usize)> = HashSet::new();
+    let mut seen: HashSet<(&str, usize, usize, usize)> = HashSet::new();
     for req in &plan.requests {
         let mut prev: Option<TaskId> = None;
         let arrival = arrivals.get(req.request).copied().unwrap_or(0.0);
@@ -329,7 +334,7 @@ pub fn lower_with_arrivals(
             let upload = staging_ms(
                 &mut seen,
                 (
-                    req.model.clone(),
+                    &*req.model,
                     stage.proc.index(),
                     stage.range.first,
                     stage.range.last,
@@ -339,7 +344,7 @@ pub fn lower_with_arrivals(
             if stage.runs.is_empty() {
                 // Homogeneous stage: one task.
                 let mut spec = TaskSpec::new(
-                    format!("{}#{}@s{}", req.model, req.request, slot),
+                    TaskLabel::stage(req.model.clone(), req.request, slot),
                     stage.proc,
                     stage.total_ms() + upload,
                 )
@@ -364,7 +369,7 @@ pub fn lower_with_arrivals(
                             0.0
                         };
                     let mut spec = TaskSpec::new(
-                        format!("{}#{}@s{}r{}", req.model, req.request, slot, ri),
+                        TaskLabel::fallback_run(req.model.clone(), req.request, slot, ri),
                         run.proc,
                         ms,
                     )
@@ -384,7 +389,7 @@ pub fn lower_with_arrivals(
         // phantom 0 ms completion; refuse to execute such a plan.
         if prev.is_none() {
             return Err(PlanError::EmptyRequest {
-                model: req.model.clone(),
+                model: req.model.to_string(),
                 request: req.request,
             });
         }
@@ -474,7 +479,7 @@ impl PlannedPipeline {
     /// # Errors
     ///
     /// See [`lower`].
-    pub fn lower(&self, soc: &SocSpec) -> Result<LoweredPlan, PlanError> {
+    pub fn lower<'soc>(&self, soc: &'soc SocSpec) -> Result<LoweredPlan<'soc>, PlanError> {
         lower(&self.plan, soc)
     }
 }
@@ -581,7 +586,7 @@ mod tests {
         let mut plan: PipelinePlan = planned.plan.clone();
         plan.requests.push(RequestPlan {
             request: 1,
-            model: "phantom".to_owned(),
+            model: "phantom".into(),
             stages: vec![None; plan.procs.len()],
             intensity: 0.0,
             class: ContentionClass::Low,
@@ -700,13 +705,13 @@ mod tests {
             .trace
             .spans
             .iter()
-            .filter(|s| s.label.contains("#0@"))
+            .filter(|s| s.label.request() == Some(0))
             .collect();
         let second: Vec<_> = r
             .trace
             .spans
             .iter()
-            .filter(|s| s.label.contains("#1@"))
+            .filter(|s| s.label.request() == Some(1))
             .collect();
         let sum =
             |v: &[&h2p_simulator::timeline::Span]| -> f64 { v.iter().map(|s| s.solo_ms).sum() };

@@ -35,7 +35,7 @@ pub fn plan_ir(plan: &PipelinePlan, graphs: &[&ModelGraph]) -> PlanIr {
             };
             RequestIr {
                 request: req.request,
-                model: req.model.clone(),
+                model: req.model.to_string(),
                 layer_count,
                 npu_supported,
                 class: req.class,

@@ -18,6 +18,8 @@
 //! and Property 1 observes that total latency is linear in total bubbles,
 //! which is why the planner minimizes bubbles.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use h2p_contention::ContentionClass;
@@ -91,8 +93,9 @@ impl StagePlan {
 pub struct RequestPlan {
     /// Index of the request in the original submission order.
     pub request: usize,
-    /// Model name, for reports.
-    pub model: String,
+    /// Model name, for reports and task labels; shared with the model
+    /// graph ([`h2p_models::graph::ModelGraph::shared_name`]).
+    pub model: Arc<str>,
     /// One entry per processor slot; `None` where the request skips the
     /// slot (e.g. NPU fallback).
     pub stages: Vec<Option<StagePlan>>,
@@ -327,7 +330,7 @@ mod tests {
     fn request(times: &[f64]) -> RequestPlan {
         RequestPlan {
             request: 0,
-            model: "toy".to_owned(),
+            model: "toy".into(),
             stages: times.iter().map(|&t| stage(t)).collect(),
             intensity: 0.0,
             class: ContentionClass::Low,

@@ -56,6 +56,7 @@ use h2p_models::zoo::ModelId;
 use h2p_simulator::soc::SocSpec;
 use h2p_simulator::ProcessorId;
 use h2p_telemetry::lifecycle::{LifecycleStage, RequestId, TraceId};
+use h2p_telemetry::span::{SpanGuard, SpanParent, SpanRecorder};
 use h2p_telemetry::{span, Telemetry};
 
 use crate::error::PlanError;
@@ -322,6 +323,23 @@ pub struct PlannedPipeline {
     pub tail_merges: usize,
 }
 
+/// Opens the span of item `index` of a loop that may fan out over
+/// worker threads. `spread` is `Some(caller's span)` when it does: the
+/// item's span then sits under that span on lane `index`, whichever
+/// worker runs it, so traces do not depend on scheduling. Otherwise the
+/// span nests under the calling thread's current span as usual.
+pub(crate) fn item_span(
+    spans: &SpanRecorder,
+    spread: Option<Option<SpanParent>>,
+    index: usize,
+    name: String,
+) -> SpanGuard<'_> {
+    match spread {
+        Some(parent) => spans.enter_at(parent, index as u64, name),
+        None => spans.enter(name),
+    }
+}
+
 /// The Hetero²Pipe planner bound to one SoC.
 #[derive(Debug, Clone)]
 pub struct Planner {
@@ -338,6 +356,9 @@ pub struct Planner {
     /// the steady-state DP is allocation-free. Pool misses allocate and
     /// bump `planner.dp.scratch_allocs`.
     scratch_pool: Arc<Mutex<Vec<PlanScratch>>>,
+    /// The pipeline's processor slots ([`Planner::pipeline_procs`]),
+    /// fixed by the SoC and the configuration at construction.
+    slots: Vec<ProcessorId>,
 }
 
 /// One candidate order after the vertical passes (steps 2–3).
@@ -378,11 +399,14 @@ impl Planner {
     ///
     /// Same as [`Planner::new`].
     pub fn with_config(soc: &SocSpec, config: PlannerConfig) -> Result<Self, PlanError> {
+        let mut slots = soc.processors_by_power();
+        slots.truncate(config.max_depth.max(1));
         Ok(Planner {
             estimator: Estimator::with_precision(soc, config.precision)?,
             config,
             telemetry: Arc::new(Telemetry::new()),
             scratch_pool: Arc::new(Mutex::new(Vec::new())),
+            slots,
         })
     }
 
@@ -442,10 +466,8 @@ impl Planner {
 
     /// The pipeline's processor slots: power-ranked, truncated to
     /// `max_depth`.
-    pub fn pipeline_procs(&self) -> Vec<h2p_simulator::ProcessorId> {
-        let mut procs = self.soc().processors_by_power();
-        procs.truncate(self.config.max_depth.max(1));
-        procs
+    pub fn pipeline_procs(&self) -> &[ProcessorId] {
+        &self.slots
     }
 
     /// Horizontal step only: the best feasible partition of one request
@@ -474,7 +496,7 @@ impl Planner {
             if slots.len() > graph.len() {
                 continue;
             }
-            let ctx = self.estimator.context(graph, &procs, slots);
+            let ctx = self.estimator.context(graph, procs, slots);
             let stages = ctx.stage_count();
             let Some(p) =
                 min_max_partition(graph.len(), stages, |a, i, j| ctx.stage_cost(cost, a, i, j))
@@ -660,19 +682,29 @@ impl Planner {
     /// its contention class and its tail-collapse candidates, all read
     /// from the request's tables entry (`tables`, when the caller already
     /// looked it up).
+    ///
+    /// `spread` carries the caller's span when the requests fan out over
+    /// worker threads: the request's span then sits under it on lane
+    /// `idx`, whichever worker runs it, so traces are reproducible.
     fn prepare_request(
         &self,
         idx: usize,
         graph: &ModelGraph,
         tables: Option<Arc<RequestTables>>,
+        spread: Option<Option<SpanParent>>,
     ) -> Result<PreparedRequest, PlanError> {
-        span!(self.telemetry.spans, "prepare:{}:{}", idx, graph.name());
+        let _span = item_span(
+            &self.telemetry.spans,
+            spread,
+            idx,
+            format!("prepare:{}:{}", idx, graph.name()),
+        );
         let tables = match tables {
             Some(tables) => {
                 self.count_tables_lookup(true);
                 tables
             }
-            None => self.tables_cached(graph, &self.pipeline_procs()),
+            None => self.tables_cached(graph, self.pipeline_procs()),
         };
         let partition = self.plan_request_cached(&tables, u32::MAX)?;
         let (intensity, class) = tables.contention();
@@ -684,7 +716,7 @@ impl Planner {
             ctx: partition.ctx.clone(),
             plan: RequestPlan {
                 request: idx,
-                model: graph.name().to_owned(),
+                model: graph.shared_name().clone(),
                 stages: partition.stages.clone(),
                 intensity,
                 class,
@@ -739,7 +771,7 @@ impl Planner {
             span!(self.telemetry.spans, "prepare");
             let cached: Vec<Option<Arc<RequestTables>>> = requests
                 .iter()
-                .map(|graph| self.estimator.tables_if_cached(graph, &procs))
+                .map(|graph| self.estimator.tables_if_cached(graph, procs))
                 .collect();
             let full = slot_mask(u32::MAX, procs.len());
             let searches = cached
@@ -750,8 +782,10 @@ impl Planner {
                 })
                 .count();
             let fan_out = if searches >= 2 { threads } else { 1 };
+            let spread = (par::worker_count(fan_out, requests.len()) > 1)
+                .then(|| self.telemetry.spans.current());
             par::try_map(fan_out, requests, |idx, graph| {
-                self.prepare_request(idx, graph, cached[idx].clone())
+                self.prepare_request(idx, graph, cached[idx].clone(), spread)
             })?
         };
         self.telemetry.metrics.gauge_add(
@@ -778,7 +812,7 @@ impl Planner {
         let assemble = |ordered: Vec<RequestPlan>| -> Assembly {
             span!(self.telemetry.spans, "assemble:{}req", ordered.len());
             let mut plan = PipelinePlan {
-                procs: procs.clone(),
+                procs: procs.to_vec(),
                 requests: ordered,
             };
             let steal = self
@@ -952,7 +986,7 @@ impl Planner {
             })?;
             plans.push(RequestPlan {
                 request: idx,
-                model: graph.name().to_owned(),
+                model: graph.shared_name().clone(),
                 stages,
                 intensity: self.estimator.predict_intensity(graph),
                 class: self.estimator.classify(graph),
@@ -970,7 +1004,7 @@ impl Planner {
         ) {
             let mut ctxs = base_ctxs.to_vec();
             let mut plan = PipelinePlan {
-                procs: procs.clone(),
+                procs: procs.to_vec(),
                 requests: ordered,
             };
             let steal = if self.config.work_stealing {
@@ -1269,7 +1303,7 @@ mod tests {
             let full = (1u32 << procs.len()) - 1;
             let counter = |name: &str| p.telemetry().metrics.snapshot().counter(name).unwrap_or(0);
             for id in ModelId::ALL {
-                let (tables, _) = p.estimator().tables_cached(&id.graph(), &procs);
+                let (tables, _) = p.estimator().tables_cached(&id.graph(), procs);
                 let best: Vec<Option<f64>> = (0..=full)
                     .map(|mask| {
                         let first = p.plan_request_cached(&tables, mask);

@@ -39,7 +39,7 @@ use std::collections::BTreeMap;
 
 use h2p_models::graph::ModelGraph;
 use h2p_simulator::audit;
-use h2p_simulator::engine::{EngineEvent, Simulation, TaskSpec};
+use h2p_simulator::engine::{EngineEvent, TaskLabel, TaskSpec};
 use h2p_simulator::faults::{FaultInjector, FaultKind, FaultSpec};
 use h2p_simulator::processor::ProcessorId;
 use h2p_simulator::soc::SocSpec;
@@ -117,9 +117,9 @@ pub struct RoundLog {
     /// The round's engine event log (round-local times).
     pub events: Vec<EngineEvent>,
     /// Task labels in submission order (task id → label), so consumers
-    /// can replay `events` and map spans back to requests via
-    /// `engine::request_of_label` without re-lowering the round's plan.
-    pub labels: Vec<String>,
+    /// can replay `events` and map spans back to requests
+    /// ([`TaskLabel::request`]) without re-lowering the round's plan.
+    pub labels: Vec<TaskLabel>,
     /// Requests that completed in this round.
     pub completed: usize,
     /// Faults the engine observed in this round.
@@ -264,7 +264,7 @@ pub fn replan_on_survivors(
         // use), so a replan after a dropout hits the tables built by the
         // original plan instead of rebuilding them mid-recovery, and a
         // survivor set seen before hits its memoized partition.
-        let tables = planner.tables_cached(graph, &procs);
+        let tables = planner.tables_cached(graph, procs);
         // An NPU stage lowers its unsupported operators onto the
         // fallback CPU (Sec. IV), so when that CPU is down the NPU slot
         // is unusable for any model that needs the detour: a split that
@@ -284,7 +284,7 @@ pub fn replan_on_survivors(
             let (intensity, class) = tables.contention();
             requests.push(RequestPlan {
                 request: r,
-                model: graph.name().to_owned(),
+                model: graph.shared_name().clone(),
                 stages: partition.stages.clone(),
                 intensity,
                 class,
@@ -292,7 +292,10 @@ pub fn replan_on_survivors(
         }
         ctxs.push(partition.ctx.clone());
     }
-    let mut plan = PipelinePlan { procs, requests };
+    let mut plan = PipelinePlan {
+        procs: procs.to_vec(),
+        requests,
+    };
     worksteal::align_by_stealing(&mut plan, &ctxs, cost);
     Ok((plan, ctxs))
 }
@@ -316,7 +319,7 @@ pub fn run_with_recovery(
     if requests.is_empty() {
         return Err(PlanError::EmptyRequestSet);
     }
-    let soc = planner.soc().clone();
+    let soc = planner.soc();
     let n_proc = soc.processors.len();
     let m = requests.len();
     let mut script = FaultScript::compile(faults, n_proc, m)?;
@@ -407,9 +410,8 @@ pub fn run_with_recovery(
             // Lower with backoff delays as release times, then gate on
             // the availability lint: H2P009 guards against ever routing
             // a task onto a down processor.
-            let lowered = lower_with_arrivals(&plan, &soc, &delay)?;
-            let diags =
-                h2p_analyze::lint_tasks_available(&soc, lowered.simulation().tasks(), &down);
+            let lowered = lower_with_arrivals(&plan, soc, &delay)?;
+            let diags = h2p_analyze::lint_tasks_available(soc, lowered.simulation().tasks(), &down);
             if !diags.is_clean() {
                 // A task routed onto a down processor is a planner bug;
                 // surface it as a typed hard error in release builds too
@@ -419,19 +421,14 @@ pub fn run_with_recovery(
                     diags: diags.to_string(),
                 });
             }
-            let (sim, final_task, _) = lowered.into_parts();
+            let (mut sim, final_task, _) = lowered.into_parts();
             // Cost misprediction: reality deviates from the estimate at
             // lowering time; the planner keeps its (wrong) cost model.
-            let sim = if (script.mispredict - 1.0).abs() > 1e-12 {
-                let mut scaled = Simulation::new(soc.clone());
-                for mut t in sim.tasks().to_vec() {
+            if (script.mispredict - 1.0).abs() > 1e-12 {
+                for t in sim.tasks_mut() {
                     t.solo_ms *= script.mispredict;
-                    scaled.add_task(t);
                 }
-                scaled
-            } else {
-                sim
-            };
+            }
 
             // Script this round's injector on the round-local timeline.
             let mut inj = FaultInjector::new(n_proc);
@@ -461,12 +458,12 @@ pub fn run_with_recovery(
                 }
             }
 
-            let tasks_for_audit = sim.tasks().to_vec();
+            let tasks = sim.tasks();
             let (sim_outcome, events) = match sim.run_faulted(&inj) {
                 Ok(out) => out,
                 Err(e) => break 'rounds RecoveryOutcome::Degraded(PlanError::Simulation(e)),
             };
-            let audit_report = audit::audit_faulted(&soc, &tasks_for_audit, &events, &sim_outcome);
+            let audit_report = audit::audit_faulted(soc, tasks, &events, &sim_outcome);
             debug_assert!(
                 audit_report.is_clean(),
                 "recovery round {round} failed its faulted audit:\n{audit_report:?}"
@@ -482,15 +479,13 @@ pub fn run_with_recovery(
                 }
             }
             // Per-request execution envelope over this round's completed
-            // spans, keyed through the lowering labels — the lifecycle
+            // spans, keyed by the lowering labels' request — the lifecycle
             // execute instant and the completion latency both come from
             // here, on the global timeline.
             let mut envelope: BTreeMap<usize, (f64, f64)> = BTreeMap::new();
             for (t, span) in sim_outcome.spans.iter().enumerate() {
-                let (Some(span), Some(r)) = (
-                    span,
-                    tasks_for_audit.get(t).and_then(TaskSpec::request_index),
-                ) else {
+                let (Some(span), Some(r)) = (span, tasks.get(t).and_then(TaskSpec::request_index))
+                else {
                     continue;
                 };
                 envelope
@@ -565,7 +560,7 @@ pub fn run_with_recovery(
             report.rounds.push(RoundLog {
                 offset_ms: round_offset,
                 events,
-                labels: tasks_for_audit.iter().map(|t| t.label.clone()).collect(),
+                labels: tasks.iter().map(|t| t.label.clone()).collect(),
                 completed: round_completed,
                 faults: round_faults,
                 audit_clean: audit_report.is_clean(),
@@ -847,8 +842,8 @@ mod tests {
         let planner = Planner::new(&soc).unwrap();
         let faults: Vec<FaultSpec> = planner
             .pipeline_procs()
-            .into_iter()
-            .map(|p| FaultSpec::ProcessorDropout {
+            .iter()
+            .map(|&p| FaultSpec::ProcessorDropout {
                 processor: p,
                 at_ms: 0.0,
             })

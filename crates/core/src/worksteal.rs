@@ -425,7 +425,7 @@ mod tests {
                         .expect("partition is feasible");
                     requests.push(RequestPlan {
                         request: idx,
-                        model: graph.name().to_owned(),
+                        model: graph.shared_name().clone(),
                         stages,
                         intensity: est.predict_intensity(&graph),
                         class: est.classify(&graph),

@@ -99,6 +99,12 @@ impl ModelGraph {
         &self.name
     }
 
+    /// The model's name as the shared string the graph holds, so plans
+    /// and task labels can name the model without copying the text.
+    pub fn shared_name(&self) -> &Arc<str> {
+        &self.name
+    }
+
     /// The layers in execution order.
     pub fn layers(&self) -> &[Layer] {
         &self.layers

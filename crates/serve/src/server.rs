@@ -788,13 +788,14 @@ impl Server {
         }
     }
 
-    /// Fault-free execution: incremental window planning, then the
+    /// Fault-free execution: incremental window planning — a dispatch
+    /// that hits the window cache shares the memoized plan — then the
     /// contention simulator.
     fn execute_planned(
         &self,
         graphs: &[h2p_models::graph::ModelGraph],
     ) -> Result<(Vec<GroupResult>, f64), PlanError> {
-        let planned = self.online.plan_incremental(graphs)?;
+        let planned = self.online.plan_shared(graphs)?;
         let exec = planned.execute(self.online.planner().soc())?;
         let results = exec
             .request_latency_ms

@@ -1153,7 +1153,7 @@ mod tests {
         let cpu = id(soc, ProcessorKind::CpuBig);
         let gpu = id(soc, ProcessorKind::Gpu);
         let npu = id(soc, ProcessorKind::Npu);
-        let mut sim = Simulation::new(soc.clone());
+        let mut sim = Simulation::new(soc);
         let a = sim.add_task(
             TaskSpec::new("a", npu, 8.0)
                 .intensity(0.6)
@@ -1186,7 +1186,7 @@ mod tests {
         soc.thermal_mode = ThermalMode::SteadyState;
         let cpu = id(&soc, ProcessorKind::CpuBig);
         let cap = soc.memory.capacity_bytes;
-        let mut sim = Simulation::new(soc.clone());
+        let mut sim = Simulation::new(&soc);
         sim.add_task(TaskSpec::new("huge", cpu, 10.0).footprint(cap + 1));
         let tasks = sim.tasks().to_vec();
         let trace = sim.run().expect("runs");
@@ -1269,7 +1269,7 @@ mod tests {
     fn fifo_inversions_are_detected() {
         let soc = soc();
         let npu = id(&soc, ProcessorKind::Npu);
-        let mut sim = Simulation::new(soc.clone());
+        let mut sim = Simulation::new(&soc);
         sim.add_task(TaskSpec::new("first", npu, 3.0));
         sim.add_task(TaskSpec::new("second", npu, 3.0));
         let tasks = sim.tasks().to_vec();
@@ -1332,7 +1332,7 @@ mod tests {
         let cpu = id(soc, ProcessorKind::CpuBig);
         let gpu = id(soc, ProcessorKind::Gpu);
         let npu = id(soc, ProcessorKind::Npu);
-        let mut sim = Simulation::new(soc.clone());
+        let mut sim = Simulation::new(soc);
         let a = sim.add_task(
             TaskSpec::new("a", npu, 8.0)
                 .intensity(0.6)

@@ -40,7 +40,7 @@ pub use h2p_telemetry::json_escape;
 pub fn task_header_line(task: usize, spec: &TaskSpec) -> String {
     format!(
         "{{\"event\":\"task\",\"task\":{task},\"label\":\"{}\",\"processor\":{},\"solo_ms\":{}}}",
-        json_escape(&spec.label),
+        json_escape(&spec.label.to_string()),
         spec.processor.index(),
         spec.solo_ms
     )
@@ -535,7 +535,7 @@ mod tests {
         let gpu = soc
             .processor_by_kind(ProcessorKind::Gpu)
             .expect("preset has GPU");
-        let mut sim = Simulation::new(soc);
+        let mut sim = Simulation::new(&soc);
         let a = sim.add_task(TaskSpec::new("say \"hi\"\\", npu, 5.0).intensity(0.8));
         sim.add_task(TaskSpec::new("b", gpu, 4.0).intensity(0.5).after(a));
         let tasks = sim.tasks().to_vec();
@@ -569,7 +569,7 @@ mod tests {
         let npu = soc
             .processor_by_kind(ProcessorKind::Npu)
             .expect("preset has NPU");
-        let mut sim = Simulation::new(soc);
+        let mut sim = Simulation::new(&soc);
         sim.add_task(TaskSpec::new("a", npu, 5.0));
         sim.add_task(TaskSpec::new("b", npu, 5.0));
         let inj = FaultInjector::new(4)

@@ -120,8 +120,8 @@ impl FaultOutcome {
     }
 
     /// Request indices this outcome impacted — every request owning a
-    /// failed or orphaned task (sorted, deduplicated), resolved through
-    /// the lowering labels via [`crate::engine::request_of_label`].
+    /// failed or orphaned task (sorted, deduplicated), read from the
+    /// lowering labels ([`crate::label::TaskLabel::request`]).
     /// These are the requests a recovery round must replan; tasks with
     /// auxiliary labels carry no request and are skipped.
     pub fn impacted_requests(&self, tasks: &[crate::engine::TaskSpec]) -> Vec<usize> {

@@ -72,17 +72,18 @@ pub struct MemorySample {
 ///
 /// The engine allocates each task's footprint when the task starts and
 /// releases it on completion, recording a trace sample at every change.
+/// The state borrows its spec (the SoC's), so a run copies nothing of it.
 #[derive(Debug, Clone)]
-pub struct MemoryState {
-    spec: MemorySpec,
+pub struct MemoryState<'spec> {
+    spec: &'spec MemorySpec,
     allocated: u64,
     demand_gbps: f64,
     trace: Vec<MemorySample>,
 }
 
-impl MemoryState {
+impl<'spec> MemoryState<'spec> {
     /// Creates a fresh state with nothing allocated.
-    pub fn new(spec: MemorySpec) -> Self {
+    pub fn new(spec: &'spec MemorySpec) -> Self {
         MemoryState {
             spec,
             allocated: 0,
@@ -92,8 +93,13 @@ impl MemoryState {
     }
 
     /// The spec this state was created from.
-    pub fn spec(&self) -> &MemorySpec {
-        &self.spec
+    pub fn spec(&self) -> &'spec MemorySpec {
+        self.spec
+    }
+
+    /// Reserves room for `additional` more trace samples.
+    pub fn reserve(&mut self, additional: usize) {
+        self.trace.reserve(additional);
     }
 
     /// Currently allocated footprint in bytes.
@@ -183,8 +189,9 @@ impl MemoryState {
 mod tests {
     use super::*;
 
-    fn state() -> MemoryState {
-        MemoryState::new(MemorySpec::mobile_default())
+    fn state() -> MemoryState<'static> {
+        static SPEC: std::sync::OnceLock<MemorySpec> = std::sync::OnceLock::new();
+        MemoryState::new(SPEC.get_or_init(MemorySpec::mobile_default))
     }
 
     #[test]

@@ -147,7 +147,7 @@ mod tests {
     fn run_one(solo_ms: f64, proc_name: &str) -> (Trace, SocSpec) {
         let soc = SocSpec::kirin_990();
         let p = soc.processor_by_name(proc_name).unwrap();
-        let mut sim = Simulation::new(soc.clone());
+        let mut sim = Simulation::new(&soc);
         sim.add_task(TaskSpec::new("t", p, solo_ms));
         (sim.run().unwrap(), soc)
     }

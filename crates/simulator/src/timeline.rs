@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::label::TaskLabel;
 use crate::memory::MemorySample;
 use crate::processor::ProcessorId;
 
@@ -11,8 +12,9 @@ use crate::processor::ProcessorId;
 pub struct Span {
     /// Id of the task (index of submission).
     pub task: usize,
-    /// Label supplied at submission, e.g. `"BERT/stage2"`.
-    pub label: String,
+    /// Label supplied at submission, e.g. `BERT#0@s2` for a lowered
+    /// stage ([`TaskLabel`]).
+    pub label: TaskLabel,
     /// Processor the task ran on.
     pub processor: ProcessorId,
     /// Wall-clock start in milliseconds.
@@ -58,9 +60,14 @@ impl Trace {
         self.spans.iter().map(|s| s.end_ms).fold(0.0, f64::max)
     }
 
-    /// Span of the task with the given id, if it ran.
+    /// Span of the task with the given id, if it ran. A complete trace
+    /// holds its spans in task-id order, so this is an index; a trace
+    /// assembled otherwise falls back to a scan.
     pub fn span(&self, task: usize) -> Option<&Span> {
-        self.spans.iter().find(|s| s.task == task)
+        match self.spans.get(task) {
+            Some(s) if s.task == task => Some(s),
+            _ => self.spans.iter().find(|s| s.task == task),
+        }
     }
 
     /// Busy milliseconds accumulated on `proc`.
@@ -99,27 +106,33 @@ impl Trace {
     /// processor sits idle waiting for a dependent stage while it still
     /// has work ahead of it.
     pub fn idle_bubble_ms(&self) -> f64 {
-        let mut total = 0.0;
-        for p in 0..self.processor_count {
-            let mut spans: Vec<&Span> = self
-                .spans
+        // One buffer for every processor: spans ordered by processor,
+        // then by start (a stable sort, so equal starts keep task order
+        // and the gaps sum in the same order as a per-processor pass).
+        let mut order: Vec<&Span> = Vec::with_capacity(self.spans.len());
+        order.extend(
+            self.spans
                 .iter()
-                .filter(|s| s.processor == ProcessorId(p))
-                .collect();
-            if spans.is_empty() {
-                continue;
-            }
-            spans.sort_by(|a, b| a.start_ms.total_cmp(&b.start_ms));
-            for w in spans.windows(2) {
+                .filter(|s| s.processor.index() < self.processor_count),
+        );
+        order.sort_by(|a, b| {
+            a.processor
+                .cmp(&b.processor)
+                .then(a.start_ms.total_cmp(&b.start_ms))
+        });
+        let mut total = 0.0;
+        for w in order.windows(2) {
+            if w[0].processor == w[1].processor {
                 total += (w[1].start_ms - w[0].end_ms).max(0.0);
             }
         }
         total
     }
 
-    /// Throughput in completed tasks per second, counting only tasks whose
-    /// label does not mark them as auxiliary (callers typically count
-    /// model-level completions themselves; this helper counts all spans).
+    /// Throughput in completed tasks per second: every span counts, so
+    /// a model split into several stages counts once per stage. Callers
+    /// that want model-level throughput count completed requests
+    /// themselves.
     pub fn throughput_per_sec(&self) -> f64 {
         let m = self.makespan_ms();
         if m <= 0.0 {
@@ -157,8 +170,7 @@ impl Trace {
                 let b = ((s.end_ms / makespan) * width as f64).ceil() as usize;
                 let ch = s
                     .label
-                    .chars()
-                    .next()
+                    .first_char()
                     .filter(|c| c.is_ascii_graphic())
                     .unwrap_or('#');
                 for cell in row.iter_mut().take(b.min(width)).skip(a.min(width)) {
@@ -186,7 +198,7 @@ mod tests {
     fn span(task: usize, proc: usize, start: f64, end: f64, solo: f64) -> Span {
         Span {
             task,
-            label: format!("t{task}"),
+            label: format!("t{task}").into(),
             processor: ProcessorId(proc),
             start_ms: start,
             end_ms: end,

@@ -17,8 +17,8 @@ use h2p_simulator::thermal::ThermalMode;
 use h2p_simulator::{ProcessorId, SocSpec};
 
 /// Deterministically derives a task set from a compact spec vector.
-fn build(soc: &SocSpec, specs: &[(usize, u64, u64, bool)]) -> Simulation {
-    let mut sim = Simulation::new(soc.clone());
+fn build<'soc>(soc: &'soc SocSpec, specs: &[(usize, u64, u64, bool)]) -> Simulation<'soc> {
+    let mut sim = Simulation::new(soc);
     let mut prev = None;
     for (i, &(proc, tenth_ms, intensity_pct, chain)) in specs.iter().enumerate() {
         let mut t = TaskSpec::new(
@@ -266,7 +266,7 @@ proptest! {
         footprint in 1u64..500_000_000u64,
     ) {
         let soc = quiet_kirin();
-        let mut sim = Simulation::new(soc.clone());
+        let mut sim = Simulation::new(&soc);
         for (i, &(proc, tenth_ms, _, _)) in specs.iter().enumerate() {
             sim.add_task(
                 TaskSpec::new(format!("t{i}"), ProcessorId(proc % 4), tenth_ms as f64 / 10.0)

@@ -245,6 +245,22 @@ struct Inner {
     histograms: BTreeMap<String, Histogram>,
 }
 
+/// The metric named `name`, created by `init` on first use. The name is
+/// looked up by `&str` and copied only when the metric is new, so a
+/// steady-state update allocates nothing.
+fn entry<'m, V>(
+    map: &'m mut BTreeMap<String, V>,
+    name: &str,
+    init: impl FnOnce() -> V,
+) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_owned(), init());
+    }
+    // Invariant: inserted just above when it was missing.
+    #[allow(clippy::expect_used)]
+    map.get_mut(name).expect("metric present")
+}
+
 /// The registry proper. Cheap to create; share behind an `Arc` (or via
 /// [`crate::Telemetry`]) across planner threads.
 #[derive(Debug, Default)]
@@ -268,42 +284,30 @@ impl MetricsRegistry {
 
     /// Adds `delta` to a counter, creating it at zero first.
     pub fn add(&self, name: &str, delta: u64) {
-        let mut inner = self.lock();
-        *inner.counters.entry(name.to_owned()).or_insert(0) += delta;
+        *entry(&mut self.lock().counters, name, || 0) += delta;
     }
 
     /// Sets a gauge to `value` (last write wins).
     pub fn gauge(&self, name: &str, value: f64) {
-        self.lock().gauges.insert(name.to_owned(), value);
+        *entry(&mut self.lock().gauges, name, || 0.0) = value;
     }
 
     /// Adds `delta` to a gauge, creating it at zero first.
     pub fn gauge_add(&self, name: &str, delta: f64) {
-        let mut inner = self.lock();
-        *inner.gauges.entry(name.to_owned()).or_insert(0.0) += delta;
+        *entry(&mut self.lock().gauges, name, || 0.0) += delta;
     }
 
     /// Records an observation into a histogram with the default
     /// log-bucketed millisecond layout ([`Histogram::log_bucketed`]).
     pub fn observe(&self, name: &str, value: f64) {
-        let mut inner = self.lock();
-        inner
-            .histograms
-            .entry(name.to_owned())
-            .or_insert_with(Histogram::log_bucketed)
-            .observe(value);
+        entry(&mut self.lock().histograms, name, Histogram::log_bucketed).observe(value);
     }
 
     /// Records an observation into a histogram with explicit bucket
     /// bounds. The bounds are fixed by the first observation; later
     /// calls reuse the existing buckets.
     pub fn observe_with(&self, name: &str, bounds: &[f64], value: f64) {
-        let mut inner = self.lock();
-        inner
-            .histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
+        entry(&mut self.lock().histograms, name, || Histogram::new(bounds)).observe(value);
     }
 
     /// Copies the current state out into an immutable snapshot.

@@ -23,6 +23,12 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== serve-path allocation budget (release)"
+# Debug builds run audit and lint gates that allocate on every
+# dispatch, so the heap-allocation budget of the warm serve path binds
+# the release build.
+cargo test --release -q --test serve_alloc
+
 echo "== experiments/ reproduce (seeded experiment binaries)"
 # Every seeded experiment binary must reproduce its committed output
 # byte for byte (ext_granularity prints wall-clock DP times and is left

@@ -398,11 +398,12 @@ pub fn export(args: &[String]) {
         write_out(path, &doc.to_json(), "chrome trace");
     }
     if let Some(path) = metrics_out {
-        write_out(
-            path,
-            &telemetry.metrics.snapshot().to_json(),
-            "metrics snapshot",
-        );
+        let mut snapshot = telemetry.metrics.snapshot();
+        // How many DP scratches the pool had to allocate depends on how
+        // many workers ran at once, not on the plan: leave it out so a
+        // fixed input exports the same metrics on every run.
+        snapshot.counters.remove("planner.dp.scratch_allocs");
+        write_out(path, &snapshot.to_json(), "metrics snapshot");
     }
     if !audit_report.is_clean() {
         print!("{audit_report}");

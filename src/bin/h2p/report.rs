@@ -9,7 +9,7 @@ use h2p_baselines::Scheme;
 use h2p_models::zoo::ModelId;
 use h2p_simulator::engine::request_of_label;
 use h2p_simulator::eventlog::json_escape;
-use h2p_simulator::{audit, EngineEvent, FaultSpec, SocSpec, TaskSpec};
+use h2p_simulator::{audit, EngineEvent, FaultSpec, SocSpec, TaskLabel, TaskSpec};
 use h2p_telemetry::analytics::{
     ExecSpan, LatencyProfile, OccupancyProfile, SloEntry, SloSummary, UtilizationTimeline,
 };
@@ -150,7 +150,7 @@ pub fn main(args: &[String]) -> ! {
 fn deadlines_from_tasks(tasks: &[TaskSpec], classes: &[QosClass]) -> Vec<Option<f64>> {
     let mut solo = vec![0.0f64; classes.len()];
     for t in tasks {
-        if let Some(r) = request_of_label(&t.label) {
+        if let Some(r) = t.request_index() {
             if r < solo.len() {
                 solo[r] += t.solo_ms;
             }
@@ -243,9 +243,9 @@ fn reconcile(completions: &[Option<f64>], ends: &[Option<f64>], mismatches: &mut
 /// stream must all agree.
 fn from_live(soc: &SocSpec, scheme: Scheme, models: &[ModelId]) -> ReportData {
     let lowered = scheme.lower(soc, &graphs(models)).expect("lower");
-    let tasks = lowered.simulation().tasks().to_vec();
+    let tasks = lowered.simulation().tasks();
     let (report, events) = lowered.execute_logged().expect("execute");
-    let requests: Vec<Option<usize>> = tasks.iter().map(|t| request_of_label(&t.label)).collect();
+    let requests: Vec<Option<usize>> = tasks.iter().map(TaskSpec::request_index).collect();
     let spans = replay_spans(&requests, &events, 0.0).unwrap_or_else(|e| {
         eprintln!("report: event-log replay failed: {e}");
         std::process::exit(1);
@@ -283,7 +283,7 @@ fn from_live(soc: &SocSpec, scheme: Scheme, models: &[ModelId]) -> ReportData {
         replay_total: tasks.len(),
         lifecycle,
         mismatches,
-        ..ReportData::of_models(source, soc, models, &tasks)
+        ..ReportData::of_models(source, soc, models, tasks)
     }
 }
 
@@ -308,8 +308,7 @@ fn from_recovery(
     let mut replay_total = 0usize;
     let mut mismatches = Vec::new();
     for (i, round) in report.rounds.iter().enumerate() {
-        let requests: Vec<Option<usize>> =
-            round.labels.iter().map(|l| request_of_label(l)).collect();
+        let requests: Vec<Option<usize>> = round.labels.iter().map(TaskLabel::request).collect();
         match replay_spans(&requests, &round.events, round.offset_ms) {
             Ok(round_spans) => {
                 replay_total += requests.len();

@@ -53,6 +53,30 @@ fn run_reports_latency_for_every_scheme() {
 }
 
 #[test]
+fn report_reconciles_for_every_scheme() {
+    // Every scheme's tasks name their request, so the report attributes
+    // each replayed span and all three latency views agree.
+    for scheme in ["mnn", "pipeit", "dart", "band", "noct", "h2p"] {
+        let (stdout, stderr, ok) = h2p(&["report", "--scheme", scheme, "bert", "resnet50"]);
+        assert!(ok, "{scheme} failed:\n{stdout}\n{stderr}");
+        assert!(
+            !stdout.contains("RECONCILIATION FAILED"),
+            "{scheme}: {stdout}"
+        );
+    }
+}
+
+#[test]
+fn usage_lists_every_scheme() {
+    let (_, stderr, ok) = h2p(&["run", "--no-such-flag", "bert"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("schemes: mnn, pipeit, band, dart, noct, h2p (default)"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn gantt_renders_one_row_per_processor() {
     let (stdout, _, ok) = h2p(&["gantt", "--soc", "sd870", "resnet50", "vgg16"]);
     assert!(ok);
@@ -127,6 +151,82 @@ fn export_writes_chrome_trace_and_metrics() {
     }
     assert!(metrics.contains("\"counters\""), "{metrics}");
     assert!(metrics.contains("planner.plans"), "{metrics}");
+}
+
+/// Replaces the number after every `key` in `text` with `_`.
+fn blank_numbers_after(text: &str, key: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = rest.find(key) {
+        let (head, tail) = rest.split_at(at + key.len());
+        out.push_str(head);
+        out.push('_');
+        let end = tail
+            .find(|c: char| !(c.is_ascii_digit() || "-+.eE".contains(c)))
+            .unwrap_or(tail.len());
+        rest = &tail[end..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// An export with its wall-clock fields blanked: planner span times and
+/// the planner's phase timings.
+fn export_without_wall_clock(models: &[&str], run: usize) -> (String, String) {
+    let dir = std::env::temp_dir();
+    let id = std::process::id();
+    let trace_path = dir.join(format!("h2p_cli_repro_{id}_{run}_trace.json"));
+    let metrics_path = dir.join(format!("h2p_cli_repro_{id}_{run}_metrics.json"));
+    let mut args = vec![
+        "export",
+        "--trace",
+        trace_path.to_str().expect("utf-8 path"),
+        "--metrics",
+        metrics_path.to_str().expect("utf-8 path"),
+    ];
+    args.extend_from_slice(models);
+    let (stdout, stderr, ok) = h2p(&args);
+    assert!(ok, "{stdout}\n{stderr}");
+    let trace = std::fs::read_to_string(&trace_path).expect("trace written");
+    let metrics = std::fs::read_to_string(&metrics_path).expect("metrics written");
+    let _ = std::fs::remove_file(&trace_path);
+    let _ = std::fs::remove_file(&metrics_path);
+    let trace: Vec<String> = trace
+        .lines()
+        .map(|line| {
+            if line.contains("\"cat\":\"planner\"") {
+                blank_numbers_after(&blank_numbers_after(line, "\"ts\":"), "\"dur\":")
+            } else {
+                line.to_owned()
+            }
+        })
+        .collect();
+    let mut metrics = metrics;
+    for phase in ["assemble_ms", "prepare_ms", "total_ms"] {
+        metrics = blank_numbers_after(&metrics, &format!("\"planner.phase.{phase}\":"));
+    }
+    // The plan-time histogram, the last metric in name order, holds
+    // the one wall-clock observation.
+    let histogram = metrics
+        .find("\"planner.plan_ms\":")
+        .expect("plan-time histogram");
+    metrics.truncate(histogram);
+    (trace.join("\n"), metrics)
+}
+
+#[test]
+fn export_is_reproducible_beyond_its_wall_clock_fields() {
+    // The planner fans its per-request step out over worker threads;
+    // which worker claims which request must not show in the export.
+    for models in [
+        &["bert", "mobilenetv2"][..],
+        &["vgg16", "squeezenet", "bert", "vit"],
+    ] {
+        let first = export_without_wall_clock(models, 0);
+        for run in 1..4 {
+            assert_eq!(first, export_without_wall_clock(models, run), "{models:?}");
+        }
+    }
 }
 
 #[test]

@@ -5,7 +5,6 @@
 use std::process::Command;
 
 use h2p_models::zoo::ModelId;
-use h2p_simulator::engine::request_of_label;
 use h2p_simulator::FaultSpec;
 use h2p_simulator::SocSpec;
 use h2p_telemetry::analytics::{ExecSpan, UtilizationTimeline};
@@ -87,7 +86,7 @@ fn utilization_timeline_reconciles_with_trace() {
         .spans
         .iter()
         .map(|s| ExecSpan {
-            request: request_of_label(&s.label),
+            request: s.label.request(),
             processor: s.processor.index(),
             start_ms: s.start_ms,
             end_ms: s.end_ms,

@@ -62,7 +62,7 @@ fn obs1_slowdown_symmetry() {
     soc.thermal_mode = h2p_simulator::thermal::ThermalMode::Disabled;
     let big = soc.processor_by_name("CPU_B").unwrap();
     let gpu = soc.processor_by_name("GPU").unwrap();
-    let mut sim = Simulation::new(soc);
+    let mut sim = Simulation::new(&soc);
     sim.add_task(
         TaskSpec::new("a", big, 200.0)
             .intensity(0.8)
@@ -286,7 +286,7 @@ fn table2_coexec_slowdown_regime() {
         .slice_bandwidth_gbps(&g_bert, whole(&g_bert), gpu)
         .unwrap();
     let intensity = |bw: f64| bw / h2p_contention::counters::REFERENCE_BANDWIDTH_GBPS;
-    let mut sim = Simulation::new(soc);
+    let mut sim = Simulation::new(&soc);
     // Loop SqueezeNet to cover BERT's runtime (sustained co-execution).
     let reps = (t_bert / t_sq).ceil() as usize;
     for _ in 0..reps {

@@ -216,7 +216,7 @@ fn incremental_column_accounting_matches_whole_plan_rescans() {
             let collapse: Vec<_> = graphs
                 .iter()
                 .map(|g| {
-                    let (tables, _) = est.tables_cached(g, &procs);
+                    let (tables, _) = est.tables_cached(g, procs);
                     Arc::new(worksteal::collapse_candidates(
                         &tables,
                         est.cost(),
@@ -502,7 +502,7 @@ proptest! {
         let build = || {
             let mut soc = SocSpec::kirin_990();
             soc.thermal_mode = h2p_simulator::thermal::ThermalMode::Disabled;
-            let mut sim = Simulation::new(soc);
+            let mut sim = Simulation::new(&soc);
             let mut prev = None;
             for (i, &(proc, ms, bytes, dep)) in specs.iter().enumerate() {
                 let mut t = TaskSpec::new(format!("t{i}"), ProcessorId(proc), ms as f64 / 10.0)

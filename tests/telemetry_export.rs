@@ -22,7 +22,7 @@ fn run_and_export(
     Vec<EngineEvent>,
     h2p_telemetry::chrome::TraceDoc,
 ) {
-    let mut sim = Simulation::new(soc.clone());
+    let mut sim = Simulation::new(soc);
     for spec in specs {
         sim.add_task(spec);
     }
@@ -65,7 +65,7 @@ fn chrome_export_golden_two_task_coexecution() {
         let span = trace.span(t).expect("span exists");
         let slice = slices
             .iter()
-            .find(|e| e.name == spec.label)
+            .find(|e| e.name == spec.label.to_string())
             .expect("one slice per task");
         assert_eq!(slice.pid, ENGINE_PID);
         assert_eq!(slice.tid, span.processor.index() as u64);
