@@ -35,7 +35,7 @@ pub fn sensitivity(intensity: f64) -> f64 {
 }
 
 /// Stable small hash of a model name for staging-dedup keys.
-fn model_key(name: &str) -> u64 {
+pub(crate) fn model_key(name: &str) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     name.hash(&mut h);
@@ -156,52 +156,32 @@ impl PipelinePlan {
     /// order. Allocation-free: the cells are read off the plan as the
     /// iterator advances.
     pub fn column_cells(&self, j: usize) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        self.column_stages(j, None)
+        self.column_stages(j)
             .map(|(pos, slot, stage)| (pos, slot, stage.total_ms()))
     }
 
     /// The stages of column `j` as `(position, slot, stage)`, in ascending
-    /// slot order. With `row = Some((pos, stages))`, request `pos`'s
-    /// stages are read from `stages` instead of the plan, which lets a
-    /// search price a candidate row without writing it into the plan.
-    pub(crate) fn column_stages<'a>(
-        &'a self,
-        j: usize,
-        row: Option<(usize, &'a [Option<StagePlan>])>,
-    ) -> impl Iterator<Item = (usize, usize, &'a StagePlan)> + 'a {
-        // Slot `s` holds position `j - s`, which exists for
-        // `j + 1 - m <= s <= j`.
-        let first = (j + 1).saturating_sub(self.requests.len());
-        let end = self.depth().min(j + 1);
-        (first..end).filter_map(move |slot| {
-            let pos = j - slot;
-            let stages = match row {
-                Some((p, stages)) if p == pos => stages,
-                _ => &self.requests[pos].stages,
-            };
-            stages
-                .get(slot)
-                .and_then(Option::as_ref)
-                .map(|stage| (pos, slot, stage))
-        })
+    /// slot order.
+    fn column_stages(&self, j: usize) -> impl Iterator<Item = (usize, usize, &StagePlan)> + '_ {
+        column_stages(
+            |pos| self.requests[pos].stages.as_slice(),
+            self.requests.len(),
+            self.depth(),
+            j,
+        )
     }
 
     /// The longest cell of column `j` (0 for an empty column): the time
-    /// the column lasts in the synchronous pipeline. `row` substitutes one
-    /// request's stages as in [`PipelinePlan::column_stages`].
-    pub(crate) fn column_max_ms(
-        &self,
-        j: usize,
-        row: Option<(usize, &[Option<StagePlan>])>,
-    ) -> f64 {
-        self.column_stages(j, row)
+    /// the column lasts in the synchronous pipeline.
+    fn column_max_ms(&self, j: usize) -> f64 {
+        self.column_stages(j)
             .map(|(_, _, stage)| stage.total_ms())
             .fold(0.0, f64::max)
     }
 
     /// The bubble size `|B_j|` of column `j` (Eq. 3).
     pub fn bubble_ms(&self, j: usize) -> f64 {
-        let max = self.column_max_ms(j, None);
+        let max = self.column_max_ms(j);
         self.column_cells(j).map(|c| max - c.2).sum()
     }
 
@@ -216,7 +196,7 @@ impl PipelinePlan {
     /// faithful planning objective.
     pub fn estimated_makespan_ms(&self) -> f64 {
         (0..self.column_count())
-            .map(|j| self.column_max_ms(j, None))
+            .map(|j| self.column_max_ms(j))
             .sum()
     }
 
@@ -230,50 +210,14 @@ impl PipelinePlan {
     /// objective that makes the planner *contention-aware*, the paper's
     /// central claim.
     pub fn estimated_makespan_contention_ms(&self, soc: &SocSpec) -> f64 {
-        let n_procs = soc.processors.len();
-        let mut avail = vec![0.0f64; n_procs];
-        // Slices already staged, as `(model, processor, first, last)`. A
-        // plan stages a few dozen slices, so a linear scan stays cheap.
-        let mut staged: Vec<(u64, usize, usize, usize)> = Vec::new();
-        let mut makespan = 0.0f64;
-        for (pos, req) in self.requests.iter().enumerate() {
-            let model = model_key(&req.model);
-            let mut prev_end = 0.0f64;
-            for (slot, stage) in req.stages.iter().enumerate() {
-                let Some(stage) = stage else { continue };
-                let key = (
-                    model,
-                    stage.proc.index(),
-                    stage.range.first,
-                    stage.range.last,
-                );
-                let upload = if staged.contains(&key) {
-                    0.0
-                } else {
-                    staged.push(key);
-                    stage.footprint_bytes as f64 / (crate::executor::WEIGHT_STAGING_GBPS * 1e6)
-                };
-                // Expected co-runners: the other cells of this stage's
-                // column in the staggered schedule.
-                let corunners = self
-                    .column_stages(pos + slot, None)
-                    .filter(|&(p2, s2, _)| !(p2 == pos && s2 == slot))
-                    .map(|(_, _, other)| (soc.processor(other.proc), other.intensity));
-                let slow = slowdown_for(
-                    &soc.coupling,
-                    soc.processor(stage.proc),
-                    sensitivity(stage.intensity),
-                    corunners,
-                );
-                let dur = (stage.total_ms() + upload) * (1.0 + slow);
-                let start = avail[stage.proc.index()].max(prev_end);
-                let end = start + dur;
-                avail[stage.proc.index()] = end;
-                prev_end = end;
-                makespan = makespan.max(end);
-            }
-        }
-        makespan
+        contention_makespan_ms(
+            soc,
+            self.depth(),
+            self.requests.len(),
+            |pos| self.requests[pos].stages.as_slice(),
+            |pos| model_key(&self.requests[pos].model),
+            &mut EstimateScratch::default(),
+        )
     }
 
     /// Estimated throughput in completed inferences per second.
@@ -291,7 +235,7 @@ impl PipelinePlan {
     pub fn peak_footprint_bytes(&self) -> u64 {
         (0..self.column_count())
             .map(|j| {
-                self.column_stages(j, None)
+                self.column_stages(j)
                     .map(|(_, _, stage)| stage.footprint_bytes)
                     .sum()
             })
@@ -308,6 +252,101 @@ impl PipelinePlan {
             .map(|(i, _)| i)
             .collect()
     }
+}
+
+/// The cells of column `j` of `m` staggered rows over `depth` slots, as
+/// `(position, slot)` in ascending slot order: slot `s` holds position
+/// `j - s`, which exists for `j + 1 - m <= s <= j`.
+pub(crate) fn column_slots(
+    m: usize,
+    depth: usize,
+    j: usize,
+) -> impl Iterator<Item = (usize, usize)> {
+    ((j + 1).saturating_sub(m)..depth.min(j + 1)).map(move |slot| (j - slot, slot))
+}
+
+/// The stages of column `j` of `m` ordered rows over `depth` slots, as
+/// `(position, slot, stage)` in ascending slot order; `stages(pos)` is the
+/// stage vector of position `pos`.
+fn column_stages<'a>(
+    stages: impl Fn(usize) -> &'a [Option<StagePlan>],
+    m: usize,
+    depth: usize,
+    j: usize,
+) -> impl Iterator<Item = (usize, usize, &'a StagePlan)> {
+    column_slots(m, depth, j).filter_map(move |(pos, slot)| {
+        stages(pos)
+            .get(slot)
+            .and_then(Option::as_ref)
+            .map(|stage| (pos, slot, stage))
+    })
+}
+
+/// Reusable buffers of [`contention_makespan_ms`].
+#[derive(Debug, Default)]
+pub(crate) struct EstimateScratch {
+    /// When each processor next becomes free.
+    avail: Vec<f64>,
+    /// Slices already staged, as `(model, processor, first, last)`. A
+    /// plan stages a few dozen slices, so a linear scan stays cheap.
+    staged: Vec<(u64, usize, usize, usize)>,
+}
+
+/// The list schedule of [`PipelinePlan::estimated_makespan_contention_ms`]
+/// over `m` ordered rows on `depth` slots: `stages(pos)` is the stage
+/// vector of position `pos` and `model(pos)` its [`model_key`]. A caller
+/// that assembles several orders of one request set hashes each model
+/// name once and keeps the buffers in `scratch`.
+pub(crate) fn contention_makespan_ms<'a>(
+    soc: &SocSpec,
+    depth: usize,
+    m: usize,
+    stages: impl Fn(usize) -> &'a [Option<StagePlan>],
+    model: impl Fn(usize) -> u64,
+    scratch: &mut EstimateScratch,
+) -> f64 {
+    let EstimateScratch { avail, staged } = scratch;
+    avail.clear();
+    avail.resize(soc.processors.len(), 0.0);
+    staged.clear();
+    let mut makespan = 0.0f64;
+    for pos in 0..m {
+        let model = model(pos);
+        let mut prev_end = 0.0f64;
+        for (slot, stage) in stages(pos).iter().enumerate() {
+            let Some(stage) = stage else { continue };
+            let key = (
+                model,
+                stage.proc.index(),
+                stage.range.first,
+                stage.range.last,
+            );
+            let upload = if staged.contains(&key) {
+                0.0
+            } else {
+                staged.push(key);
+                stage.footprint_bytes as f64 / (crate::executor::WEIGHT_STAGING_GBPS * 1e6)
+            };
+            // Expected co-runners: the other cells of this stage's
+            // column in the staggered schedule.
+            let corunners = column_stages(&stages, m, depth, pos + slot)
+                .filter(|&(p2, s2, _)| !(p2 == pos && s2 == slot))
+                .map(|(_, _, other)| (soc.processor(other.proc), other.intensity));
+            let slow = slowdown_for(
+                &soc.coupling,
+                soc.processor(stage.proc),
+                sensitivity(stage.intensity),
+                corunners,
+            );
+            let dur = (stage.total_ms() + upload) * (1.0 + slow);
+            let start = avail[stage.proc.index()].max(prev_end);
+            let end = start + dur;
+            avail[stage.proc.index()] = end;
+            prev_end = end;
+            makespan = makespan.max(end);
+        }
+    }
+    makespan
 }
 
 #[cfg(test)]

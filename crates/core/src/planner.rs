@@ -38,11 +38,12 @@
 //! tables ([`crate::estimate::RequestTables`]). Requests that still need
 //! a subset search fan out across worker threads on the [`crate::par`]
 //! runtime (each search runs whole on one worker) and merge by index.
-//! Steps 2–3 then assemble the four candidate orders one after another
-//! on the calling thread: an assembly prices work-stealing and tail
-//! candidates on per-column ledgers ([`crate::worksteal`]) and reads the
-//! step-1 contexts without copying them, so it costs less than a thread
-//! spawn. The output is **bit-identical for every thread count** —
+//! Steps 2–3 then assemble the candidate orders one after another on the
+//! calling thread, skipping an order equal to one already assembled: an
+//! assembly prices work-stealing and tail candidates on a grid of stage
+//! times and a column ledger ([`crate::worksteal`]), reads the step-1
+//! plans and contexts in place and works in pooled buffers, so it costs
+//! less than a thread spawn. The output is **bit-identical for every thread count** —
 //! including the frozen sequential reference
 //! ([`Planner::plan_reference`]), which preserves the original
 //! clone-per-mask implementation as the recorded perf baseline (see
@@ -64,15 +65,18 @@ use crate::estimate::{Estimator, RequestContext, RequestTables};
 use crate::mitigation::{self, MitigationOutcome};
 use crate::par;
 use crate::partition::{min_max_partition, DpScratch};
-use crate::plan::{PipelinePlan, RequestPlan, StagePlan};
-use crate::worksteal::{self, CollapseSlots, StealReport};
+use crate::plan::{self, EstimateScratch, PipelinePlan, RequestPlan, StagePlan};
+use crate::worksteal::{self, CollapseSlots, PassScratch, StealReport};
 
-/// Pooled per-request planning buffers: the flat DP kernel arena plus
-/// the mask-loop buffers of the subset search. Checked out
-/// of the planner's pool ([`Planner::with_plan_scratch`]) so
-/// steady-state planning reuses warm allocations — after the first
-/// request of a given high-water size, the subset search touches the
-/// allocator zero times (pinned by the counting-allocator test).
+/// Pooled planning buffers: the flat DP kernel arena and the mask-loop
+/// buffers of the subset search, checked out per request, and the
+/// candidate assemblies' grid, ledger, estimate and order buffers,
+/// checked out per plan. Checked out of the planner's pool
+/// ([`Planner::with_plan_scratch`]) so steady-state planning reuses warm
+/// allocations — after the first request of a given high-water size, the
+/// subset search touches the allocator zero times, and an assembly
+/// allocates only the stage vectors it keeps (pinned by the
+/// counting-allocator tests).
 #[derive(Debug, Default)]
 struct PlanScratch {
     /// The DP kernel arena (table, backtracking, splits).
@@ -88,6 +92,20 @@ struct PlanScratch {
     best_slots: Vec<usize>,
     /// The winning split points so far.
     best_splits: Vec<usize>,
+    /// The vertical passes' stage grid, column ledger and candidate
+    /// buffers.
+    pass: PassScratch,
+    /// The contention estimate's buffers.
+    estimate: EstimateScratch,
+    /// The best candidate order so far, and the one being assembled.
+    best: Assembly,
+    candidate: Assembly,
+    /// Each request's staging key ([`plan::model_key`]), by original
+    /// index.
+    keys: Vec<u64>,
+    /// `inverse[request]` = position of the request in the adopted
+    /// order.
+    inverse: Vec<usize>,
 }
 
 /// Algorithm 1's answer for one request under one allowed-slot mask: the
@@ -352,23 +370,66 @@ pub struct Planner {
     /// share the sink.
     telemetry: Arc<Telemetry>,
     /// Pool of warm [`PlanScratch`] buffers (shared by clones, like the
-    /// tables cache): every planning path checks one out per request so
-    /// the steady-state DP is allocation-free. Pool misses allocate and
-    /// bump `planner.dp.scratch_allocs`.
+    /// tables cache): every subset search and every plan's assembly
+    /// checks one out, so the steady-state DP is allocation-free. Pool
+    /// misses allocate and bump `planner.dp.scratch_allocs`.
     scratch_pool: Arc<Mutex<Vec<PlanScratch>>>,
     /// The pipeline's processor slots ([`Planner::pipeline_procs`]),
     /// fixed by the SoC and the configuration at construction.
     slots: Vec<ProcessorId>,
 }
 
-/// One candidate order after the vertical passes (steps 2–3).
+/// Where one position of an assembled order takes its stages from.
+#[derive(Debug, Clone, Copy)]
+enum RowStages {
+    /// The request's step-1 stages.
+    Base,
+    /// Entry `i` of the order's re-balanced stage vectors.
+    Adopted(usize),
+    /// The request's collapse candidate on this slot.
+    Collapsed(usize),
+}
+
+/// One candidate order after the vertical passes (steps 2–3), held in
+/// buffers the planner's scratch pool reuses: the stages of a position
+/// are read from step 1, from a vector work stealing built, or from a
+/// collapse candidate, never copied.
+#[derive(Debug, Default)]
 struct Assembly {
-    plan: PipelinePlan,
-    steal: Option<StealReport>,
+    /// `order[pos]` = original index of the request at `pos`.
+    order: Vec<usize>,
+    rows: Vec<RowStages>,
+    /// The stage vectors work stealing built, with their positions.
+    adopted: Vec<(usize, Vec<Option<StagePlan>>)>,
     /// The tail search's merges, `(original request, slot)`.
     merges: Vec<(usize, usize)>,
+    steal: Option<StealReport>,
     /// The contention-aware makespan estimate the order is ranked by.
     estimate_ms: f64,
+}
+
+impl Assembly {
+    /// The stages position `pos` ended with.
+    fn stages<'a>(&'a self, pos: usize, step1: &Step1<'a>) -> &'a [Option<StagePlan>] {
+        let orig = self.order[pos];
+        match self.rows[pos] {
+            RowStages::Base => &step1.plans[orig].stages,
+            RowStages::Adopted(i) => &self.adopted[i].1,
+            RowStages::Collapsed(slot) => step1.collapse[orig][slot]
+                .as_ref()
+                .map_or(&[], |(stages, _)| stages.as_slice()),
+        }
+    }
+}
+
+/// What every candidate assembly reads from step 1, by original index.
+struct Step1<'a> {
+    plans: &'a [RequestPlan],
+    contexts: &'a [RequestContext],
+    /// Non-empty exactly when tail optimization is on.
+    collapse: &'a [Arc<CollapseSlots>],
+    /// Each request's staging key ([`plan::model_key`]).
+    keys: &'a [u64],
 }
 
 /// Everything step 1 produces for one request, computed independently
@@ -725,6 +786,64 @@ impl Planner {
         })
     }
 
+    /// Steps 2–3 for one candidate order, into `out`: the step-1 stages
+    /// of `order` are loaded into the pass grid, work stealing and the
+    /// tail search run on it, and the order is ranked by its contention
+    /// estimate.
+    fn assemble(
+        &self,
+        step1: &Step1<'_>,
+        order: impl Iterator<Item = usize>,
+        out: &mut Assembly,
+        pass: &mut PassScratch,
+        estimate: &mut EstimateScratch,
+    ) {
+        out.order.clear();
+        out.order.extend(order);
+        let m = out.order.len();
+        span!(self.telemetry.spans, "assemble:{}req", m);
+        let procs = self.pipeline_procs();
+        let order = &out.order;
+        out.rows.clear();
+        out.rows.resize(m, RowStages::Base);
+        out.adopted.clear();
+        out.merges.clear();
+        pass.load(
+            procs.len(),
+            order
+                .iter()
+                .map(|&orig| step1.plans[orig].stages.as_slice()),
+        );
+        out.steal = self.config.work_stealing.then(|| {
+            pass.steal(
+                |pos| (order[pos], step1.plans[order[pos]].stages.as_slice()),
+                step1.contexts,
+                self.estimator.cost(),
+                &mut out.adopted,
+            )
+        });
+        for (i, &(pos, _)) in out.adopted.iter().enumerate() {
+            out.rows[pos] = RowStages::Adopted(i);
+        }
+        if self.config.tail_optimization {
+            pass.tail(|pos| order[pos], step1.collapse, &mut out.merges);
+            for (pos, slot) in &mut out.merges {
+                out.rows[*pos] = RowStages::Collapsed(*slot);
+                *pos = order[*pos];
+            }
+        }
+        let done = &*out;
+        let estimate_ms = plan::contention_makespan_ms(
+            self.soc(),
+            procs.len(),
+            m,
+            |pos| done.stages(pos, step1),
+            |pos| step1.keys[done.order[pos]],
+            estimate,
+        );
+        out.estimate_ms = estimate_ms;
+    }
+
     /// Runs the full two-step planning pipeline over `requests` on the
     /// configured number of worker threads.
     ///
@@ -755,8 +874,6 @@ impl Planner {
         let total_start = Instant::now();
         span!(self.telemetry.spans, "plan:{}req", requests.len());
         let procs = self.pipeline_procs();
-        let cost = self.estimator.cost();
-        let soc = self.estimator.cost().soc();
 
         // Step 1: horizontal partitioning, independently per request —
         // the planner's only parallel loop. A request whose partition is
@@ -806,96 +923,122 @@ impl Planner {
         // vertical alignment. Both the mitigated and the original order
         // are assembled and the better estimated makespan wins — the
         // re-ordering is a heuristic, so the planner checks it paid off.
-        // An assembly reads the step-1 contexts without copying them: the
-        // tail search reports its merges, and only the adopted order's
-        // contexts are rebuilt from them below.
-        let assemble = |ordered: Vec<RequestPlan>| -> Assembly {
-            span!(self.telemetry.spans, "assemble:{}req", ordered.len());
-            let mut plan = PipelinePlan {
-                procs: procs.to_vec(),
-                requests: ordered,
-            };
-            let steal = self
-                .config
-                .work_stealing
-                .then(|| worksteal::align_by_stealing(&mut plan, &contexts, cost));
-            let merges = if self.config.tail_optimization {
-                worksteal::optimize_tail_cached(&mut plan, &collapse)
-            } else {
-                Vec::new()
-            };
-            let estimate_ms = plan.estimated_makespan_contention_ms(soc);
-            Assembly {
-                plan,
-                steal,
-                merges,
-                estimate_ms,
-            }
-        };
-
+        // Every assembly reads the step-1 plans and contexts in place and
+        // works in pooled buffers; only the adopted order becomes a plan,
+        // from the step-1 plans themselves, and only its merged contexts
+        // are rebuilt.
         // h2p-lint: allow(H2P011) — phase timing feeds gauges only, never plan bits
         let assemble_start = Instant::now();
-        let mut mitigation = None;
-        let best = if self.config.contention_mitigation && plans.len() > 1 {
-            // Candidate orders, all evaluated with the contention-aware
-            // estimate after the full vertical passes: the arrival order
-            // (the incumbent), the Algorithm-2 mitigation order, plus two
-            // cheap deterministic heuristics (longest-total-first, and a
-            // heavy/light interleave that spreads both load and
-            // contention).
-            let classes: Vec<_> = plans.iter().map(|p| p.class).collect();
-            let outcome = mitigation::mitigate_instrumented(
-                &classes,
-                procs.len(),
-                Some(&self.telemetry.metrics),
-            );
-            let mut by_time: Vec<usize> = (0..plans.len()).collect();
-            by_time.sort_by(|&a, &b| {
-                plans[b]
-                    .total_ms()
-                    .total_cmp(&plans[a].total_ms())
-                    .then(a.cmp(&b))
-            });
-            let mut interleave = Vec::with_capacity(plans.len());
-            let (mut lo, mut hi) = (0usize, by_time.len());
-            while lo < hi {
-                interleave.push(by_time[lo]);
-                lo += 1;
-                if lo < hi {
-                    hi -= 1;
-                    interleave.push(by_time[hi]);
+        let m = plans.len();
+        let (plan, mitigation, steal, tail_merges) = self.with_plan_scratch(|ps| {
+            let PlanScratch {
+                pass,
+                estimate,
+                best,
+                candidate,
+                keys,
+                inverse,
+                ..
+            } = ps;
+            keys.clear();
+            keys.extend(plans.iter().map(|p| plan::model_key(&p.model)));
+            let step1 = Step1 {
+                plans: &plans,
+                contexts: &contexts,
+                collapse: &collapse,
+                keys,
+            };
+            self.assemble(&step1, 0..m, best, pass, estimate);
+            let mut mitigation = None;
+            if self.config.contention_mitigation && m > 1 {
+                // Candidate orders, all evaluated with the contention-aware
+                // estimate after the full vertical passes: the arrival
+                // order (the incumbent), the Algorithm-2 mitigation order,
+                // plus two cheap deterministic heuristics
+                // (longest-total-first, and a heavy/light interleave that
+                // spreads both load and contention).
+                let classes: Vec<_> = plans.iter().map(|p| p.class).collect();
+                let outcome = mitigation::mitigate_instrumented(
+                    &classes,
+                    procs.len(),
+                    Some(&self.telemetry.metrics),
+                );
+                let mut by_time: Vec<usize> = (0..m).collect();
+                by_time.sort_by(|&a, &b| {
+                    plans[b]
+                        .total_ms()
+                        .total_cmp(&plans[a].total_ms())
+                        .then(a.cmp(&b))
+                });
+                let mut interleave = Vec::with_capacity(m);
+                let (mut lo, mut hi) = (0usize, by_time.len());
+                while lo < hi {
+                    interleave.push(by_time[lo]);
+                    lo += 1;
+                    if lo < hi {
+                        hi -= 1;
+                        interleave.push(by_time[hi]);
+                    }
+                }
+                let candidates: [(Option<&MitigationOutcome>, &[usize]); 3] = [
+                    (Some(&outcome), &outcome.order),
+                    (None, &by_time),
+                    (None, &interleave),
+                ];
+                for (i, &(mit, order)) in candidates.iter().enumerate() {
+                    // An order already assembled would reproduce its own
+                    // estimate, which cannot undercut the hysteresis
+                    // against itself or against a best that beat it.
+                    if order.iter().copied().eq(0..m)
+                        || candidates[..i].iter().any(|&(_, earlier)| earlier == order)
+                    {
+                        continue;
+                    }
+                    self.assemble(&step1, order.iter().copied(), candidate, pass, estimate);
+                    // Hysteresis: a re-ordering must beat the incumbent's
+                    // estimate by a clear margin before it is adopted (see
+                    // `PlannerConfig::ORDER_HYSTERESIS`).
+                    if candidate.estimate_ms < best.estimate_ms * PlannerConfig::ORDER_HYSTERESIS {
+                        std::mem::swap(best, candidate);
+                        mitigation = mit.cloned();
+                    }
                 }
             }
-            let candidates: [(Option<&MitigationOutcome>, Vec<usize>); 3] = [
-                (Some(&outcome), outcome.order.clone()),
-                (None, by_time),
-                (None, interleave),
-            ];
-            let mut best = assemble(plans.clone());
-            for (mit, order) in candidates {
-                let candidate = assemble(order.iter().map(|&orig| plans[orig].clone()).collect());
-                // Hysteresis: a re-ordering must beat the incumbent's
-                // estimate by a clear margin before it is adopted (see
-                // `PlannerConfig::ORDER_HYSTERESIS`).
-                if candidate.estimate_ms < best.estimate_ms * PlannerConfig::ORDER_HYSTERESIS {
-                    best = candidate;
-                    mitigation = mit.cloned();
+
+            // The adopted order becomes the plan: the step-1 plans sorted
+            // into it (an unstable sort by position never allocates), each
+            // position given the stages it ended with.
+            inverse.clear();
+            inverse.resize(m, 0);
+            for (pos, &orig) in best.order.iter().enumerate() {
+                inverse[orig] = pos;
+            }
+            let mut requests = plans;
+            requests.sort_unstable_by_key(|r| inverse[r.request]);
+            for (req, &row) in requests.iter_mut().zip(&best.rows) {
+                match row {
+                    RowStages::Base => {}
+                    RowStages::Adopted(i) => {
+                        req.stages = std::mem::take(&mut best.adopted[i].1);
+                    }
+                    RowStages::Collapsed(slot) => {
+                        if let Some((stages, _)) = &collapse[req.request][slot] {
+                            req.stages.clone_from(stages);
+                        }
+                    }
                 }
             }
-            best
-        } else {
-            // Single request or mitigation disabled: one assembly, and
-            // the plans are moved, not cloned.
-            assemble(plans)
-        };
-        let Assembly {
-            plan,
-            steal,
-            merges,
-            ..
-        } = best;
-        let tail_merges = merges.len();
-        worksteal::apply_merges(&mut contexts, &collapse, &merges);
+            worksteal::apply_merges(&mut contexts, &collapse, &best.merges);
+            let tail_merges = best.merges.len();
+            // The pool keeps buffers, not stage vectors, between plans.
+            best.adopted.clear();
+            candidate.adopted.clear();
+            let plan = PipelinePlan {
+                procs: procs.to_vec(),
+                requests,
+            };
+            (plan, mitigation, best.steal, tail_merges)
+        });
 
         let metrics = &self.telemetry.metrics;
         metrics.gauge_add(
@@ -1408,6 +1551,46 @@ mod tests {
             ids.len()
         );
         assert!(spans.iter().any(|s| s.name.starts_with("assemble:")));
+    }
+
+    /// An all-𝕃 batch in descending-total order: the mitigation order and
+    /// the longest-first order both equal the arrival order, so only the
+    /// arrival order and the heavy/light interleave are assembled, one
+    /// `assemble:` span each. The frozen reference still assembles all
+    /// four orders and must agree.
+    #[test]
+    fn orders_equal_to_an_assembled_one_are_skipped() {
+        let p = kirin_planner();
+        let ids = [
+            ModelId::YoloV4,
+            ModelId::Vit,
+            ModelId::InceptionV4,
+            ModelId::Bert,
+            ModelId::ResNet50,
+        ];
+        let graphs: Vec<ModelGraph> = ids.iter().map(|m| m.graph()).collect();
+        let out = p.plan(&graphs).unwrap();
+        assert!(
+            out.plan.requests.iter().all(|r| !r.class.is_high()),
+            "the batch must be all-𝕃"
+        );
+        let assemblies = p
+            .telemetry()
+            .spans
+            .records()
+            .iter()
+            .filter(|s| s.name.starts_with("assemble:"))
+            .count();
+        assert_eq!(assemblies, 2, "arrival order and interleave only");
+
+        let reference = p.plan_reference(&graphs).unwrap();
+        assert_eq!(out.plan, reference.plan);
+        assert_eq!(out.steal, reference.steal);
+        assert_eq!(out.tail_merges, reference.tail_merges);
+        assert_eq!(out.mitigation.is_some(), reference.mitigation.is_some());
+        for (a, b) in out.contexts.iter().zip(&reference.contexts) {
+            assert_eq!(a.active_slots, b.active_slots);
+        }
     }
 
     #[test]

@@ -21,19 +21,24 @@
 //! makespan (tail), so both passes are monotone improvements by
 //! construction.
 //!
-//! Both passes price a candidate incrementally. A request at position
-//! `pos` occupies exactly the `K` columns `pos..pos + K`, so a column
-//! ledger keeps one value per column (its bubble, or its longest cell),
-//! recomputes only those `K` columns for a candidate, and re-sums every
-//! column in column order. The re-sum adds the same per-column
-//! values in the same order as [`PipelinePlan::total_bubble_ms`] and
-//! [`PipelinePlan::estimated_makespan_ms`], so every guarded accept
-//! compares exactly the value a whole-plan rescan would return.
+//! Both passes price a candidate on a flat grid of stage times (each
+//! cell one [`StagePlan::total_ms`]) and a column ledger, without
+//! touching a `StagePlan`. A request at position `pos` occupies exactly
+//! the `K` columns `pos..pos + K`, and both passes visit positions left
+//! to right, so the columns left of `pos` are final: the ledger carries
+//! their running sum, and pricing a candidate adds its own `K` column
+//! values and then the columns to their right, in column order. Those
+//! are the additions [`PipelinePlan::total_bubble_ms`] and
+//! [`PipelinePlan::estimated_makespan_ms`] make over the same values, so
+//! every guarded accept compares exactly the value a whole-plan rescan
+//! would return. Stealing prices a re-balance from the
+//! [`RequestContext::stage_cost`] values the boundary walk already
+//! computed and builds its stages only when it keeps a changed one.
 
 use h2p_models::cost::CostModel;
 
 use crate::estimate::{Estimator, RequestContext, RequestTables};
-use crate::plan::{PipelinePlan, StagePlan};
+use crate::plan::{column_slots, PipelinePlan, StagePlan};
 use crate::sync::Arc;
 
 /// Precomputed single-slot collapse candidates for one request: entry
@@ -44,15 +49,13 @@ use crate::sync::Arc;
 /// assembly.
 pub type CollapseSlots = Vec<Option<(Vec<Option<StagePlan>>, RequestContext)>>;
 
-/// Outcome statistics of the vertical-alignment passes.
+/// Outcome statistics of the work-stealing pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StealReport {
     /// Number of contention windows visited.
     pub windows: usize,
     /// Number of requests whose splits were re-balanced.
     pub adjustments: usize,
-    /// Number of tail requests collapsed onto a single processor.
-    pub tail_merges: usize,
     /// Total plan bubbles before any adjustment.
     pub bubbles_before_ms: f64,
     /// Total plan bubbles after all adjustments.
@@ -69,25 +72,41 @@ pub fn align_to_targets(
     cost: &CostModel,
     targets: &[f64],
 ) -> Option<Vec<usize>> {
+    let (mut splits, mut costs) = (Vec::new(), Vec::new());
+    align_into(ctx, cost, targets, &mut splits, &mut costs).then_some(splits)
+}
+
+/// [`align_to_targets`] into reused buffers: writes the split points to
+/// `splits` and each active stage's [`RequestContext::stage_cost`] under
+/// them to `costs`, and returns whether a feasible assignment exists.
+fn align_into(
+    ctx: &RequestContext,
+    cost: &CostModel,
+    targets: &[f64],
+    splits: &mut Vec<usize>,
+    costs: &mut Vec<f64>,
+) -> bool {
     let stages = ctx.stage_count();
     debug_assert_eq!(targets.len(), stages);
     let n = ctx.layer_count();
+    splits.clear();
+    costs.clear();
     if stages > n {
-        return None;
+        return false;
     }
-    let mut splits = Vec::with_capacity(stages - 1);
     let mut i = 0usize;
     for (a, &target) in targets.iter().enumerate().take(stages - 1) {
         let remaining = stages - 1 - a; // later stages each need ≥1 layer
         let j_max = n - 1 - remaining;
-        let mut best: Option<(usize, f64)> = None;
+        // (last layer, distance to the target, stage cost)
+        let mut best: Option<(usize, f64, f64)> = None;
         let mut j = i;
         while j <= j_max {
             match ctx.stage_cost(cost, a, i, j) {
                 Some(c) => {
                     let diff = (c - target).abs();
-                    if best.is_none_or(|(_, d)| diff < d) {
-                        best = Some((j, diff));
+                    if best.is_none_or(|(_, d, _)| diff < d) {
+                        best = Some((j, diff, c));
                     }
                     if c > target {
                         break; // costs grow with j: no closer boundary ahead
@@ -97,161 +116,427 @@ pub fn align_to_targets(
             }
             j += 1;
         }
-        let (end, _) = best?;
+        let Some((end, _, c)) = best else {
+            return false;
+        };
         splits.push(end + 1);
+        costs.push(c);
         i = end + 1;
     }
     // The final stage takes the rest; it must be feasible.
-    ctx.stage_cost(cost, stages - 1, i, n - 1)?;
-    Some(splits)
+    match ctx.stage_cost(cost, stages - 1, i, n - 1) {
+        Some(c) => {
+            costs.push(c);
+            true
+        }
+        None => false,
+    }
 }
 
-/// Per-column values of a plan under single-request edits: one bubble or
-/// one longest-cell time per column, and their total.
+/// Whether `stages`, built by `ctx.build_stages`, already ends its
+/// active stages at `splits`: then rebuilding from `splits` reproduces
+/// them exactly.
+fn has_splits(ctx: &RequestContext, stages: &[Option<StagePlan>], splits: &[usize]) -> bool {
+    ctx.active_slots.iter().zip(splits).all(|(&slot, &end)| {
+        matches!(stages.get(slot), Some(Some(stage)) if stage.range.last + 1 == end)
+    })
+}
+
+/// The stage times of a plan on a flat `m × K` grid: `cells[pos * K +
+/// slot]` is [`StagePlan::total_ms`] of the stage the request at `pos`
+/// runs on `slot`, or `None` where it skips the slot.
+#[derive(Debug, Default)]
+struct StageGrid {
+    k: usize,
+    m: usize,
+    cells: Vec<Option<f64>>,
+}
+
+/// The `k` grid cells of one stage vector.
+fn cells(stages: &[Option<StagePlan>], k: usize) -> impl Iterator<Item = Option<f64>> + '_ {
+    (0..k).map(|s| {
+        stages
+            .get(s)
+            .and_then(Option::as_ref)
+            .map(StagePlan::total_ms)
+    })
+}
+
+impl StageGrid {
+    fn load<'a>(&mut self, k: usize, rows: impl Iterator<Item = &'a [Option<StagePlan>]>) {
+        self.k = k;
+        self.m = 0;
+        self.cells.clear();
+        for stages in rows {
+            self.cells.extend(cells(stages, k));
+            self.m += 1;
+        }
+    }
+
+    /// `|M| + K − 1`, as [`PipelinePlan::column_count`].
+    fn column_count(&self) -> usize {
+        if self.m == 0 {
+            0
+        } else {
+            self.m + self.k - 1
+        }
+    }
+
+    fn row(&self, pos: usize) -> &[Option<f64>] {
+        &self.cells[pos * self.k..(pos + 1) * self.k]
+    }
+
+    fn set_row(&mut self, pos: usize, row: &[Option<f64>]) {
+        self.cells[pos * self.k..(pos + 1) * self.k].copy_from_slice(row);
+    }
+
+    /// The request's total time, summed as [`crate::plan::RequestPlan::total_ms`] sums it.
+    fn row_total(&self, pos: usize) -> f64 {
+        self.row(pos).iter().flatten().sum()
+    }
+
+    /// The cells of column `j` in ascending slot order, reading the
+    /// cells of position `p` from `row` when `sub` is `Some((p, row))`.
+    fn column<'a>(
+        &'a self,
+        j: usize,
+        sub: Option<(usize, &'a [Option<f64>])>,
+    ) -> impl Iterator<Item = f64> + 'a {
+        column_slots(self.m, self.k, j).filter_map(move |(pos, slot)| match sub {
+            Some((p, row)) if p == pos => row[slot],
+            _ => self.cells[pos * self.k + slot],
+        })
+    }
+
+    /// The longest cell of column `j`, as [`PipelinePlan::estimated_makespan_ms`] takes it.
+    fn column_max(&self, j: usize, sub: Option<(usize, &[Option<f64>])>) -> f64 {
+        self.column(j, sub).fold(0.0, f64::max)
+    }
+
+    /// The bubble of column `j`, as [`PipelinePlan::bubble_ms`] sums it.
+    fn bubble(&self, j: usize, sub: Option<(usize, &[Option<f64>])>) -> f64 {
+        let max = self.column_max(j, sub);
+        self.column(j, sub).map(|c| max - c).sum()
+    }
+}
+
+/// One value per column (a bubble or a longest cell) and their total,
+/// priced left to right.
+#[derive(Debug, Default)]
 struct ColumnLedger {
     columns: Vec<f64>,
-    /// The values of the columns last overwritten by [`ColumnLedger::set`],
-    /// for [`ColumnLedger::restore`].
-    saved: Vec<f64>,
+    /// The running sum of `columns[..settled]`. A pass visits positions
+    /// in increasing order and an edit at `pos` touches only columns
+    /// `pos..pos + K`, so the columns left of the visited position never
+    /// change again.
+    prefix: f64,
+    settled: usize,
     total: f64,
 }
 
 impl ColumnLedger {
-    fn new(plan: &PipelinePlan, value: impl Fn(usize) -> f64) -> Self {
-        let columns: Vec<f64> = (0..plan.column_count()).map(value).collect();
-        let total = columns.iter().sum();
-        ColumnLedger {
-            columns,
-            saved: Vec::new(),
-            total,
+    fn reset(&mut self, values: impl Iterator<Item = f64>) {
+        self.columns.clear();
+        self.columns.extend(values);
+        self.total = self.columns.iter().sum();
+        // The empty sum: the prefix starts where `Iterator::sum` does.
+        self.prefix = std::iter::empty::<f64>().sum();
+        self.settled = 0;
+    }
+
+    /// The total with columns `pos..pos + window.len()` replaced by
+    /// `window`: the running prefix, then the window, then the columns to
+    /// its right, added in column order as a whole re-sum adds them (a
+    /// running total moved by `+ new − old` would drift by an ulp and
+    /// could flip an accept against the `1e-9` guards). Positions are
+    /// priced in non-decreasing order.
+    fn price(&mut self, pos: usize, window: &[f64]) -> f64 {
+        for &c in &self.columns[self.settled..pos] {
+            self.prefix += c;
+        }
+        self.settled = pos;
+        let rest = &self.columns[pos + window.len()..];
+        window
+            .iter()
+            .chain(rest)
+            .fold(self.prefix, |sum, &c| sum + c)
+    }
+
+    /// Keeps a priced candidate: its window and the total it priced at.
+    fn commit(&mut self, pos: usize, window: &[f64], total: f64) {
+        self.columns[pos..pos + window.len()].copy_from_slice(window);
+        self.total = total;
+    }
+}
+
+/// The reusable state of the vertical passes over one candidate order:
+/// the stage grid, the column ledger and the per-candidate buffers. The
+/// planner pools one, so a warm assembly allocates only the stage
+/// vectors it keeps.
+#[derive(Debug, Default)]
+pub(crate) struct PassScratch {
+    grid: StageGrid,
+    ledger: ColumnLedger,
+    /// The window's critical stage times, by slot.
+    critical: Vec<f64>,
+    targets: Vec<f64>,
+    splits: Vec<usize>,
+    costs: Vec<f64>,
+    /// A candidate's row of cells.
+    row: Vec<Option<f64>>,
+    /// A candidate's `K` column values.
+    window: Vec<f64>,
+    /// The best tail candidate's column values.
+    best: Vec<f64>,
+    /// The tail search's column maxima without the visited request.
+    without: Vec<f64>,
+}
+
+impl PassScratch {
+    /// Loads the grid with one stage vector per position, over `k` slots.
+    pub(crate) fn load<'a>(
+        &mut self,
+        k: usize,
+        rows: impl Iterator<Item = &'a [Option<StagePlan>]>,
+    ) {
+        self.grid.load(k, rows);
+    }
+
+    /// Algorithm 3 over the loaded grid. `rows(pos)` gives the original
+    /// request index of position `pos` and the stages it holds, which
+    /// must be `ctxs[request].build_stages` of some splits. A re-balance
+    /// is priced from its stage costs; a kept one whose splits differ
+    /// from the request's is built and pushed to `adopted` with its
+    /// position.
+    pub(crate) fn steal<'a>(
+        &mut self,
+        rows: impl Fn(usize) -> (usize, &'a [Option<StagePlan>]),
+        ctxs: &[RequestContext],
+        cost: &CostModel,
+        adopted: &mut Vec<(usize, Vec<Option<StagePlan>>)>,
+    ) -> StealReport {
+        let PassScratch {
+            grid,
+            ledger,
+            critical,
+            targets,
+            splits,
+            costs,
+            row,
+            window,
+            ..
+        } = self;
+        let (k, m) = (grid.k, grid.m);
+        ledger.reset((0..grid.column_count()).map(|j| grid.bubble(j, None)));
+        let bubbles_before_ms = ledger.total;
+        let mut adjustments = 0usize;
+        let mut windows = 0usize;
+        critical.clear();
+        critical.resize(k, 0.0);
+
+        let mut u = 0usize;
+        while u < m {
+            let end = (u + k).min(m);
+            windows += 1;
+            // Critical path: the request with the largest total time
+            // (deterministic tie-break on position).
+            let Some(crit) = (u..end).max_by(|&a, &b| {
+                grid.row_total(a)
+                    .total_cmp(&grid.row_total(b))
+                    .then(b.cmp(&a))
+            }) else {
+                break;
+            };
+            let critical_total = grid.row_total(crit);
+            for (ms, cell) in critical.iter_mut().zip(grid.row(crit)) {
+                *ms = cell.unwrap_or(0.0);
+            }
+
+            for pos in u..end {
+                if pos == crit {
+                    continue;
+                }
+                let (orig, current) = rows(pos);
+                let ctx = &ctxs[orig];
+                if ctx.stage_count() < 2 {
+                    continue; // single-stage requests have nothing to steal
+                }
+                // Algorithm 3 aligns along columns: the stage of position
+                // `pos` at slot `s` runs concurrently with the critical
+                // request's stage at slot `s + (pos - crit)` (they share
+                // column `pos + s`). Target those times; where the critical
+                // path has no stage there, aim for an even share.
+                let offset = pos as isize - crit as isize;
+                let fallback = critical_total / ctx.stage_count() as f64;
+                targets.clear();
+                targets.extend(ctx.active_slots.iter().map(|&s| {
+                    let partner = s as isize + offset;
+                    let t = if (0..k as isize).contains(&partner) {
+                        critical[partner as usize]
+                    } else {
+                        0.0
+                    };
+                    if t > 0.0 {
+                        t
+                    } else {
+                        fallback
+                    }
+                }));
+                if !align_into(ctx, cost, targets, splits, costs) {
+                    continue;
+                }
+                // The candidate's cells: the stage costs its stages would
+                // total (`exec + copy_in`, the sum `StagePlan::total_ms`
+                // makes).
+                row.clear();
+                row.resize(k, None);
+                for (&slot, &c) in ctx.active_slots.iter().zip(costs.iter()) {
+                    row[slot] = Some(c);
+                }
+                window.clear();
+                window.extend((pos..pos + k).map(|j| grid.bubble(j, Some((pos, &row[..])))));
+                // Guarded accept: keep only if total bubbles do not grow.
+                let after = ledger.price(pos, window);
+                if after > ledger.total + 1e-9 {
+                    continue;
+                }
+                if !has_splits(ctx, current, splits) {
+                    let Some(stages) = ctx.build_stages(cost, splits, k) else {
+                        continue;
+                    };
+                    debug_assert!(
+                        stages
+                            .iter()
+                            .zip(row.iter())
+                            .all(|(s, c)| s.as_ref().map(StagePlan::total_ms) == *c),
+                        "built stages total their priced costs"
+                    );
+                    adopted.push((pos, stages));
+                    adjustments += 1;
+                }
+                ledger.commit(pos, window, after);
+                grid.set_row(pos, row);
+            }
+            u += k; // slide by K, as in Algorithm 3 line 15
+        }
+
+        StealReport {
+            windows,
+            adjustments,
+            bubbles_before_ms,
+            bubbles_after_ms: ledger.total,
         }
     }
 
-    /// Overwrites the columns of the request at `pos` (`pos..pos + k`)
-    /// with `value`, keeping their old values for
-    /// [`ColumnLedger::restore`], and returns the re-summed total.
-    fn set(&mut self, pos: usize, k: usize, value: impl Fn(usize) -> f64) -> f64 {
-        self.saved.clear();
-        for j in pos..pos + k {
-            self.saved
-                .push(std::mem::replace(&mut self.columns[j], value(j)));
+    /// The K-way single-processor collapse search over the loaded grid:
+    /// for every position, left to right, try each of the request's
+    /// collapse candidates (`collapse[request(pos)]`, `request(pos)` the
+    /// original index) and keep the one minimizing the estimated makespan
+    /// if it beats the current one by more than `1e-9`. The `K` column
+    /// maxima without the visited request are taken once per position,
+    /// so a candidate costs one `max` per cell it occupies plus the
+    /// ledger's re-add (`f64::max` is exact, so every column value keeps
+    /// its bits). Pushes each merge to `merges` as `(position, slot)`, in
+    /// visit order.
+    pub(crate) fn tail(
+        &mut self,
+        request: impl Fn(usize) -> usize,
+        collapse: &[Arc<CollapseSlots>],
+        merges: &mut Vec<(usize, usize)>,
+    ) {
+        let PassScratch {
+            grid,
+            ledger,
+            row,
+            window,
+            best: best_window,
+            without,
+            ..
+        } = self;
+        let (k, m) = (grid.k, grid.m);
+        if m == 0 || k < 2 {
+            return;
         }
-        self.columns.iter().sum()
-    }
-
-    /// Undoes the last [`ColumnLedger::set`] of the request at `pos`.
-    fn restore(&mut self, pos: usize) {
-        self.columns[pos..pos + self.saved.len()].copy_from_slice(&self.saved);
+        ledger.reset((0..grid.column_count()).map(|j| grid.column_max(j, None)));
+        for pos in 0..m {
+            row.clear();
+            row.resize(k, None);
+            without.clear();
+            without.extend((0..k).map(|s| grid.column_max(pos + s, Some((pos, &row[..])))));
+            let slots = &collapse[request(pos)];
+            let mut best_makespan = ledger.total;
+            let mut best = None;
+            for (slot, candidate) in slots.iter().enumerate() {
+                let Some((stages, _)) = candidate else {
+                    continue;
+                };
+                window.clear();
+                window.extend(
+                    without
+                        .iter()
+                        .zip(cells(stages, k))
+                        .map(|(&max, cell)| cell.map_or(max, |c| max.max(c))),
+                );
+                let makespan = ledger.price(pos, window);
+                if makespan + 1e-9 < best_makespan {
+                    best_makespan = makespan;
+                    best = Some((slot, stages));
+                    best_window.clone_from(window);
+                }
+            }
+            if let Some((slot, stages)) = best {
+                ledger.commit(pos, best_window, best_makespan);
+                row.clear();
+                row.extend(cells(stages, k));
+                grid.set_row(pos, row);
+                merges.push((pos, slot));
+            }
+        }
     }
 }
 
 /// Algorithm 3: slide contention windows of size `K` over the plan and
 /// re-balance each non-critical request's splits towards the window's
 /// critical path. `ctxs` is indexed by *original* request index
-/// ([`crate::plan::RequestPlan::request`]).
+/// ([`crate::plan::RequestPlan::request`]), and each request's stages
+/// must be its context's [`RequestContext::build_stages`] of some splits,
+/// as the planner builds them.
 pub fn align_by_stealing(
     plan: &mut PipelinePlan,
     ctxs: &[RequestContext],
     cost: &CostModel,
 ) -> StealReport {
-    let k = plan.depth().max(1);
-    let m = plan.requests.len();
-    // Per-column bubbles; a candidate re-prices only its own K columns.
-    let mut bubbles = ColumnLedger::new(plan, |j| plan.bubble_ms(j));
-    let bubbles_before_ms = bubbles.total;
-    let mut adjustments = 0usize;
-    let mut windows = 0usize;
-    let mut critical_stage_ms = vec![0.0f64; k];
-    let mut targets: Vec<f64> = Vec::with_capacity(k);
-
-    let mut u = 0usize;
-    while u < m {
-        let end = (u + k).min(m);
-        windows += 1;
-        // Critical path: the request with the largest total time
-        // (deterministic tie-break on position).
-        let Some(critical) = (u..end).max_by(|&a, &b| {
-            plan.requests[a]
-                .total_ms()
-                .total_cmp(&plan.requests[b].total_ms())
-                .then(b.cmp(&a))
-        }) else {
-            break;
-        };
-        let critical_total = plan.requests[critical].total_ms();
-        for (s, ms) in critical_stage_ms.iter_mut().enumerate() {
-            *ms = plan.requests[critical].stage_ms(s);
-        }
-
-        for pos in u..end {
-            if pos == critical {
-                continue;
-            }
-            let orig = plan.requests[pos].request;
-            let ctx = &ctxs[orig];
-            if ctx.stage_count() < 2 {
-                continue; // single-stage requests have nothing to steal
-            }
-            // Algorithm 3 aligns along columns: the stage of position
-            // `pos` at slot `s` runs concurrently with the critical
-            // request's stage at slot `s + (pos - critical)` (they share
-            // column `pos + s`). Target those times; where the critical
-            // path has no stage there, aim for an even share.
-            let offset = pos as isize - critical as isize;
-            let fallback = critical_total / ctx.stage_count() as f64;
-            targets.clear();
-            targets.extend(ctx.active_slots.iter().map(|&s| {
-                let partner = s as isize + offset;
-                let t = if (0..k as isize).contains(&partner) {
-                    critical_stage_ms[partner as usize]
-                } else {
-                    0.0
-                };
-                if t > 0.0 {
-                    t
-                } else {
-                    fallback
-                }
-            }));
-            let Some(splits) = align_to_targets(ctx, cost, &targets) else {
-                continue;
-            };
-            let Some(stages) = ctx.build_stages(cost, &splits, k) else {
-                continue;
-            };
-            // Guarded accept: keep only if total bubbles do not grow.
-            let before = bubbles.total;
-            let saved = std::mem::replace(&mut plan.requests[pos].stages, stages);
-            let after = bubbles.set(pos, k, |j| plan.bubble_ms(j));
-            if after > before + 1e-9 {
-                plan.requests[pos].stages = saved;
-                bubbles.restore(pos);
-            } else {
-                bubbles.total = after;
-                if plan.requests[pos].stages != saved {
-                    adjustments += 1;
-                }
-            }
-        }
-        u += k; // slide by K, as in Algorithm 3 line 15
+    let mut pass = PassScratch::default();
+    pass.load(
+        plan.depth().max(1),
+        plan.requests.iter().map(|r| r.stages.as_slice()),
+    );
+    let mut adopted = Vec::new();
+    let report = pass.steal(
+        |pos| {
+            let req = &plan.requests[pos];
+            (req.request, req.stages.as_slice())
+        },
+        ctxs,
+        cost,
+        &mut adopted,
+    );
+    for (pos, stages) in adopted {
+        plan.requests[pos].stages = stages;
     }
-
-    StealReport {
-        windows,
-        adjustments,
-        tail_merges: 0,
-        bubbles_before_ms,
-        bubbles_after_ms: bubbles.total,
-    }
+    report
 }
 
-/// Tail-bubble optimization: for each of the last `K−1` requests (the
-/// draining tail) *and* the first `K−1` requests (the filling head —
-/// Fig. 6's "under-utilization at the beginning"), try collapsing its
-/// pipeline onto each single processor (the exhaustive `K`-way local
-/// search of Sec. V-C) and keep the variant minimizing the plan's
-/// estimated makespan. Updates `ctxs` in place for collapsed requests;
-/// returns the number of merges performed.
+/// Tail-bubble optimization, the reference search: for every request,
+/// left to right, try collapsing its pipeline onto each single processor
+/// (the exhaustive `K`-way local search of Sec. V-C) and keep the
+/// variant minimizing the plan's estimated makespan. The fill (head) and
+/// drain (tail) positions benefit most, but a mid-sequence request whose
+/// stages cannot be aligned (e.g. far smaller than its column mates) may
+/// also win, so every position is searched; the guarded accept keeps the
+/// pass monotone. Rebuilds a context per `(position, slot)` and rescans
+/// the whole plan per candidate. Updates `ctxs` in place for collapsed
+/// requests; returns the number of merges performed.
 pub fn optimize_tail(
     plan: &mut PipelinePlan,
     ctxs: &mut [RequestContext],
@@ -262,13 +547,33 @@ pub fn optimize_tail(
     if m == 0 || k < 2 {
         return 0;
     }
-    // The pipeline's fill (head) and drain (tail) positions benefit most
-    // from collapsing, but a mid-sequence request whose stages cannot be
-    // aligned (e.g. far smaller than its column mates) may also win, so
-    // the K-way local search sweeps every position; the guarded accept
-    // keeps the pass monotone.
-    let positions: Vec<usize> = (0..m).collect();
-    optimize_positions(plan, ctxs, estimator, &positions)
+    let procs = plan.procs.clone();
+    let mut merges = 0usize;
+    for pos in 0..m {
+        let orig = plan.requests[pos].request;
+        let graph = ctxs[orig].graph.clone();
+        let mut best_makespan = plan.estimated_makespan_ms();
+        let mut best: Option<(Vec<Option<StagePlan>>, RequestContext)> = None;
+        for slot in 0..k {
+            let ctx = estimator.context(&graph, &procs, vec![slot]);
+            let Some(stages) = ctx.build_stages(estimator.cost(), &[], k) else {
+                continue;
+            };
+            let saved = std::mem::replace(&mut plan.requests[pos].stages, stages.clone());
+            let makespan = plan.estimated_makespan_ms();
+            plan.requests[pos].stages = saved;
+            if makespan + 1e-9 < best_makespan {
+                best_makespan = makespan;
+                best = Some((stages, ctx));
+            }
+        }
+        if let Some((stages, ctx)) = best {
+            plan.requests[pos].stages = stages;
+            ctxs[orig] = ctx;
+            merges += 1;
+        }
+    }
+    merges
 }
 
 /// Builds the [`CollapseSlots`] for one request from its shared cost
@@ -292,14 +597,11 @@ pub fn collapse_candidates(
 /// The cached equivalent of [`optimize_tail`]: the same K-way
 /// single-processor local search with the same visit order and the same
 /// guarded accept (`makespan + 1e-9 < best`), but reading precomputed
-/// [`CollapseSlots`] (indexed by *original* request index) instead of
-/// rebuilding a context per `(position, slot)` pair. Each candidate is
-/// priced on a per-column ledger of longest cells: only the request's `K`
-/// columns are re-read, with the candidate's stages in place of the
-/// request's, and the columns are re-summed in order, so every comparison
-/// sees the value [`PipelinePlan::estimated_makespan_ms`] would return
-/// for the substituted plan. Bit-identical merge decisions to the
-/// reference.
+/// [`CollapseSlots`] (indexed by *original* request index) and pricing
+/// each candidate on the column ledger of longest cells, so every
+/// comparison sees the value [`PipelinePlan::estimated_makespan_ms`]
+/// would return for the substituted plan. Bit-identical merge decisions
+/// to the reference.
 ///
 /// Returns the merges as `(original request, slot)` pairs in visit order;
 /// the collapsed request's context is `collapse[request][slot]`'s (see
@@ -308,34 +610,19 @@ pub fn optimize_tail_cached(
     plan: &mut PipelinePlan,
     collapse: &[Arc<CollapseSlots>],
 ) -> Vec<(usize, usize)> {
-    let k = plan.depth();
-    let m = plan.requests.len();
+    let mut pass = PassScratch::default();
+    pass.load(
+        plan.depth(),
+        plan.requests.iter().map(|r| r.stages.as_slice()),
+    );
     let mut merges = Vec::new();
-    if m == 0 || k < 2 {
-        return merges;
-    }
-    let mut maxima = ColumnLedger::new(plan, |j| plan.column_max_ms(j, None));
-    for pos in 0..m {
-        let orig = plan.requests[pos].request;
-        let mut best_makespan = maxima.total;
-        let mut best: Option<(usize, &[Option<StagePlan>])> = None;
-        for (slot, candidate) in collapse[orig].iter().enumerate() {
-            let Some((stages, _)) = candidate else {
-                continue;
-            };
-            let row = Some((pos, stages.as_slice()));
-            let makespan = maxima.set(pos, k, |j| plan.column_max_ms(j, row));
-            maxima.restore(pos);
-            if makespan + 1e-9 < best_makespan {
-                best_makespan = makespan;
-                best = Some((slot, stages));
-            }
+    pass.tail(|pos| plan.requests[pos].request, collapse, &mut merges);
+    for (pos, slot) in &mut merges {
+        let req = &mut plan.requests[*pos];
+        if let Some((stages, _)) = &collapse[req.request][*slot] {
+            req.stages.clone_from(stages);
         }
-        if let Some((slot, stages)) = best {
-            plan.requests[pos].stages = stages.to_vec();
-            maxima.total = maxima.set(pos, k, |j| plan.column_max_ms(j, None));
-            merges.push((orig, slot));
-        }
+        *pos = req.request;
     }
     merges
 }
@@ -352,43 +639,6 @@ pub fn apply_merges(
             ctxs[orig] = ctx.clone();
         }
     }
-}
-
-/// The K-way single-processor collapse search over the given positions.
-fn optimize_positions(
-    plan: &mut PipelinePlan,
-    ctxs: &mut [RequestContext],
-    estimator: &Estimator,
-    positions: &[usize],
-) -> usize {
-    let k = plan.depth();
-    let procs = plan.procs.clone();
-    let mut merges = 0usize;
-    for &pos in positions {
-        let orig = plan.requests[pos].request;
-        let graph = ctxs[orig].graph.clone();
-        let mut best_makespan = plan.estimated_makespan_ms();
-        let mut best: Option<(Vec<Option<crate::plan::StagePlan>>, RequestContext)> = None;
-        for slot in 0..k {
-            let ctx = estimator.context(&graph, &procs, vec![slot]);
-            let Some(stages) = ctx.build_stages(estimator.cost(), &[], k) else {
-                continue;
-            };
-            let saved = std::mem::replace(&mut plan.requests[pos].stages, stages.clone());
-            let makespan = plan.estimated_makespan_ms();
-            plan.requests[pos].stages = saved;
-            if makespan + 1e-9 < best_makespan {
-                best_makespan = makespan;
-                best = Some((stages, ctx));
-            }
-        }
-        if let Some((stages, ctx)) = best {
-            plan.requests[pos].stages = stages;
-            ctxs[orig] = ctx;
-            merges += 1;
-        }
-    }
-    merges
 }
 
 #[cfg(test)]

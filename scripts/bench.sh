@@ -5,20 +5,28 @@
 # a processor dropout — case "recovery/replan_drop1/8" — all measured in
 # the same run).
 #
-#   scripts/bench.sh           # full sampling (local profiling)
-#   scripts/bench.sh --quick   # shrunk sampling (CI; finishes in seconds)
+#   scripts/bench.sh                  # full sampling (local profiling)
+#   scripts/bench.sh --quick          # shrunk sampling (finishes in seconds)
+#   scripts/bench.sh --out-dir DIR    # write both snapshots to DIR instead
+#                                     # of the workspace root
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 QUICK=0
-for arg in "$@"; do
-    case "$arg" in
+OUT_DIR="$PWD"
+while [ $# -gt 0 ]; do
+    case "$1" in
         --quick) QUICK=1 ;;
-        *) echo "unknown argument: $arg" >&2; exit 2 ;;
+        --out-dir)
+            [ $# -ge 2 ] || { echo "--out-dir needs a directory" >&2; exit 2; }
+            OUT_DIR="$(cd "$2" && pwd)"
+            shift ;;
+        *) echo "unknown argument: $1" >&2; exit 2 ;;
     esac
+    shift
 done
 
-export H2P_BENCH_OUT="$PWD/BENCH_planner.json"
+export H2P_BENCH_OUT="$OUT_DIR/BENCH_planner.json"
 if [ "$QUICK" = "1" ]; then
     export H2P_BENCH_QUICK=1
     echo "== planner_scaling bench (quick mode) -> $H2P_BENCH_OUT"
@@ -49,6 +57,6 @@ fi
 echo "== validating $H2P_BENCH_OUT"
 cargo run --release -q -p h2p-bench --bin bench_check -- "$H2P_BENCH_OUT"
 
-echo "== planner_phases (telemetry phase timings + cache counters) -> $PWD/BENCH_planner_phases.json"
+echo "== planner_phases (telemetry phase timings + cache counters) -> $OUT_DIR/BENCH_planner_phases.json"
 cargo run --release -q -p h2p-bench --bin planner_phases -- \
-    --out "$PWD/BENCH_planner_phases.json"
+    --out "$OUT_DIR/BENCH_planner_phases.json"

@@ -29,6 +29,11 @@ echo "== serve-path allocation budget (release)"
 # the release build.
 cargo test --release -q --test serve_alloc
 
+echo "== planning allocation budget (release)"
+# The same reasoning binds warm planning's budget (Fig. 7 batches and
+# one-request plans on a warmed planner) to the release build.
+cargo test --release -q --test plan_alloc
+
 echo "== experiments/ reproduce (seeded experiment binaries)"
 # Every seeded experiment binary must reproduce its committed output
 # byte for byte (ext_granularity prints wall-clock DP times and is left
@@ -264,19 +269,19 @@ rm -f "$DIFF_OLD" "$DIFF_NEW" "$DIFF_ADV"
 echo "== planner bench (quick) + BENCH_planner.json gate"
 # Runs the perf-trajectory suite, validates the JSON schema, and gates
 # the incremental-replan win (>= 3x vs from-scratch windows — an
-# algorithmic ratio, valid on any host). The committed snapshot is saved
-# first so the perf-regression sentinel below can diff the fresh quick
-# run against it: a >20% median regression on any shared case fails,
-# unless either snapshot carries the advisory stamp (1-core hosts),
-# which downgrades the diff to report-only.
-BENCH_OLD=$(mktemp)
-cp BENCH_planner.json "$BENCH_OLD"
-scripts/bench.sh --quick
+# algorithmic ratio, valid on any host). The quick run writes its
+# snapshots to a temporary directory, so the committed ones stay as they
+# are, and the perf-regression sentinel below diffs the fresh quick run
+# against the committed BENCH_planner.json: a >20% median regression on
+# any shared case fails, unless either snapshot carries the advisory
+# stamp (1-core hosts), which downgrades the diff to report-only.
+BENCH_DIR=$(mktemp -d)
+trap 'rm -f "$TRACE_OUT" "$METRICS_OUT"; rm -rf "$BENCH_DIR"' EXIT
+scripts/bench.sh --quick --out-dir "$BENCH_DIR"
 
 echo "== bench_check --diff vs committed BENCH_planner.json"
 cargo run --release -q -p h2p-bench --bin bench_check -- \
-    --diff "$BENCH_OLD" BENCH_planner.json
-rm -f "$BENCH_OLD"
+    --diff BENCH_planner.json "$BENCH_DIR/BENCH_planner.json"
 
 echo "== bench-sanity gate"
 # On hosts that can actually run the benched 4 workers concurrently, the
@@ -288,7 +293,7 @@ echo "== bench-sanity gate"
 CORES=$(nproc)
 if [ "$CORES" -ge 4 ]; then
     cargo run --release -q -p h2p-bench --bin bench_check -- \
-        BENCH_planner.json --require-parallel
+        "$BENCH_DIR/BENCH_planner.json" --require-parallel
 else
     echo "   host has $CORES core(s) < 4: parallel speedup recorded" \
          "advisory-only; replan gate already enforced"

@@ -163,13 +163,94 @@ fn stage_bits(plan: &hetero2pipe::plan::PipelinePlan) -> Vec<StageBits> {
     bits
 }
 
-/// The vertical passes price candidates on per-column ledgers instead of
-/// whole-plan rescans, and must decide exactly as rescans would. Over
-/// seeded combinations of 1–12 zoo models on every evaluation SoC, on
-/// the same stolen plan, the cached tail search makes exactly the merges
-/// of the reference search (same stage bits, same collapsed slots, same
-/// count), and work stealing reports bubble totals bit-identical to
-/// `total_bubble_ms` of the plan before and after.
+/// The stealing pass as Algorithm 3 states it, with nothing incremental:
+/// every candidate re-balance is built with `build_stages`, written into
+/// the plan and priced by a whole-plan `total_bubble_ms` rescan, and an
+/// adjustment is a kept candidate whose stages differ from the request's.
+/// The oracle for `worksteal::align_by_stealing`'s grid and ledger.
+fn steal_by_rescans(
+    plan: &mut hetero2pipe::plan::PipelinePlan,
+    ctxs: &[hetero2pipe::estimate::RequestContext],
+    cost: &h2p_models::cost::CostModel,
+) -> hetero2pipe::worksteal::StealReport {
+    use hetero2pipe::worksteal::{align_to_targets, StealReport};
+    let k = plan.depth().max(1);
+    let m = plan.requests.len();
+    let bubbles_before_ms = plan.total_bubble_ms();
+    let (mut windows, mut adjustments) = (0usize, 0usize);
+    let mut u = 0usize;
+    while u < m {
+        let end = (u + k).min(m);
+        windows += 1;
+        let critical = (u..end)
+            .max_by(|&a, &b| {
+                plan.requests[a]
+                    .total_ms()
+                    .total_cmp(&plan.requests[b].total_ms())
+                    .then(b.cmp(&a))
+            })
+            .expect("a window holds a request");
+        let critical_total = plan.requests[critical].total_ms();
+        let critical_stage_ms: Vec<f64> = (0..k)
+            .map(|s| plan.requests[critical].stage_ms(s))
+            .collect();
+        for pos in (u..end).filter(|&pos| pos != critical) {
+            let ctx = &ctxs[plan.requests[pos].request];
+            if ctx.stage_count() < 2 {
+                continue;
+            }
+            let offset = pos as isize - critical as isize;
+            let fallback = critical_total / ctx.stage_count() as f64;
+            let targets: Vec<f64> = ctx
+                .active_slots
+                .iter()
+                .map(|&s| {
+                    let partner = s as isize + offset;
+                    let t = if (0..k as isize).contains(&partner) {
+                        critical_stage_ms[partner as usize]
+                    } else {
+                        0.0
+                    };
+                    if t > 0.0 {
+                        t
+                    } else {
+                        fallback
+                    }
+                })
+                .collect();
+            let Some(splits) = align_to_targets(ctx, cost, &targets) else {
+                continue;
+            };
+            let Some(stages) = ctx.build_stages(cost, &splits, k) else {
+                continue;
+            };
+            let before = plan.total_bubble_ms();
+            let saved = std::mem::replace(&mut plan.requests[pos].stages, stages);
+            if plan.total_bubble_ms() > before + 1e-9 {
+                plan.requests[pos].stages = saved;
+            } else if plan.requests[pos].stages != saved {
+                adjustments += 1;
+            }
+        }
+        u += k;
+    }
+    StealReport {
+        windows,
+        adjustments,
+        bubbles_before_ms,
+        bubbles_after_ms: plan.total_bubble_ms(),
+    }
+}
+
+/// The vertical passes price candidates on a grid of stage times and a
+/// column ledger instead of whole-plan rescans, and must decide exactly
+/// as rescans would. Over seeded combinations of 1–12 zoo models on
+/// every evaluation SoC: work stealing leaves the stage bits and reports
+/// the `StealReport` (bubble totals to the bit) of
+/// [`steal_by_rescans`], and its bubble totals equal `total_bubble_ms` of
+/// the plan before and after; on the same stolen plan, the cached tail
+/// search makes exactly the merges of the reference search (same stage
+/// bits, same collapsed slots, same count).
 #[test]
 fn incremental_column_accounting_matches_whole_plan_rescans() {
     use hetero2pipe::planner::{Planner, PlannerConfig};
@@ -204,6 +285,21 @@ fn incremental_column_accounting_matches_whole_plan_rescans() {
             assert_eq!(
                 report.bubbles_after_ms.to_bits(),
                 stolen.total_bubble_ms().to_bits(),
+                "{ids:?} on {}: bubbles after stealing",
+                soc.name
+            );
+            let mut oracle = base.plan.clone();
+            let expected = steal_by_rescans(&mut oracle, &base.contexts, est.cost());
+            assert_eq!(
+                stage_bits(&stolen),
+                stage_bits(&oracle),
+                "{ids:?} on {}: stage bits after stealing",
+                soc.name
+            );
+            assert_eq!(report, expected, "{ids:?} on {}: steal report", soc.name);
+            assert_eq!(
+                report.bubbles_after_ms.to_bits(),
+                expected.bubbles_after_ms.to_bits(),
                 "{ids:?} on {}: bubbles after stealing",
                 soc.name
             );
