@@ -4,8 +4,9 @@
 //! vs the cached runtime at 1 and 4 threads), cold 8-request plans at 1
 //! and 4 threads, lowering and simulated execution of a planned
 //! 8-request pipeline, an online window replan, the recovery re-plan
-//! after a processor dropout, the serve loop's batching step, and one
-//! span entry on a recorder that holds 10,000 spans.
+//! after a processor dropout, the faulted audit of one recovery round,
+//! the serve loop's batching step, and one span entry on a recorder
+//! that holds 10,000 spans.
 //!
 //! Cases that repeat one request set on one planner are warm: from the
 //! second iteration on, the cost tables, the memoized partitions and the
@@ -24,7 +25,8 @@ use criterion::{BenchResult, BenchmarkId, Criterion};
 use h2p_contention::ContentionClass;
 use h2p_models::graph::ModelGraph;
 use h2p_models::zoo::ModelId;
-use h2p_simulator::SocSpec;
+use h2p_simulator::faults::FaultInjector;
+use h2p_simulator::{audit, SocSpec};
 use hetero2pipe::batching::{coalesce, graphs_for_groups};
 use hetero2pipe::online::OnlinePlanner;
 use hetero2pipe::planner::Planner;
@@ -231,6 +233,32 @@ fn bench_recovery_replan(c: &mut Criterion) {
     });
 }
 
+fn bench_audit_faulted(c: &mut Criterion) {
+    // The faulted audit of one recovery round on its own: the planned
+    // 8-request pipeline runs with its most powerful pipeline slot
+    // dropping out halfway through the fault-free makespan and request
+    // 0's final task failing transiently, so the audit checks a partial
+    // completed subset and replays a log with fault markers.
+    let soc = SocSpec::kirin_990();
+    let planner = Planner::new(&soc).expect("planner");
+    let planned = planner.plan(&workload(8)).expect("plan");
+    let (sim, final_task, _) = planned.lower(&soc).expect("lower").into_parts();
+    let half_ms = sim.run().expect("run").makespan_ms() / 2.0;
+    let mut faults =
+        FaultInjector::new(soc.processors.len()).dropout(planner.pipeline_procs()[0], half_ms);
+    if let Some(task) = final_task[0] {
+        faults = faults.fail_task(task.index(), 0.5);
+    }
+    let (outcome, events) = sim.run_faulted(&faults).expect("faulted run");
+    assert!(
+        !outcome.is_complete(),
+        "the script must interrupt the round"
+    );
+    c.bench_function("audit/faulted/8", |b| {
+        b.iter(|| audit::audit_faulted(&soc, sim.tasks(), &events, &outcome))
+    });
+}
+
 fn bench_batching(c: &mut Criterion) {
     // The serve loop's batching step for one dispatch of every zoo model
     // once: `coalesce` finds no adjacent duplicates, so the ten batch-1
@@ -384,6 +412,7 @@ fn main() {
     bench_simulate(&mut criterion);
     bench_online_replan(&mut criterion);
     bench_recovery_replan(&mut criterion);
+    bench_audit_faulted(&mut criterion);
     bench_batching(&mut criterion);
     bench_serve_sweep(&mut criterion);
     bench_span_enter(&mut criterion);

@@ -323,6 +323,7 @@ fn main() {
         "online/replan_w4/16",
         "online/replan_incremental/16",
         "recovery/replan_drop1/8",
+        "audit/faulted/8",
         "batching/graphs_for_groups/10",
         "telemetry/span_enter/10000",
     ];

@@ -35,8 +35,6 @@
 //! plus exact event replay — and the plan lint with availability mask
 //! (H2P009: no task may target a down processor).
 
-use std::collections::BTreeMap;
-
 use h2p_models::graph::ModelGraph;
 use h2p_simulator::audit;
 use h2p_simulator::engine::{EngineEvent, TaskLabel, TaskSpec};
@@ -146,6 +144,10 @@ pub struct RecoveryReport {
     pub elapsed_ms: f64,
     /// Per-request completion, by original submission index.
     pub completed: Vec<bool>,
+    /// Per-request completion latency in ms on the global timeline (the
+    /// lifecycle `Complete` instant), by original submission index;
+    /// `None` for a request that did not complete.
+    pub latency_ms: Vec<Option<f64>>,
     /// Final processor availability (`true` = dropped out).
     pub down: Vec<bool>,
 }
@@ -163,13 +165,17 @@ impl RecoveryReport {
 }
 
 /// Scripted fault state carried across rounds, on the global timeline.
+/// Each fault kind is one flat list, empty (and unallocated) unless the
+/// script uses it.
 struct FaultScript {
-    /// Earliest scripted dropout instant per processor.
-    down_at: Vec<Option<f64>>,
+    /// `(processor, instant)` of the earliest scripted dropout, at most
+    /// one per processor.
+    down_at: Vec<(usize, f64)>,
     /// `(processor, from, until, factor)` throttle intervals.
     throttles: Vec<(usize, f64, f64, f64)>,
-    /// Remaining scripted transient failures per request.
-    transient: BTreeMap<usize, u32>,
+    /// `(request, count)` of remaining scripted transient failures, at
+    /// most one per request.
+    transient: Vec<(usize, u32)>,
     /// Multiplicative error on every lowered solo duration.
     mispredict: f64,
 }
@@ -177,9 +183,9 @@ struct FaultScript {
 impl FaultScript {
     fn compile(specs: &[FaultSpec], n_proc: usize, n_req: usize) -> Result<Self, PlanError> {
         let mut script = FaultScript {
-            down_at: vec![None; n_proc],
+            down_at: Vec::new(),
             throttles: Vec::new(),
-            transient: BTreeMap::new(),
+            transient: Vec::new(),
             mispredict: 1.0,
         };
         let check_proc = |p: ProcessorId| -> Result<usize, PlanError> {
@@ -198,7 +204,10 @@ impl FaultScript {
                 FaultSpec::ProcessorDropout { processor, at_ms } => {
                     let p = check_proc(*processor)?;
                     let at = at_ms.max(0.0);
-                    script.down_at[p] = Some(script.down_at[p].map_or(at, |cur: f64| cur.min(at)));
+                    match script.down_at.iter_mut().find(|(q, _)| *q == p) {
+                        Some((_, cur)) => *cur = cur.min(at),
+                        None => script.down_at.push((p, at)),
+                    }
                 }
                 FaultSpec::ThermalThrottle {
                     processor,
@@ -211,7 +220,10 @@ impl FaultScript {
                 }
                 FaultSpec::TransientFailure { request, failures } => {
                     if *request < n_req {
-                        *script.transient.entry(*request).or_insert(0) += *failures;
+                        match script.transient.iter_mut().find(|(r, _)| r == request) {
+                            Some((_, count)) => *count += *failures,
+                            None => script.transient.push((*request, *failures)),
+                        }
                     }
                 }
                 FaultSpec::CostMisprediction { scale } => {
@@ -222,6 +234,13 @@ impl FaultScript {
             }
         }
         Ok(script)
+    }
+
+    /// Remaining scripted transient failures of request `r`.
+    fn transient_mut(&mut self, r: usize) -> Option<&mut u32> {
+        self.transient
+            .iter_mut()
+            .find_map(|(q, count)| (*q == r).then_some(count))
     }
 }
 
@@ -325,10 +344,17 @@ pub fn run_with_recovery(
     let mut script = FaultScript::compile(faults, n_proc, m)?;
     let telemetry = planner.telemetry();
 
+    // Round state, made once per call: the processor mask, each
+    // request's completion, retry attempts, backoff delay and completion
+    // latency, and the pending set and execution envelope, which every
+    // round refills.
     let mut down = vec![false; n_proc];
     let mut done = vec![false; m];
     let mut attempts = vec![0usize; m];
     let mut delay = vec![0.0f64; m];
+    let mut pending: Vec<usize> = Vec::with_capacity(m);
+    let mut envelope: Vec<Option<(f64, f64)>> = vec![None; m];
+    let mut latency_ms: Vec<Option<f64>> = vec![None; m];
     let mut elapsed = 0.0f64;
     // Lifecycle: the recovery loop owns the requests' histories on the
     // global timeline, under the same content-derived trace id the
@@ -349,8 +375,9 @@ pub fn run_with_recovery(
         retries: 0,
         faults: 0,
         elapsed_ms: 0.0,
-        completed: vec![false; m],
-        down: vec![false; n_proc],
+        completed: Vec::new(),
+        latency_ms: Vec::new(),
+        down: Vec::new(),
     };
 
     let outcome = 'rounds: {
@@ -363,12 +390,13 @@ pub fn run_with_recovery(
             // Dropouts whose scripted instant has already passed take
             // effect before planning, so a round never schedules onto a
             // processor that is due to be down at its time zero.
-            for (d, at) in down.iter_mut().zip(&script.down_at) {
-                if at.is_some_and(|at| at <= elapsed) {
-                    *d = true;
+            for &(p, at) in &script.down_at {
+                if at <= elapsed {
+                    down[p] = true;
                 }
             }
-            let pending: Vec<usize> = (0..m).filter(|&r| !done[r]).collect();
+            pending.clear();
+            pending.extend((0..m).filter(|&r| !done[r]));
             if let Some(deadline) = policy.deadline_ms {
                 if elapsed > deadline {
                     break 'rounds RecoveryOutcome::Degraded(PlanError::DeadlineExceeded {
@@ -432,11 +460,8 @@ pub fn run_with_recovery(
 
             // Script this round's injector on the round-local timeline.
             let mut inj = FaultInjector::new(n_proc);
-            for (p, (is_down, at)) in down.iter().zip(&script.down_at).enumerate() {
-                if *is_down {
-                    continue;
-                }
-                if let Some(at) = at {
+            for &(p, at) in &script.down_at {
+                if !down[p] {
                     inj = inj.dropout(ProcessorId(p), at - elapsed);
                 }
             }
@@ -451,7 +476,7 @@ pub fn run_with_recovery(
                 }
             }
             for &r in &pending {
-                if script.transient.get(&r).copied().unwrap_or(0) > 0 {
+                if script.transient_mut(r).is_some_and(|count| *count > 0) {
                     if let Some(t) = final_task.get(r).copied().flatten() {
                         inj = inj.fail_task(t.index(), 0.5);
                     }
@@ -479,30 +504,31 @@ pub fn run_with_recovery(
                 }
             }
             // Per-request execution envelope over this round's completed
-            // spans, keyed by the lowering labels' request — the lifecycle
-            // execute instant and the completion latency both come from
-            // here, on the global timeline.
-            let mut envelope: BTreeMap<usize, (f64, f64)> = BTreeMap::new();
+            // spans, indexed by the lowering labels' request — the
+            // lifecycle execute instant and the completion latency both
+            // come from here, on the global timeline.
+            envelope.fill(None);
             for (t, span) in sim_outcome.spans.iter().enumerate() {
                 let (Some(span), Some(r)) = (span, tasks.get(t).and_then(TaskSpec::request_index))
                 else {
                     continue;
                 };
-                envelope
-                    .entry(r)
-                    .and_modify(|(s, e)| {
-                        *s = s.min(span.start_ms);
-                        *e = e.max(span.end_ms);
-                    })
-                    .or_insert((span.start_ms, span.end_ms));
+                let Some(slot) = envelope.get_mut(r) else {
+                    continue;
+                };
+                *slot = Some(slot.map_or((span.start_ms, span.end_ms), |(s, e)| {
+                    (s.min(span.start_ms), e.max(span.end_ms))
+                }));
             }
-            for (&r, &(start, _)) in &envelope {
-                telemetry.lifecycle.record(
-                    trace_id,
-                    RequestId(r),
-                    round_offset + start,
-                    LifecycleStage::Execute,
-                );
+            for (r, env) in envelope.iter().enumerate() {
+                if let Some((start, _)) = *env {
+                    telemetry.lifecycle.record(
+                        trace_id,
+                        RequestId(r),
+                        round_offset + start,
+                        LifecycleStage::Execute,
+                    );
+                }
             }
             let mut round_completed = 0usize;
             for &r in &pending {
@@ -516,7 +542,8 @@ pub fn run_with_recovery(
                     done[r] = true;
                     delay[r] = 0.0;
                     round_completed += 1;
-                    let end = envelope.get(&r).map_or(sim_outcome.halt_ms, |&(_, e)| e);
+                    let end = envelope[r].map_or(sim_outcome.halt_ms, |(_, e)| e);
+                    latency_ms[r] = Some(round_offset + end);
                     telemetry.lifecycle.record(
                         trace_id,
                         RequestId(r),
@@ -542,7 +569,7 @@ pub fn run_with_recovery(
                 }) else {
                     continue;
                 };
-                if let Some(c) = script.transient.get_mut(&r) {
+                if let Some(c) = script.transient_mut(r) {
                     *c = c.saturating_sub(1);
                 }
                 attempts[r] += 1;
@@ -603,6 +630,7 @@ pub fn run_with_recovery(
     }
     report.outcome = outcome;
     report.completed = done;
+    report.latency_ms = latency_ms;
     report.down = down;
     Ok(report)
 }

@@ -807,8 +807,8 @@ impl Server {
 
     /// Chaos execution: a seeded fault script per dispatch, run
     /// through the recovery machinery. Per-group completion latencies
-    /// come from the recovery runner's own lifecycle records; groups
-    /// the runner could not finish degrade with the typed outcome.
+    /// come from the recovery report; groups the runner could not
+    /// finish degrade with the typed outcome.
     fn execute_chaos(
         &self,
         graphs: &[h2p_models::graph::ModelGraph],
@@ -820,25 +820,18 @@ impl Server {
             .seed
             .wrapping_add((dispatch_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let faults = chaos_faults(planner.soc(), graphs.len(), fault_seed);
-        let telemetry = planner.telemetry();
-        telemetry.lifecycle.clear();
+        // The runner records the dispatch's lifecycle on the planner,
+        // which nothing here reads back: keep that log to one dispatch.
+        planner.telemetry().lifecycle.clear();
         let report = run_with_recovery(planner, graphs, &faults, &cfg.policy)?;
-        let mut group_latency: Vec<Option<f64>> = vec![None; graphs.len()];
-        for e in telemetry.lifecycle.records() {
-            if let LifecycleStage::Complete { latency_ms } = e.stage {
-                if let Some(slot) = group_latency.get_mut(e.request.0) {
-                    *slot = Some(latency_ms);
-                }
-            }
-        }
-        let reason = match &report.outcome {
+        let reason = |outcome: &RecoveryOutcome| match outcome {
             RecoveryOutcome::Recovered => "recovery_incomplete".to_owned(),
             RecoveryOutcome::Degraded(e) => format!("{e}"),
         };
         let results = report
             .completed
             .iter()
-            .zip(&group_latency)
+            .zip(&report.latency_ms)
             .map(|(&done, latency)| {
                 if done {
                     GroupResult::Done {
@@ -846,7 +839,7 @@ impl Server {
                     }
                 } else {
                     GroupResult::Failed {
-                        reason: reason.clone(),
+                        reason: reason(&report.outcome),
                     }
                 }
             })

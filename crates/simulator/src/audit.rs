@@ -35,7 +35,8 @@
 
 use std::fmt;
 
-use crate::engine::{EngineEvent, TaskId, TaskSpec};
+use crate::engine::{EngineEvent, TaskSpec};
+use crate::memory::MemorySample;
 use crate::soc::SocSpec;
 use crate::thermal::{ThermalMode, ThermalSpec};
 use crate::timeline::{Span, Trace};
@@ -323,38 +324,12 @@ impl fmt::Display for AuditReport {
 /// always audits clean; the checks exist to catch corrupted, hand-built
 /// or regression-bugged traces.
 pub fn audit(soc: &SocSpec, tasks: &[TaskSpec], trace: &Trace) -> AuditReport {
-    let mut violations = Vec::new();
-    let mut checks = 0usize;
-
-    check_shape(soc, tasks, trace, &mut violations, &mut checks);
-    // Everything below indexes spans by task id; bail out early if the
-    // shape is too broken for that to be meaningful.
-    if trace.spans.len() != tasks.len() || trace.spans.iter().enumerate().any(|(i, s)| s.task != i)
-    {
-        return AuditReport { violations, checks };
-    }
-
-    check_exclusivity(trace, &mut violations, &mut checks);
-    check_releases(tasks, trace, &mut violations, &mut checks);
-    check_dependencies(tasks, trace, &mut violations, &mut checks);
-    check_fifo(tasks, trace, &mut violations, &mut checks);
-    check_duration_bounds(soc, tasks, trace, &mut violations, &mut checks);
-    check_bubbles(trace, &mut violations, &mut checks);
-    check_memory(soc, tasks, trace, &mut violations, &mut checks);
-
-    AuditReport { violations, checks }
-}
-
-fn check_shape(
-    soc: &SocSpec,
-    tasks: &[TaskSpec],
-    trace: &Trace,
-    violations: &mut Vec<Violation>,
-    checks: &mut usize,
-) {
-    *checks += 1;
+    let mut report = AuditReport {
+        violations: Vec::new(),
+        checks: 1,
+    };
     if trace.spans.len() != tasks.len() {
-        violations.push(Violation::Shape {
+        report.violations.push(Violation::Shape {
             detail: format!(
                 "{} spans for {} submitted tasks",
                 trace.spans.len(),
@@ -362,9 +337,9 @@ fn check_shape(
             ),
         });
     }
-    *checks += 1;
+    report.checks += 1;
     if trace.processor_count != soc.processors.len() {
-        violations.push(Violation::Shape {
+        report.violations.push(Violation::Shape {
             detail: format!(
                 "trace claims {} processors, SoC has {}",
                 trace.processor_count,
@@ -372,17 +347,79 @@ fn check_shape(
             ),
         });
     }
-    for (i, span) in trace.spans.iter().enumerate() {
-        *checks += 1;
+    let ids: Vec<usize> = (0..trace.spans.len()).collect();
+    let subject = Subject {
+        soc,
+        tasks,
+        slots: Slots::Trace(&trace.spans),
+        ids: &ids,
+        memory: &trace.memory,
+        processor_count: trace.processor_count,
+    };
+    // Everything below indexes spans by task id; bail out early if the
+    // shape is too broken for that to be meaningful.
+    if !check_spans(&subject, &mut report) || trace.spans.len() != tasks.len() {
+        return report;
+    }
+    check_families(&subject, Some(trace), &mut report);
+    report
+}
+
+/// The spans an audit reads, by submitted task id: a fault-free trace
+/// holds one per task, a faulted outcome one per completed task.
+#[derive(Clone, Copy)]
+enum Slots<'a> {
+    Trace(&'a [Span]),
+    Outcome(&'a [Option<Span>]),
+}
+
+impl<'a> Slots<'a> {
+    fn get(self, task: usize) -> Option<&'a Span> {
+        match self {
+            Slots::Trace(spans) => spans.get(task),
+            Slots::Outcome(slots) => slots.get(task).and_then(Option::as_ref),
+        }
+    }
+}
+
+/// What the contract families check: the submitted tasks, their spans
+/// where they lie, and the audited ids (ascending). Every violation
+/// names a submitted id.
+struct Subject<'a> {
+    soc: &'a SocSpec,
+    tasks: &'a [TaskSpec],
+    slots: Slots<'a>,
+    ids: &'a [usize],
+    memory: &'a [MemorySample],
+    processor_count: usize,
+}
+
+impl<'a> Subject<'a> {
+    /// The audited ids with their spans, in id order.
+    fn audited(&self) -> impl Iterator<Item = (usize, &'a Span)> + '_ {
+        self.ids
+            .iter()
+            .filter_map(|&i| Some((i, self.slots.get(i)?)))
+    }
+}
+
+/// The per-span shape family: each audited slot records its own task id,
+/// ran on its pinned processor with its spec's solo time, and has finite,
+/// ordered timestamps. Returns whether every slot recorded its own id.
+fn check_spans(s: &Subject, report: &mut AuditReport) -> bool {
+    let mut indexed = true;
+    for (i, span) in s.audited() {
+        report.checks += 1;
         if span.task != i {
-            violations.push(Violation::Shape {
+            indexed = false;
+            report.violations.push(Violation::Shape {
                 detail: format!("span {i} records task id {}", span.task),
             });
             continue;
         }
-        let Some(spec) = tasks.get(i) else { continue };
+        let Some(spec) = s.tasks.get(i) else { continue };
         if span.processor != spec.processor {
-            violations.push(Violation::Shape {
+            report.violations.push(Violation::Shape {
                 detail: format!(
                     "task {i} ran on processor {} but was pinned to {}",
                     span.processor.index(),
@@ -391,7 +428,7 @@ fn check_shape(
             });
         }
         if (span.solo_ms - spec.solo_ms).abs() > TIME_EPS {
-            violations.push(Violation::Shape {
+            report.violations.push(Violation::Shape {
                 detail: format!(
                     "task {i} span records solo {} ms, spec says {} ms",
                     span.solo_ms, spec.solo_ms
@@ -402,7 +439,7 @@ fn check_shape(
             || span.end_ms < span.start_ms - TIME_EPS
             || span.start_ms < -TIME_EPS
         {
-            violations.push(Violation::Shape {
+            report.violations.push(Violation::Shape {
                 detail: format!(
                     "task {i} has malformed timestamps [{}, {}]",
                     span.start_ms, span.end_ms
@@ -410,65 +447,99 @@ fn check_shape(
             });
         }
     }
+    indexed
 }
 
-fn check_exclusivity(trace: &Trace, violations: &mut Vec<Violation>, checks: &mut usize) {
-    for p in 0..trace.processor_count {
-        let mut spans: Vec<&Span> = trace
-            .spans
-            .iter()
-            .filter(|s| s.processor.index() == p)
-            .collect();
-        spans.sort_by(|a, b| a.start_ms.total_cmp(&b.start_ms));
-        for w in spans.windows(2) {
-            *checks += 1;
-            let gap = w[1].start_ms - w[0].end_ms;
-            if gap < -TIME_EPS {
-                violations.push(Violation::Overlap {
-                    processor: p,
-                    first: w[0].task,
-                    second: w[1].task,
-                    by_ms: -gap,
-                });
-            }
+/// One entry of the per-processor index buffer: (processor, sort key,
+/// task id).
+type Entry = (usize, f64, usize);
+
+/// Orders the index buffer by processor, then key, then id. The id
+/// breaks ties as a stable sort over id-ordered input would, so every
+/// per-processor pass visits spans, and sums gaps, in the same order.
+fn by_processor(a: &Entry, b: &Entry) -> std::cmp::Ordering {
+    a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2))
+}
+
+/// The contract families after the shape check, on spans that record
+/// their own ids. `envelope` is the trace whose conservative too-slow
+/// bound applies; the faulted audit has none.
+fn check_families(s: &Subject, envelope: Option<&Trace>, report: &mut AuditReport) {
+    // One index buffer serves the per-processor families: sorted by
+    // start for exclusivity (which also sums the idle gaps the bubble
+    // family reconciles), then re-sorted by queue entry for FIFO.
+    let mut order: Vec<Entry> = Vec::with_capacity(s.ids.len());
+    order.extend(s.audited().filter_map(|(i, span)| {
+        let p = span.processor.index();
+        (p < s.processor_count).then_some((p, span.start_ms, i))
+    }));
+    order.sort_unstable_by(by_processor);
+    let gaps = check_exclusivity(s, &order, report);
+    check_releases(s, report);
+    check_dependencies(s, report);
+    order.clear();
+    order.extend(s.audited().filter_map(|(i, _)| {
+        let p = s.tasks[i].processor.index();
+        (p < s.processor_count).then(|| (p, entry_time(s, i), i))
+    }));
+    order.sort_unstable_by(by_processor);
+    check_fifo(s, &order, report);
+    check_durations(s, envelope, report);
+    check_bubbles(s, gaps, report);
+    check_memory(s, report);
+}
+
+/// Flags overlapping neighbours in the start-sorted buffer and returns
+/// the summed idle gaps between them: the bubble family's independent
+/// recomputation of Def. 3.
+fn check_exclusivity(s: &Subject, order: &[Entry], report: &mut AuditReport) -> f64 {
+    let mut gaps = 0.0;
+    for w in order.windows(2) {
+        let ((p, _, a), (q, _, b)) = (w[0], w[1]);
+        if p != q {
+            continue;
         }
+        let (Some(first), Some(second)) = (s.slots.get(a), s.slots.get(b)) else {
+            continue;
+        };
+        report.checks += 1;
+        let gap = second.start_ms - first.end_ms;
+        if gap < -TIME_EPS {
+            report.violations.push(Violation::Overlap {
+                processor: p,
+                first: a,
+                second: b,
+                by_ms: -gap,
+            });
+        }
+        gaps += gap.max(0.0);
     }
+    gaps
 }
 
-fn check_releases(
-    tasks: &[TaskSpec],
-    trace: &Trace,
-    violations: &mut Vec<Violation>,
-    checks: &mut usize,
-) {
-    for (i, spec) in tasks.iter().enumerate() {
-        *checks += 1;
-        let span = &trace.spans[i];
-        if span.start_ms < spec.release_ms - TIME_EPS {
-            violations.push(Violation::EarlyStart {
+fn check_releases(s: &Subject, report: &mut AuditReport) {
+    for (i, span) in s.audited() {
+        report.checks += 1;
+        let release_ms = s.tasks[i].release_ms;
+        if span.start_ms < release_ms - TIME_EPS {
+            report.violations.push(Violation::EarlyStart {
                 task: i,
                 start_ms: span.start_ms,
-                release_ms: spec.release_ms,
+                release_ms,
             });
         }
     }
 }
 
-fn check_dependencies(
-    tasks: &[TaskSpec],
-    trace: &Trace,
-    violations: &mut Vec<Violation>,
-    checks: &mut usize,
-) {
-    for (i, spec) in tasks.iter().enumerate() {
-        let span = &trace.spans[i];
-        for d in &spec.deps {
-            *checks += 1;
-            let Some(dep_span) = trace.spans.get(d.index()) else {
+fn check_dependencies(s: &Subject, report: &mut AuditReport) {
+    for (i, span) in s.audited() {
+        for d in &s.tasks[i].deps {
+            report.checks += 1;
+            let Some(dep_span) = s.slots.get(d.index()) else {
                 continue;
             };
             if span.start_ms < dep_span.end_ms - TIME_EPS {
-                violations.push(Violation::DependencyOrder {
+                report.violations.push(Violation::DependencyOrder {
                     task: i,
                     dependency: d.index(),
                     start_ms: span.start_ms,
@@ -481,47 +552,41 @@ fn check_dependencies(
 
 /// The time at which task `i` became eligible for its processor queue:
 /// its release, or the end of its latest dependency, whichever is later.
-fn entry_time(tasks: &[TaskSpec], trace: &Trace, i: usize) -> f64 {
-    let dep_end = tasks[i]
+fn entry_time(s: &Subject, i: usize) -> f64 {
+    let dep_end = s.tasks[i]
         .deps
         .iter()
-        .filter_map(|d| trace.spans.get(d.index()))
-        .map(|s| s.end_ms)
+        .filter_map(|d| s.slots.get(d.index()))
+        .map(|span| span.end_ms)
         .fold(0.0f64, f64::max);
-    tasks[i].release_ms.max(dep_end)
+    s.tasks[i].release_ms.max(dep_end)
 }
 
-fn check_fifo(
-    tasks: &[TaskSpec],
-    trace: &Trace,
-    violations: &mut Vec<Violation>,
-    checks: &mut usize,
-) {
-    for p in 0..trace.processor_count {
-        let mut entries: Vec<(f64, usize)> = (0..tasks.len())
-            .filter(|&i| tasks[i].processor.index() == p)
-            .map(|i| (entry_time(tasks, trace, i), i))
-            .collect();
-        entries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        for w in entries.windows(2) {
-            let (entry_a, a) = w[0];
-            let (entry_b, b) = w[1];
-            // Equal entries (within tolerance) are only ordered by the
-            // engine when they join the queue at the same event, so the
-            // id tie-break is enforced for exact ties only.
-            let strictly_earlier = entry_a < entry_b - TIME_EPS;
-            let tie_by_id = entry_a == entry_b && a < b;
-            if !(strictly_earlier || tie_by_id) {
-                continue;
-            }
-            *checks += 1;
-            if trace.spans[a].start_ms > trace.spans[b].start_ms + TIME_EPS {
-                violations.push(Violation::FifoOrder {
-                    processor: p,
-                    earlier: a,
-                    later: b,
-                });
-            }
+/// Checks queue-entry neighbours in the entry-sorted buffer.
+fn check_fifo(s: &Subject, order: &[Entry], report: &mut AuditReport) {
+    for w in order.windows(2) {
+        let ((p, entry_a, a), (q, entry_b, b)) = (w[0], w[1]);
+        if p != q {
+            continue;
+        }
+        // Equal entries (within tolerance) are only ordered by the
+        // engine when they join the queue at the same event, so the id
+        // tie-break is enforced for exact ties only.
+        let strictly_earlier = entry_a < entry_b - TIME_EPS;
+        let tie_by_id = entry_a == entry_b && a < b;
+        if !(strictly_earlier || tie_by_id) {
+            continue;
+        }
+        let (Some(span_a), Some(span_b)) = (s.slots.get(a), s.slots.get(b)) else {
+            continue;
+        };
+        report.checks += 1;
+        if span_a.start_ms > span_b.start_ms + TIME_EPS {
+            report.violations.push(Violation::FifoOrder {
+                processor: p,
+                earlier: a,
+                later: b,
+            });
         }
     }
 }
@@ -580,30 +645,27 @@ pub fn conservative_bound_ms(soc: &SocSpec, tasks: &[TaskSpec], trace: &Trace, t
     spec.solo_ms * (1.0 + slow_max) / (thermal_min * mem_min) + TIME_EPS
 }
 
-fn check_duration_bounds(
-    soc: &SocSpec,
-    tasks: &[TaskSpec],
-    trace: &Trace,
-    violations: &mut Vec<Violation>,
-    checks: &mut usize,
-) {
-    for (i, spec) in tasks.iter().enumerate() {
-        let span = &trace.spans[i];
+/// The too-fast floor for every audited span, and the too-slow
+/// envelope of `envelope`'s trace when there is one.
+fn check_durations(s: &Subject, envelope: Option<&Trace>, report: &mut AuditReport) {
+    for (i, span) in s.audited() {
+        let solo_ms = s.tasks[i].solo_ms;
         let duration = span.end_ms - span.start_ms;
 
-        *checks += 1;
-        if duration < spec.solo_ms - TIME_EPS {
-            violations.push(Violation::TooFast {
+        report.checks += 1;
+        if duration < solo_ms - TIME_EPS {
+            report.violations.push(Violation::TooFast {
                 task: i,
                 duration_ms: duration,
-                solo_ms: spec.solo_ms,
+                solo_ms,
             });
         }
 
-        let bound = conservative_bound_ms(soc, tasks, trace, i);
-        *checks += 1;
+        let Some(trace) = envelope else { continue };
+        let bound = conservative_bound_ms(s.soc, s.tasks, trace, i);
+        report.checks += 1;
         if duration > bound {
-            violations.push(Violation::TooSlow {
+            report.violations.push(Violation::TooSlow {
                 task: i,
                 duration_ms: duration,
                 bound_ms: bound,
@@ -612,87 +674,73 @@ fn check_duration_bounds(
     }
 }
 
-fn check_bubbles(trace: &Trace, violations: &mut Vec<Violation>, checks: &mut usize) {
-    // Independent recomputation of Def. 3 idle bubbles: per processor,
-    // the gaps between consecutive spans.
-    let mut recomputed = 0.0;
-    for p in 0..trace.processor_count {
-        let mut spans: Vec<&Span> = trace
-            .spans
-            .iter()
-            .filter(|s| s.processor.index() == p)
-            .collect();
-        spans.sort_by(|a, b| a.start_ms.total_cmp(&b.start_ms));
-        for w in spans.windows(2) {
-            recomputed += (w[1].start_ms - w[0].end_ms).max(0.0);
-        }
-    }
-    *checks += 1;
-    let reported = trace.idle_bubble_ms();
+/// Reconciles the idle bubbles the spans report (the function behind
+/// [`Trace::idle_bubble_ms`]) with the gaps `check_exclusivity` summed.
+fn check_bubbles(s: &Subject, recomputed: f64, report: &mut AuditReport) {
+    report.checks += 1;
+    let reported =
+        crate::timeline::idle_bubble_ms(s.audited().map(|(_, span)| span), s.processor_count);
     if !(reported - recomputed).abs().is_finite() || (reported - recomputed).abs() > TIME_EPS {
-        violations.push(Violation::BubbleMismatch {
+        report.violations.push(Violation::BubbleMismatch {
             reported_ms: reported,
             recomputed_ms: recomputed,
         });
     }
 }
 
-fn check_memory(
-    soc: &SocSpec,
-    tasks: &[TaskSpec],
-    trace: &Trace,
-    violations: &mut Vec<Violation>,
-    checks: &mut usize,
-) {
-    let samples = &trace.memory;
-    *checks += 1;
+/// The memory ledger. Its footprint ceiling sums every submitted task,
+/// audited or not: a task a fault killed allocated real memory before
+/// it was aborted.
+fn check_memory(s: &Subject, report: &mut AuditReport) {
+    let samples = s.memory;
+    report.checks += 1;
     if samples.is_empty() {
-        if !tasks.is_empty() {
-            violations.push(Violation::MemoryLedger {
+        if !s.tasks.is_empty() {
+            report.violations.push(Violation::MemoryLedger {
                 detail: "no memory samples recorded for a non-empty run".to_owned(),
             });
         }
         return;
     }
-    *checks += 1;
+    report.checks += 1;
     let Some(last) = samples.last() else {
         return; // unreachable: emptiness handled above
     };
     if last.allocated_bytes != 0 {
-        violations.push(Violation::MemoryLedger {
+        report.violations.push(Violation::MemoryLedger {
             detail: format!(
                 "{} bytes still allocated at the end of the run",
                 last.allocated_bytes
             ),
         });
     }
-    let total_footprint: u64 = tasks.iter().map(|t| t.footprint_bytes).sum();
-    let capacity = soc.memory.capacity_bytes;
+    let total_footprint: u64 = s.tasks.iter().map(|t| t.footprint_bytes).sum();
+    let capacity = s.soc.memory.capacity_bytes;
     let mut prev_time = f64::NEG_INFINITY;
-    for (i, s) in samples.iter().enumerate() {
-        *checks += 1;
-        if s.time_ms < prev_time {
-            violations.push(Violation::MemoryLedger {
+    for (i, sample) in samples.iter().enumerate() {
+        report.checks += 1;
+        if sample.time_ms < prev_time {
+            report.violations.push(Violation::MemoryLedger {
                 detail: format!(
                     "sample {i} at {} ms is earlier than its predecessor at {prev_time} ms",
-                    s.time_ms
+                    sample.time_ms
                 ),
             });
         }
-        prev_time = s.time_ms;
-        if s.allocated_bytes > total_footprint {
-            violations.push(Violation::MemoryLedger {
+        prev_time = sample.time_ms;
+        if sample.allocated_bytes > total_footprint {
+            report.violations.push(Violation::MemoryLedger {
                 detail: format!(
                     "sample {i} allocates {} bytes, more than all footprints combined ({total_footprint})",
-                    s.allocated_bytes
+                    sample.allocated_bytes
                 ),
             });
         }
-        if s.available_bytes != capacity.saturating_sub(s.allocated_bytes) {
-            violations.push(Violation::MemoryLedger {
+        if sample.available_bytes != capacity.saturating_sub(sample.allocated_bytes) {
+            report.violations.push(Violation::MemoryLedger {
                 detail: format!(
                     "sample {i}: available {} inconsistent with capacity {} - allocated {}",
-                    s.available_bytes, capacity, s.allocated_bytes
+                    sample.available_bytes, capacity, sample.allocated_bytes
                 ),
             });
         }
@@ -802,36 +850,53 @@ pub fn replay(
     Ok(out)
 }
 
+/// The replay family: every span replays from the event log to its
+/// exact boundaries and solo work, a task without a span never
+/// finishes, and the last logged finish is the last span's end.
 fn check_replay(
+    slots: Slots,
     tasks: &[TaskSpec],
     events: &[EngineEvent],
-    trace: &Trace,
-    violations: &mut Vec<Violation>,
-    checks: &mut usize,
+    report: &mut AuditReport,
 ) {
     let replayed = match replay(tasks.len(), events) {
         Ok(replayed) => replayed,
         Err(detail) => {
-            *checks += 1;
-            violations.push(Violation::ReplayLog { detail });
+            report.checks += 1;
+            report.violations.push(Violation::ReplayLog { detail });
             return;
         }
     };
-    let mut last_finish = 0.0f64;
+    let (mut claimed, mut last_finish) = (0.0f64, 0.0f64);
     for (i, rep) in replayed.iter().enumerate() {
-        *checks += 1;
-        let Some(rep) = rep else {
-            violations.push(Violation::ReplayLog {
-                detail: format!("task {i} never finished in the event log"),
-            });
-            continue;
+        report.checks += 1;
+        let span = slots.get(i);
+        if let Some(span) = span {
+            claimed = claimed.max(span.end_ms);
+        }
+        if let Some(rep) = rep {
+            last_finish = last_finish.max(rep.end_ms);
+        }
+        let (span, rep) = match (span, rep) {
+            (Some(span), Some(rep)) => (span, rep),
+            (None, Some(_)) => {
+                report.violations.push(Violation::ReplayLog {
+                    detail: format!("task {i} finished in the event log but has no span"),
+                });
+                continue;
+            }
+            (Some(_), None) => {
+                report.violations.push(Violation::ReplayLog {
+                    detail: format!("task {i} has a span but never finished in the event log"),
+                });
+                continue;
+            }
+            (None, None) => continue,
         };
-        last_finish = last_finish.max(rep.end_ms);
-        let span = &trace.spans[i];
         if (span.start_ms - rep.start_ms).abs() > TIME_EPS
             || (span.end_ms - rep.end_ms).abs() > TIME_EPS
         {
-            violations.push(Violation::ReplaySpan {
+            report.violations.push(Violation::ReplaySpan {
                 task: i,
                 claimed_start_ms: span.start_ms,
                 claimed_end_ms: span.end_ms,
@@ -842,20 +907,19 @@ fn check_replay(
         // The engine retires a task when its remaining solo work drops
         // below its 1e-9 ms epsilon, so the integral must land on the
         // solo time up to accumulated float error over the event times.
-        *checks += 1;
+        report.checks += 1;
         let eps = TIME_EPS * (1.0 + tasks[i].solo_ms);
         if (rep.integrated_ms - tasks[i].solo_ms).abs() > eps {
-            violations.push(Violation::ReplayProgress {
+            report.violations.push(Violation::ReplayProgress {
                 task: i,
                 integrated_ms: rep.integrated_ms,
                 solo_ms: tasks[i].solo_ms,
             });
         }
     }
-    *checks += 1;
-    let claimed = trace.makespan_ms();
+    report.checks += 1;
     if (claimed - last_finish).abs() > TIME_EPS {
-        violations.push(Violation::ReplayMakespan {
+        report.violations.push(Violation::ReplayMakespan {
             claimed_ms: claimed,
             replayed_ms: last_finish,
         });
@@ -880,13 +944,7 @@ pub fn audit_with_events(
     {
         return report;
     }
-    check_replay(
-        tasks,
-        events,
-        trace,
-        &mut report.violations,
-        &mut report.checks,
-    );
+    check_replay(Slots::Trace(&trace.spans), tasks, events, &mut report);
     report
 }
 
@@ -896,13 +954,15 @@ pub fn audit_with_events(
 /// - Failed and orphaned tasks must have no span, and every dependency
 ///   of a completed task must itself have completed (a fault kills its
 ///   whole downstream cone). If that closure is broken the audit bails
-///   out, because remapping the subset would be meaningless.
-/// - The completed subset is remapped onto a compact task list and
-///   audited with the fault-free families: shape, exclusivity,
-///   releases, dependencies, FIFO, the too-fast floor, bubble
-///   accounting, and the memory ledger (checked against the *original*
-///   task list's footprint ceiling — failed tasks genuinely allocated
-///   before they were aborted).
+///   out, because the subset's ordering checks would read missing
+///   dependencies.
+/// - The completed subset is audited where it lies, keyed by the
+///   submitted task ids, with the fault-free families: shape,
+///   exclusivity, releases, dependencies, FIFO, the too-fast floor,
+///   bubble accounting, and the memory ledger (checked against the
+///   whole task list's footprint ceiling — failed tasks genuinely
+///   allocated before they were aborted). Every violation names a
+///   submitted task id.
 /// - The conservative too-*slow* envelope is deliberately skipped:
 ///   injected throttles can undercut the [`ThermalSpec`] floor, and
 ///   partially-run failed co-runners contribute slowdown without ever
@@ -919,60 +979,60 @@ pub fn audit_faulted(
     events: &[EngineEvent],
     outcome: &crate::faults::FaultOutcome,
 ) -> AuditReport {
-    let mut violations = Vec::new();
-    let mut checks = 0usize;
-
-    checks += 2;
+    let mut report = AuditReport {
+        violations: Vec::new(),
+        checks: 2,
+    };
     if outcome.spans.len() != tasks.len() {
-        violations.push(Violation::Shape {
+        report.violations.push(Violation::Shape {
             detail: format!(
                 "{} outcome slots for {} submitted tasks",
                 outcome.spans.len(),
                 tasks.len()
             ),
         });
-        return AuditReport { violations, checks };
+        return report;
     }
     if outcome.processor_count != soc.processors.len() {
-        violations.push(Violation::Shape {
+        report.violations.push(Violation::Shape {
             detail: format!(
                 "outcome claims {} processors, SoC has {}",
                 outcome.processor_count,
                 soc.processors.len()
             ),
         });
-        return AuditReport { violations, checks };
+        return report;
     }
 
     // A task the faults killed must not also claim a completed span.
     for f in &outcome.failed {
-        checks += 1;
+        report.checks += 1;
         if outcome.spans.get(f.task).is_some_and(Option::is_some) {
-            violations.push(Violation::Shape {
+            report.violations.push(Violation::Shape {
                 detail: format!("task {} both failed and completed", f.task),
             });
         }
     }
     for &o in &outcome.orphaned {
-        checks += 1;
+        report.checks += 1;
         if outcome.spans.get(o).is_some_and(Option::is_some) {
-            violations.push(Violation::Shape {
+            report.violations.push(Violation::Shape {
                 detail: format!("task {o} is both orphaned and completed"),
             });
         }
     }
 
     // Completed-closure invariant: every dependency of a completed task
-    // completed. Without it the subset remap below would hide ordering
-    // violations, so a broken closure bails out.
+    // completed. Without it the ordering families below would skip the
+    // missing dependencies, so a broken closure bails out.
     for (i, s) in outcome.spans.iter().enumerate() {
         if s.is_none() {
             continue;
         }
         for d in &tasks[i].deps {
-            checks += 1;
+            report.checks += 1;
             if outcome.spans.get(d.index()).is_none_or(Option::is_none) {
-                violations.push(Violation::Shape {
+                report.violations.push(Violation::Shape {
                     detail: format!(
                         "task {i} completed but its dependency {} did not",
                         d.index()
@@ -981,129 +1041,32 @@ pub fn audit_faulted(
             }
         }
     }
-    if !violations.is_empty() {
-        return AuditReport { violations, checks };
+    if !report.violations.is_empty() {
+        return report;
     }
 
-    // Remap the completed subset onto compact ids so the fault-free
-    // contract families apply unchanged. The remap is order-preserving,
-    // so the engine's task-id FIFO tie-break survives it.
-    let completed: Vec<usize> = (0..tasks.len())
+    let ids: Vec<usize> = (0..tasks.len())
         .filter(|&i| outcome.spans[i].is_some())
         .collect();
-    let mut new_id = vec![usize::MAX; tasks.len()];
-    for (k, &i) in completed.iter().enumerate() {
-        new_id[i] = k;
-    }
-    let sub_tasks: Vec<TaskSpec> = completed
-        .iter()
-        .map(|&i| {
-            let mut t = tasks[i].clone();
-            t.deps = t.deps.iter().map(|d| TaskId(new_id[d.index()])).collect();
-            t
-        })
-        .collect();
-    let sub_trace = Trace {
-        spans: completed
-            .iter()
-            .enumerate()
-            .filter_map(|(k, &i)| {
-                outcome.spans[i].as_ref().map(|s| {
-                    let mut s = s.clone();
-                    s.task = k;
-                    s
-                })
-            })
-            .collect(),
-        memory: outcome.memory.clone(),
+    let subject = Subject {
+        soc,
+        tasks,
+        slots: Slots::Outcome(&outcome.spans),
+        ids: &ids,
+        memory: &outcome.memory,
         processor_count: outcome.processor_count,
     };
-
-    check_shape(soc, &sub_tasks, &sub_trace, &mut violations, &mut checks);
-    if sub_trace.spans.len() != sub_tasks.len()
-        || sub_trace.spans.iter().enumerate().any(|(i, s)| s.task != i)
-    {
-        return AuditReport { violations, checks };
+    // The subset's span and processor counts match by construction.
+    report.checks += 2;
+    if !check_spans(&subject, &mut report) {
+        return report;
     }
-    check_exclusivity(&sub_trace, &mut violations, &mut checks);
-    check_releases(&sub_tasks, &sub_trace, &mut violations, &mut checks);
-    check_dependencies(&sub_tasks, &sub_trace, &mut violations, &mut checks);
-    check_fifo(&sub_tasks, &sub_trace, &mut violations, &mut checks);
     // Too-fast floor only; see the doc comment for why the too-slow
     // envelope is replaced by exact replay under faults.
-    for (i, spec) in sub_tasks.iter().enumerate() {
-        checks += 1;
-        let duration = sub_trace.spans[i].end_ms - sub_trace.spans[i].start_ms;
-        if duration < spec.solo_ms - TIME_EPS {
-            violations.push(Violation::TooFast {
-                task: i,
-                duration_ms: duration,
-                solo_ms: spec.solo_ms,
-            });
-        }
-    }
-    check_bubbles(&sub_trace, &mut violations, &mut checks);
-    // The footprint ceiling must come from the original task list:
-    // failed tasks allocated real memory before they were aborted.
-    check_memory(soc, tasks, &sub_trace, &mut violations, &mut checks);
+    check_families(&subject, None, &mut report);
 
-    // Replay reconciliation over the original task ids.
-    match replay(tasks.len(), events) {
-        Err(detail) => {
-            checks += 1;
-            violations.push(Violation::ReplayLog { detail });
-        }
-        Ok(replayed) => {
-            let mut last_finish = 0.0f64;
-            for (i, rep) in replayed.iter().enumerate() {
-                checks += 1;
-                if let Some(rep) = rep {
-                    last_finish = last_finish.max(rep.end_ms);
-                }
-                match (&outcome.spans[i], rep) {
-                    (Some(span), Some(rep)) => {
-                        if (span.start_ms - rep.start_ms).abs() > TIME_EPS
-                            || (span.end_ms - rep.end_ms).abs() > TIME_EPS
-                        {
-                            violations.push(Violation::ReplaySpan {
-                                task: i,
-                                claimed_start_ms: span.start_ms,
-                                claimed_end_ms: span.end_ms,
-                                replayed_start_ms: rep.start_ms,
-                                replayed_end_ms: rep.end_ms,
-                            });
-                        }
-                        checks += 1;
-                        let eps = TIME_EPS * (1.0 + tasks[i].solo_ms);
-                        if (rep.integrated_ms - tasks[i].solo_ms).abs() > eps {
-                            violations.push(Violation::ReplayProgress {
-                                task: i,
-                                integrated_ms: rep.integrated_ms,
-                                solo_ms: tasks[i].solo_ms,
-                            });
-                        }
-                    }
-                    (None, Some(_)) => violations.push(Violation::ReplayLog {
-                        detail: format!("task {i} finished in the event log but has no span"),
-                    }),
-                    (Some(_), None) => violations.push(Violation::ReplayLog {
-                        detail: format!("task {i} has a span but never finished in the event log"),
-                    }),
-                    (None, None) => {}
-                }
-            }
-            checks += 1;
-            let claimed = sub_trace.makespan_ms();
-            if (claimed - last_finish).abs() > TIME_EPS {
-                violations.push(Violation::ReplayMakespan {
-                    claimed_ms: claimed,
-                    replayed_ms: last_finish,
-                });
-            }
-        }
-    }
-
-    AuditReport { violations, checks }
+    check_replay(Slots::Outcome(&outcome.spans), tasks, events, &mut report);
+    report
 }
 
 /// Convenience: audits the trace and panics with the full report if it
@@ -1484,6 +1447,79 @@ mod tests {
             replayed_ms: 1.0,
         };
         assert_eq!(v.task(), None);
+    }
+
+    /// Two chains on Kirin 990: task 0 fails transiently, so its
+    /// successor task 1 is orphaned, while tasks 2 → 3 complete.
+    fn faulted_chains(
+        soc: &SocSpec,
+    ) -> (
+        Vec<TaskSpec>,
+        crate::faults::FaultOutcome,
+        Vec<crate::engine::EngineEvent>,
+    ) {
+        let cpu = id(soc, ProcessorKind::CpuBig);
+        let gpu = id(soc, ProcessorKind::Gpu);
+        let npu = id(soc, ProcessorKind::Npu);
+        let mut sim = Simulation::new(soc);
+        let a = sim.add_task(TaskSpec::new("a", npu, 6.0));
+        sim.add_task(TaskSpec::new("b", gpu, 3.0).after(a));
+        let c = sim.add_task(TaskSpec::new("c", cpu, 5.0));
+        sim.add_task(TaskSpec::new("d", gpu, 4.0).after(c));
+        let inj = crate::faults::FaultInjector::new(soc.processors.len()).fail_task(0, 0.5);
+        let (outcome, events) = sim.run_faulted(&inj).expect("runs");
+        assert_eq!(outcome.orphaned, vec![1]);
+        assert!(outcome.spans[2].is_some() && outcome.spans[3].is_some());
+        (sim.tasks().to_vec(), outcome, events)
+    }
+
+    #[test]
+    fn faulted_violations_name_submitted_ids() {
+        let soc = soc();
+        let (tasks, mut outcome, events) = faulted_chains(&soc);
+        assert!(audit_faulted(&soc, &tasks, &events, &outcome).is_clean());
+        // Shrink task 3's span: the too-fast floor and the replay both
+        // catch it, and both must name task 3 (the subset's second
+        // completed task), never the orphaned task 1.
+        if let Some(span) = outcome.spans[3].as_mut() {
+            span.end_ms = span.start_ms + 0.5;
+        }
+        let report = audit_faulted(&soc, &tasks, &events, &outcome);
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| matches!(v, Violation::TooFast { task: 3, .. })),
+            "{report}"
+        );
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| matches!(v, Violation::ReplaySpan { task: 3, .. })),
+            "{report}"
+        );
+        for v in &report.violations {
+            assert!(matches!(v.task(), None | Some(3)), "{v}");
+        }
+        assert!(report.to_string().contains("too fast: task 3"), "{report}");
+    }
+
+    #[test]
+    fn faulted_span_recording_another_id_is_a_shape_violation() {
+        let soc = soc();
+        let (tasks, mut outcome, events) = faulted_chains(&soc);
+        if let Some(span) = outcome.spans[2].as_mut() {
+            span.task = 9;
+        }
+        let report = audit_faulted(&soc, &tasks, &events, &outcome);
+        assert!(
+            report.violations.iter().any(|v| matches!(
+                v,
+                Violation::Shape { detail } if detail == "span 2 records task id 9"
+            )),
+            "{report}"
+        );
     }
 
     #[test]

@@ -412,9 +412,16 @@ impl<'soc> Simulation<'soc> {
     ///
     /// Same conditions as [`Simulation::run`].
     pub fn run_with_events(&self) -> Result<(Trace, Vec<EngineEvent>), SimError> {
-        let mut events = Vec::new();
+        let mut events = self.event_log();
         let trace = self.run_inner(Some(&mut events))?;
         Ok((trace, events))
+    }
+
+    /// An empty event log with room for a typical run's events: a
+    /// task's `Ready`, `Start` and `Finish` plus about two `Rate`
+    /// changes, and a few fault markers per processor.
+    fn event_log(&self) -> Vec<EngineEvent> {
+        Vec::with_capacity(5 * self.tasks.len() + 2 * self.soc.processors.len())
     }
 
     /// Runs the simulation under an injected fault script and returns
@@ -445,19 +452,15 @@ impl<'soc> Simulation<'soc> {
                 available: self.soc.processors.len(),
             });
         }
-        let mut events = Vec::new();
+        let mut events = self.event_log();
         let core = self.run_core(Some(&mut events), Some(faults))?;
-        let mut dead = vec![false; core.spans.len()];
-        for f in &core.failed {
-            if let Some(slot) = dead.get_mut(f.task) {
-                *slot = true;
-            }
-        }
+        // A task with no span either failed mid-run (a handful per run)
+        // or never started.
         let orphaned: Vec<usize> = core
             .spans
             .iter()
             .enumerate()
-            .filter(|&(i, s)| s.is_none() && !dead[i])
+            .filter(|&(i, s)| s.is_none() && !core.failed.iter().any(|f| f.task == i))
             .map(|(i, _)| i)
             .collect();
         Ok((

@@ -27,8 +27,6 @@
 //! [`EngineEvent::Throttle`]: crate::engine::EngineEvent::Throttle
 //! [`EngineEvent::TaskFailed`]: crate::engine::EngineEvent::TaskFailed
 
-use std::collections::BTreeMap;
-
 use crate::memory::MemorySample;
 use crate::processor::ProcessorId;
 use crate::soc::SocSpec;
@@ -145,45 +143,52 @@ impl FaultOutcome {
 /// A compiled, deterministic fault script against one simulation run.
 ///
 /// All times are simulation milliseconds. The injector is immutable
-/// during the run; the engine queries it at every event.
+/// during the run; the engine queries it at every event. Each fault
+/// kind is one flat list, so an empty script allocates nothing and a
+/// script of a few faults makes one block per kind it uses.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultInjector {
-    /// Per-processor dropout instant, if scripted.
-    down_at: Vec<Option<f64>>,
-    /// Per-processor throttle intervals `(from_ms, until_ms, factor)`.
-    throttles: Vec<Vec<(f64, f64, f64)>>,
-    /// Per-task transient-failure point as a fraction of solo work.
-    fail_at: BTreeMap<usize, f64>,
+    /// Number of processors the script was compiled against.
+    processors: usize,
+    /// `(processor, instant)` dropouts, at most one per processor.
+    down_at: Vec<(usize, f64)>,
+    /// `(processor, from_ms, until_ms, factor)` throttle intervals in
+    /// insertion order, so one processor's factors multiply in the order
+    /// they were scripted.
+    throttles: Vec<(usize, f64, f64, f64)>,
+    /// `(task, fraction)` transient-failure points, at most one per
+    /// task.
+    fail_at: Vec<(usize, f64)>,
 }
 
 impl FaultInjector {
     /// Creates an empty script for an SoC with `processors` processors.
     pub fn new(processors: usize) -> Self {
         FaultInjector {
-            down_at: vec![None; processors],
-            throttles: vec![Vec::new(); processors],
-            fail_at: BTreeMap::new(),
+            processors,
+            ..FaultInjector::default()
         }
     }
 
     /// Number of processors this script was compiled against.
     pub fn processor_count(&self) -> usize {
-        self.down_at.len()
+        self.processors
     }
 
     /// True when the script contains no faults at all.
     pub fn is_empty(&self) -> bool {
-        self.down_at.iter().all(Option::is_none)
-            && self.throttles.iter().all(Vec::is_empty)
-            && self.fail_at.is_empty()
+        self.down_at.is_empty() && self.throttles.is_empty() && self.fail_at.is_empty()
     }
 
     /// Scripts a permanent dropout of `processor` at `at_ms` (builder
     /// style). An earlier scripted dropout for the same processor wins.
     pub fn dropout(mut self, processor: ProcessorId, at_ms: f64) -> Self {
-        let at_ms = at_ms.max(0.0);
-        if let Some(slot) = self.down_at.get_mut(processor.index()) {
-            *slot = Some(slot.map_or(at_ms, |prev: f64| prev.min(at_ms)));
+        let (p, at_ms) = (processor.index(), at_ms.max(0.0));
+        if p < self.processors {
+            match self.down_at.iter_mut().find(|(q, _)| *q == p) {
+                Some((_, prev)) => *prev = prev.min(at_ms),
+                None => self.down_at.push((p, at_ms)),
+            }
         }
         self
     }
@@ -199,10 +204,13 @@ impl FaultInjector {
         factor: f64,
     ) -> Self {
         let from_ms = from_ms.max(0.0);
-        if let Some(list) = self.throttles.get_mut(processor.index()) {
-            if until_ms > from_ms {
-                list.push((from_ms, until_ms, factor.clamp(MIN_THROTTLE_FACTOR, 1.0)));
-            }
+        if processor.index() < self.processors && until_ms > from_ms {
+            self.throttles.push((
+                processor.index(),
+                from_ms,
+                until_ms,
+                factor.clamp(MIN_THROTTLE_FACTOR, 1.0),
+            ));
         }
         self
     }
@@ -210,35 +218,41 @@ impl FaultInjector {
     /// Scripts a transient failure of task `task` once it has executed
     /// `fraction` of its solo work (builder style). The fraction is
     /// clamped to `[0.0, 0.99]` so a failure always fires strictly
-    /// before completion.
+    /// before completion; a later call for the same task replaces it.
     pub fn fail_task(mut self, task: usize, fraction: f64) -> Self {
-        self.fail_at.insert(task, fraction.clamp(0.0, 0.99));
+        let fraction = fraction.clamp(0.0, 0.99);
+        match self.fail_at.iter_mut().find(|(t, _)| *t == task) {
+            Some((_, prev)) => *prev = fraction,
+            None => self.fail_at.push((task, fraction)),
+        }
         self
     }
 
     /// Dropout instant scripted for processor `p`, if any.
     pub fn down_at(&self, p: usize) -> Option<f64> {
-        self.down_at.get(p).copied().flatten()
+        self.down_at
+            .iter()
+            .find_map(|&(q, at)| (q == p).then_some(at))
     }
 
     /// Combined fault throttle factor on processor `p` at time `t`
     /// (product of all active intervals, floored at
     /// [`MIN_THROTTLE_FACTOR`]).
     pub fn throttle_factor(&self, p: usize, t: f64) -> f64 {
-        let Some(list) = self.throttles.get(p) else {
-            return 1.0;
-        };
-        let factor: f64 = list
+        let factor: f64 = self
+            .throttles
             .iter()
-            .filter(|&&(from, until, _)| t >= from && t < until)
-            .map(|&(_, _, f)| f)
+            .filter(|&&(q, from, until, _)| q == p && t >= from && t < until)
+            .map(|&(_, _, _, f)| f)
             .product();
         factor.max(MIN_THROTTLE_FACTOR)
     }
 
     /// Transient-failure point for `task` as a fraction of solo work.
     pub fn fail_fraction(&self, task: usize) -> Option<f64> {
-        self.fail_at.get(&task).copied()
+        self.fail_at
+            .iter()
+            .find_map(|&(t, fraction)| (t == task).then_some(fraction))
     }
 
     /// Earliest scripted fault boundary strictly after `t`: a dropout
@@ -251,14 +265,12 @@ impl FaultInjector {
                 next = Some(b);
             }
         };
-        for at in self.down_at.iter().flatten() {
-            consider(*at);
+        for &(_, at) in &self.down_at {
+            consider(at);
         }
-        for list in &self.throttles {
-            for &(from, until, _) in list {
-                consider(from);
-                consider(until);
-            }
+        for &(_, from, until, _) in &self.throttles {
+            consider(from);
+            consider(until);
         }
         next
     }

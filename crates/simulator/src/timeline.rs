@@ -106,27 +106,7 @@ impl Trace {
     /// processor sits idle waiting for a dependent stage while it still
     /// has work ahead of it.
     pub fn idle_bubble_ms(&self) -> f64 {
-        // One buffer for every processor: spans ordered by processor,
-        // then by start (a stable sort, so equal starts keep task order
-        // and the gaps sum in the same order as a per-processor pass).
-        let mut order: Vec<&Span> = Vec::with_capacity(self.spans.len());
-        order.extend(
-            self.spans
-                .iter()
-                .filter(|s| s.processor.index() < self.processor_count),
-        );
-        order.sort_by(|a, b| {
-            a.processor
-                .cmp(&b.processor)
-                .then(a.start_ms.total_cmp(&b.start_ms))
-        });
-        let mut total = 0.0;
-        for w in order.windows(2) {
-            if w[0].processor == w[1].processor {
-                total += (w[1].start_ms - w[0].end_ms).max(0.0);
-            }
-        }
-        total
+        idle_bubble_ms(self.spans.iter(), self.processor_count)
     }
 
     /// Throughput in completed tasks per second: every span counts, so
@@ -189,6 +169,31 @@ impl Trace {
         ));
         out
     }
+}
+
+/// [`Trace::idle_bubble_ms`] over any spans, in the order given: the
+/// faulted audit reads a run's completed spans where they lie.
+pub(crate) fn idle_bubble_ms<'a>(
+    spans: impl Iterator<Item = &'a Span>,
+    processor_count: usize,
+) -> f64 {
+    // One buffer for every processor: spans ordered by processor, then
+    // by start (a stable sort, so equal starts keep the given order and
+    // the gaps sum in the same order as a per-processor pass).
+    let mut order: Vec<&Span> = Vec::with_capacity(spans.size_hint().1.unwrap_or(0));
+    order.extend(spans.filter(|s| s.processor.index() < processor_count));
+    order.sort_by(|a, b| {
+        a.processor
+            .cmp(&b.processor)
+            .then(a.start_ms.total_cmp(&b.start_ms))
+    });
+    let mut total = 0.0;
+    for w in order.windows(2) {
+        if w[0].processor == w[1].processor {
+            total += (w[1].start_ms - w[0].end_ms).max(0.0);
+        }
+    }
+    total
 }
 
 #[cfg(test)]

@@ -34,6 +34,11 @@ echo "== planning allocation budget (release)"
 # one-request plans on a warmed planner) to the release build.
 cargo test --release -q --test plan_alloc
 
+echo "== chaos-path allocation budget (release)"
+# Likewise for a serve-chaos stream, where every dispatch runs the
+# recovery rounds: plans, replans, faulted runs and in-place audits.
+cargo test --release -q --test recovery_alloc
+
 echo "== experiments/ reproduce (seeded experiment binaries)"
 # Every seeded experiment binary must reproduce its committed output
 # byte for byte (ext_granularity prints wall-clock DP times and is left
