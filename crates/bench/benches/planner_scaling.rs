@@ -290,12 +290,15 @@ fn bench_serve_sweep(c: &mut Criterion) {
 }
 
 fn bench_span_enter(c: &mut Criterion) {
-    // One span entered and closed on a recorder that already holds
-    // 10,000 same-name roots: the recorder of a serve loop deep into a
-    // stream, where every cache-hit dispatch opens one `online-inc`
-    // root. Entry must not scan the earlier spans. Each batch starts
-    // from a freshly filled recorder, outside the timing, so the
-    // recorder holds 10,000 roots plus that batch's own.
+    // One span entered and closed on a recorder at its retention
+    // window: the recorder of a serve loop deep into a stream, where
+    // every cache-hit dispatch opens one `online-inc` root. Each batch
+    // starts from a recorder that 10,000 same-name roots went through
+    // outside the timing, so it has swept three times and holds 3,856
+    // records. The timed entries sweep again every 2,048, so the
+    // reading is an entry's steady-state cost: the counter lookup, the
+    // push and its share of a sweep. Entry must not scan the earlier
+    // spans.
     const NAME: &str = "online-inc:1req";
     c.bench_function("telemetry/span_enter/10000", |b| {
         b.iter_custom(|iters| {

@@ -308,14 +308,9 @@ pub fn lower_with_arrivals<'soc>(
     soc: &'soc SocSpec,
     arrivals: &[f64],
 ) -> Result<LoweredPlan<'soc>, PlanError> {
+    let stages = || plan.requests.iter().flat_map(|r| r.stages.iter().flatten());
     let mut sim = Simulation::new(soc);
-    sim.reserve(
-        plan.requests
-            .iter()
-            .flat_map(|r| r.stages.iter().flatten())
-            .map(|stage| stage.runs.len().max(1))
-            .sum(),
-    );
+    sim.reserve(stages().map(|stage| stage.runs.len().max(1)).sum());
     let request_count = plan
         .requests
         .iter()
@@ -324,7 +319,7 @@ pub fn lower_with_arrivals<'soc>(
         .unwrap_or(0);
     let mut final_task: Vec<Option<TaskId>> = vec![None; request_count];
 
-    let mut seen: HashSet<(&str, usize, usize, usize)> = HashSet::new();
+    let mut seen: HashSet<(&str, usize, usize, usize)> = HashSet::with_capacity(stages().count());
     for req in &plan.requests {
         let mut prev: Option<TaskId> = None;
         let arrival = arrivals.get(req.request).copied().unwrap_or(0.0);

@@ -18,7 +18,7 @@ use h2p_models::zoo::ModelId;
 use h2p_simulator::soc::SocSpec;
 use h2p_telemetry::analytics::{LatencyProfile, SloEntry, SloSummary};
 use h2p_telemetry::lifecycle::{
-    validate, LifecycleEvent, LifecycleLog, LifecycleStage, QosClass, RequestId, TraceId,
+    validate, LifecycleEvent, LifecycleStage, QosClass, RequestId, TraceId,
 };
 use hetero2pipe::batching::{coalesce, graphs_for_groups};
 use hetero2pipe::error::PlanError;
@@ -241,7 +241,9 @@ pub struct ServeReport {
     /// Served (complete + timed-out) requests per second of horizon.
     pub served_per_sec: f64,
     /// The full lifecycle stream (admit/reject/shed/plan/window/
-    /// execute/recover/degrade/complete), seq-ordered.
+    /// execute/recover/degrade/complete), seq-ordered. The run records
+    /// it here directly, so it is whole however long the run, unlike
+    /// the planner's windowed log.
     pub lifecycle: Vec<LifecycleEvent>,
     /// Accounting anomalies observed while the run recorded outcomes
     /// (always empty unless the loop itself is broken).
@@ -359,6 +361,25 @@ enum GroupResult {
     Failed { reason: String },
 }
 
+/// The lifecycle stream one run records and its report returns: every
+/// event carries the run's trace id, and its `seq` is its index.
+struct Stream {
+    trace: TraceId,
+    events: Vec<LifecycleEvent>,
+}
+
+impl Stream {
+    fn record(&mut self, request: usize, at_ms: f64, stage: LifecycleStage) {
+        self.events.push(LifecycleEvent {
+            trace: self.trace,
+            request: RequestId(request),
+            seq: self.events.len() as u64,
+            at_ms,
+            stage,
+        });
+    }
+}
+
 /// Records a terminal outcome exactly once; a second write is an
 /// accounting anomaly, reported instead of silently overwriting.
 fn set_outcome(
@@ -436,7 +457,10 @@ impl Server {
         let trace = TraceId::of_names(arrivals.iter().map(|a| a.model.name()));
         let mut admission = AdmissionControl::new(&self.calibration, self.window, cfg.slo_budget);
         let mut queue = AdmitQueue::new(admission.limits());
-        let lifecycle = LifecycleLog::new();
+        let mut stream = Stream {
+            trace,
+            events: Vec::new(),
+        };
         let mut outcomes: Vec<Option<ServeOutcome>> = vec![None; arrivals.len()];
         let mut anomalies: Vec<String> = Vec::new();
 
@@ -454,8 +478,7 @@ impl Server {
                     idle_at,
                     &mut admission,
                     &mut queue,
-                    trace,
-                    &lifecycle,
+                    &mut stream,
                     &mut outcomes,
                     &mut anomalies,
                 );
@@ -471,9 +494,8 @@ impl Server {
             // Shed before cutting the batch: evict queued requests
             // whose remaining slack no longer covers their solo path.
             for q in queue.shed_expired(now) {
-                lifecycle.record(
-                    trace,
-                    RequestId(q.id),
+                stream.record(
+                    q.id,
                     now,
                     LifecycleStage::Shed {
                         reason: "slack_below_solo".to_owned(),
@@ -498,8 +520,7 @@ impl Server {
                 now,
                 cfg,
                 dispatches,
-                trace,
-                &lifecycle,
+                &mut stream,
                 &mut outcomes,
                 &mut anomalies,
                 &mut max_dispatch_retries,
@@ -557,8 +578,8 @@ impl Server {
                 }),
             })
             .collect();
-        let events = lifecycle.records();
-        let horizon_ms = events
+        let lifecycle = stream.events;
+        let horizon_ms = lifecycle
             .iter()
             .map(|e| e.at_ms)
             .fold(0.0f64, f64::max)
@@ -585,7 +606,7 @@ impl Server {
             dispatches,
             horizon_ms,
             served_per_sec,
-            lifecycle: events,
+            lifecycle,
             anomalies,
             records,
         })
@@ -602,8 +623,7 @@ impl Server {
         idle_at: f64,
         admission: &mut AdmissionControl,
         queue: &mut AdmitQueue,
-        trace: TraceId,
-        lifecycle: &LifecycleLog,
+        stream: &mut Stream,
         outcomes: &mut [Option<ServeOutcome>],
         anomalies: &mut Vec<String>,
     ) {
@@ -611,45 +631,37 @@ impl Server {
         let class = self.calibration.class(a.model);
         let solo = self.calibration.solo_ms(a.model);
         let deadline = self.calibration.deadline_ms(a.model);
-        let reject = |reason: RejectReason,
-                      outcomes: &mut [Option<ServeOutcome>],
-                      anomalies: &mut Vec<String>| {
-            lifecycle.record(
-                trace,
-                RequestId(a.id),
-                now,
-                LifecycleStage::Reject {
-                    reason: reason.name().to_owned(),
-                },
-            );
-            set_outcome(outcomes, anomalies, a.id, ServeOutcome::Rejected { reason });
-        };
-        if queue.class_depth(class) >= queue.limits()[class_index(class)] {
-            reject(RejectReason::QueueFull, outcomes, anomalies);
-            return;
-        }
         let busy_wait = (idle_at - now).max(0.0);
-        let predicted = busy_wait + queue.backlog_solo_ms() + solo;
-        if predicted > deadline {
-            reject(RejectReason::DeadlineInfeasible, outcomes, anomalies);
-            return;
-        }
-        if !admission.try_take_token(class, now) {
-            reject(RejectReason::Shedding, outcomes, anomalies);
-            return;
-        }
-        match queue.try_admit(QueuedRequest {
-            id: a.id,
-            model: a.model,
-            class,
-            arrival_ms: now,
-            solo_ms: solo,
-            deadline_ms: deadline,
-        }) {
-            Ok(()) => {
-                lifecycle.record(trace, RequestId(a.id), now, LifecycleStage::Admit);
+        let verdict = if queue.class_depth(class) >= queue.limits()[class_index(class)] {
+            Err(RejectReason::QueueFull)
+        } else if busy_wait + queue.backlog_solo_ms() + solo > deadline {
+            Err(RejectReason::DeadlineInfeasible)
+        } else if !admission.try_take_token(class, now) {
+            Err(RejectReason::Shedding)
+        } else {
+            queue
+                .try_admit(QueuedRequest {
+                    id: a.id,
+                    model: a.model,
+                    class,
+                    arrival_ms: now,
+                    solo_ms: solo,
+                    deadline_ms: deadline,
+                })
+                .map_err(|_| RejectReason::QueueFull)
+        };
+        match verdict {
+            Ok(()) => stream.record(a.id, now, LifecycleStage::Admit),
+            Err(reason) => {
+                stream.record(
+                    a.id,
+                    now,
+                    LifecycleStage::Reject {
+                        reason: reason.name().to_owned(),
+                    },
+                );
+                set_outcome(outcomes, anomalies, a.id, ServeOutcome::Rejected { reason });
             }
-            Err(_) => reject(RejectReason::QueueFull, outcomes, anomalies),
         }
     }
 
@@ -663,8 +675,7 @@ impl Server {
         start0: f64,
         cfg: &ServeConfig,
         dispatch_idx: usize,
-        trace: TraceId,
-        lifecycle: &LifecycleLog,
+        stream: &mut Stream,
         outcomes: &mut [Option<ServeOutcome>],
         anomalies: &mut Vec<String>,
         max_dispatch_retries: &mut usize,
@@ -673,10 +684,9 @@ impl Server {
         let groups = coalesce(&ids, cfg.max_batch);
         let graphs = graphs_for_groups(&groups);
         for q in batch {
-            lifecycle.record(trace, RequestId(q.id), start0, LifecycleStage::Plan);
-            lifecycle.record(
-                trace,
-                RequestId(q.id),
+            stream.record(q.id, start0, LifecycleStage::Plan);
+            stream.record(
+                q.id,
                 start0,
                 LifecycleStage::Window {
                     window: dispatch_idx,
@@ -698,19 +708,13 @@ impl Server {
                         for _ in 0..group.batch {
                             let q = &batch[member];
                             member += 1;
-                            lifecycle.record(
-                                trace,
-                                RequestId(q.id),
-                                start,
-                                LifecycleStage::Execute,
-                            );
+                            stream.record(q.id, start, LifecycleStage::Execute);
                             match result {
                                 GroupResult::Done { latency_ms } => {
                                     let finish = start + latency_ms;
                                     let e2e = finish - q.arrival_ms;
-                                    lifecycle.record(
-                                        trace,
-                                        RequestId(q.id),
+                                    stream.record(
+                                        q.id,
                                         finish,
                                         LifecycleStage::Complete { latency_ms: e2e },
                                     );
@@ -725,9 +729,8 @@ impl Server {
                                     set_outcome(outcomes, anomalies, q.id, outcome);
                                 }
                                 GroupResult::Failed { reason } => {
-                                    lifecycle.record(
-                                        trace,
-                                        RequestId(q.id),
+                                    stream.record(
+                                        q.id,
                                         start + busy_ms,
                                         LifecycleStage::Degrade {
                                             reason: reason.clone(),
@@ -752,12 +755,7 @@ impl Server {
                     *max_dispatch_retries = (*max_dispatch_retries).max(attempt);
                     let delay = cfg.policy.backoff_ms(attempt);
                     for q in batch {
-                        lifecycle.record(
-                            trace,
-                            RequestId(q.id),
-                            start,
-                            LifecycleStage::Recover { round: attempt },
-                        );
+                        stream.record(q.id, start, LifecycleStage::Recover { round: attempt });
                     }
                     let _ = e;
                     start += delay;
@@ -765,9 +763,8 @@ impl Server {
                 Err(e) => {
                     let reason = format!("dispatch_failed: {e}");
                     for q in batch {
-                        lifecycle.record(
-                            trace,
-                            RequestId(q.id),
+                        stream.record(
+                            q.id,
                             start,
                             LifecycleStage::Degrade {
                                 reason: reason.clone(),
@@ -820,8 +817,10 @@ impl Server {
             .seed
             .wrapping_add((dispatch_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let faults = chaos_faults(planner.soc(), graphs.len(), fault_seed);
-        // The runner records the dispatch's lifecycle on the planner,
-        // which nothing here reads back: keep that log to one dispatch.
+        // The runner also records the dispatch's lifecycle on the
+        // planner's shared log, which this loop never reads: it keeps
+        // its own stream. Clearing that log per dispatch holds it to one
+        // dispatch's events instead of a full window of 4,096.
         planner.telemetry().lifecycle.clear();
         let report = run_with_recovery(planner, graphs, &faults, &cfg.policy)?;
         let reason = |outcome: &RecoveryOutcome| match outcome {

@@ -26,8 +26,9 @@
 //! longer cover its solo critical path). Both carry a typed reason so
 //! no request ever leaves the system silently.
 
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::{json_escape, json_num};
 
@@ -368,13 +369,31 @@ pub fn validate(events: &[LifecycleEvent]) -> Vec<LifecycleViolation> {
     violations
 }
 
-/// Append-only, thread-safe log of lifecycle events. Sequence numbers
-/// are assigned under the lock in record order, so a single log yields
-/// a totally ordered stream even when planner threads record
-/// concurrently.
+/// The most recent events a [`LifecycleLog`] retains.
+pub const LIFECYCLE_WINDOW: usize = 4096;
+
+/// Thread-safe log of the [`LIFECYCLE_WINDOW`] most recent lifecycle
+/// events. Sequence numbers are assigned under the lock in record
+/// order, so a single log yields a totally ordered stream even when
+/// planner threads record concurrently. An event's `seq` counts the
+/// events recorded before it, evicted ones included, so a retained
+/// event carries the `seq` an unbounded log would give it.
+///
+/// Once [`LifecycleLog::dropped`] is nonzero the retained tail is not a
+/// complete causal stream: a request whose admission was evicted reads
+/// as [`LifecycleViolation::MissingAdmit`] to [`validate`]. A stream
+/// that must validate whole is recorded by its owner, as
+/// `h2p-serve`'s loop records its own.
 #[derive(Debug, Default)]
 pub struct LifecycleLog {
-    events: Mutex<Vec<LifecycleEvent>>,
+    window: Mutex<Window>,
+}
+
+#[derive(Debug, Default)]
+struct Window {
+    events: VecDeque<LifecycleEvent>,
+    /// Events evicted from the front so far.
+    dropped: u64,
 }
 
 impl LifecycleLog {
@@ -382,11 +401,21 @@ impl LifecycleLog {
         Self::default()
     }
 
-    /// Records one event, assigning the next sequence number.
+    fn lock(&self) -> MutexGuard<'_, Window> {
+        self.window.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Records one event, assigning the next sequence number. At the
+    /// window's bound the oldest event is evicted first, so the
+    /// deque's capacity stays at the bound.
     pub fn record(&self, trace: TraceId, request: RequestId, at_ms: f64, stage: LifecycleStage) {
-        let mut events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
-        let seq = events.len() as u64;
-        events.push(LifecycleEvent {
+        let mut window = self.lock();
+        let seq = window.dropped + window.events.len() as u64;
+        if window.events.len() == LIFECYCLE_WINDOW {
+            window.events.pop_front();
+            window.dropped += 1;
+        }
+        window.events.push_back(LifecycleEvent {
             trace,
             request,
             seq,
@@ -395,37 +424,39 @@ impl LifecycleLog {
         });
     }
 
-    /// Copies the recorded events out, in sequence order.
+    /// Copies the retained events out, in sequence order.
     pub fn records(&self) -> Vec<LifecycleEvent> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        self.lock().events.iter().cloned().collect()
     }
 
+    /// Retained events.
     pub fn len(&self) -> usize {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.lock().events.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Drops all recorded events (e.g. between planning invocations in
-    /// a long-lived process).
-    pub fn clear(&self) {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+    /// Events evicted to keep the window: `len() + dropped()` is the
+    /// number recorded since the log was created or last cleared.
+    pub fn dropped(&self) -> u64 {
+        self.lock().dropped
     }
 
-    /// Renders every event as a JSONL line, in sequence order.
+    /// Drops all recorded events and the eviction count, so sequence
+    /// numbers restart at 0 (e.g. between planning invocations in a
+    /// long-lived process).
+    pub fn clear(&self) {
+        let mut window = self.lock();
+        window.events.clear();
+        window.dropped = 0;
+    }
+
+    /// Renders every retained event as a JSONL line, in sequence order.
     pub fn json_lines(&self) -> Vec<String> {
-        self.records()
+        self.lock()
+            .events
             .iter()
             .map(LifecycleEvent::json_line)
             .collect()
@@ -435,6 +466,7 @@ impl LifecycleLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn trace_id_is_content_deterministic() {
@@ -469,6 +501,49 @@ mod tests {
         assert_eq!(log.len(), 3);
         log.clear();
         assert!(log.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Past the window, the log holds exactly the tail of an
+        /// unbounded stream, `seq` included, and counts the rest as
+        /// dropped; `clear` restarts `seq` at 0.
+        #[test]
+        fn the_window_keeps_the_tail_of_an_unbounded_stream(
+            seed in any::<u64>(),
+            extra in 0usize..3 * LIFECYCLE_WINDOW,
+        ) {
+            let total = LIFECYCLE_WINDOW + extra;
+            let log = LifecycleLog::new();
+            let mut shadow = Vec::with_capacity(total);
+            for k in 0..total {
+                let mix = (seed ^ k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+                let stage = match mix % 4 {
+                    0 => LifecycleStage::Admit,
+                    1 => LifecycleStage::Window { window: k },
+                    2 => LifecycleStage::Complete { latency_ms: k as f64 },
+                    _ => LifecycleStage::Shed { reason: format!("s{mix}") },
+                };
+                let (trace, request) = (TraceId(mix % 3), RequestId(k % 11));
+                log.record(trace, request, k as f64 * 0.5, stage.clone());
+                shadow.push(LifecycleEvent {
+                    trace,
+                    request,
+                    seq: k as u64,
+                    at_ms: k as f64 * 0.5,
+                    stage,
+                });
+            }
+            prop_assert_eq!(log.len(), LIFECYCLE_WINDOW);
+            prop_assert_eq!(log.dropped(), extra as u64);
+            prop_assert_eq!(log.records(), shadow[extra..].to_vec());
+            log.clear();
+            prop_assert!(log.is_empty());
+            prop_assert_eq!(log.dropped(), 0);
+            log.record(TraceId(1), RequestId(0), 0.0, LifecycleStage::Admit);
+            prop_assert_eq!(log.records()[0].seq, 0);
+        }
     }
 
     #[test]

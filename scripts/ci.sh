@@ -39,6 +39,13 @@ echo "== chaos-path allocation budget (release)"
 # recovery rounds: plans, replans, faulted runs and in-place audits.
 cargo test --release -q --test recovery_alloc
 
+echo "== retained-memory budget (release)"
+# A server serving the same serve-light stream twice, and a warm planner
+# planning 4,000 Fig. 7 batches, must retain flat live heap: the span
+# recorder and the lifecycle log keep fixed windows, and the serve loop
+# moves its own stream into its report.
+cargo test --release -q --test serve_memory
+
 echo "== experiments/ reproduce (seeded experiment binaries)"
 # Every seeded experiment binary must reproduce its committed output
 # byte for byte (ext_granularity prints wall-clock DP times and is left
