@@ -1,12 +1,11 @@
 //! The planner's perf-trajectory suite: partition DP, a cold and a warm
 //! single-request plan, LAP solve, the contention-mitigation pass,
-//! end-to-end planning at 2/4/8/16 requests (frozen sequential reference
-//! vs the cached runtime at 1 and 4 threads), cold 8-request plans at 1
-//! and 4 threads, lowering and simulated execution of a planned
-//! 8-request pipeline, an online window replan, the recovery re-plan
-//! after a processor dropout, the faulted audit of one recovery round,
-//! the serve loop's batching step, and one span entry on a recorder
-//! that holds 10,000 spans.
+//! end-to-end planning at 2/4/8/16 requests (frozen reference vs the
+//! cached planner), a cold 8-request plan, lowering and simulated
+//! execution of a planned 8-request pipeline, an online window replan,
+//! the recovery re-plan after a processor dropout, the faulted audit of
+//! one recovery round, the serve loop's batching step, and one span
+//! entry on a recorder that holds 10,000 spans.
 //!
 //! Cases that repeat one request set on one planner are warm: from the
 //! second iteration on, the cost tables, the memoized partitions and the
@@ -31,11 +30,7 @@ use hetero2pipe::batching::{coalesce, graphs_for_groups};
 use hetero2pipe::online::OnlinePlanner;
 use hetero2pipe::planner::Planner;
 use hetero2pipe::workload::random_models;
-use hetero2pipe::{lap, mitigation, par, partition};
-
-/// The thread count of the parallel end-to-end cases (and the speedup
-/// gate in `bench_check`).
-const PAR_THREADS: usize = 4;
+use hetero2pipe::{lap, mitigation, partition};
 
 /// Request count of the workload the speedup gate reads.
 const GATE_REQUESTS: usize = 8;
@@ -70,31 +65,24 @@ fn bench_partition_dp(c: &mut Criterion) {
 }
 
 fn bench_plan_single(c: &mut Criterion) {
-    // One BERT request planned end-to-end on a warm planner: the
-    // request-count clamp leaves one worker, and from the second
-    // iteration on the partition memo answers the subset search and the
-    // tail candidates, so this case times a memo hit plus the lone
-    // assembly.
+    // One BERT request planned end-to-end on a warm planner: from the
+    // second iteration on the partition memo answers the subset search
+    // and the tail candidates, so this case times a memo hit plus the
+    // lone assembly.
     let soc = SocSpec::kirin_990();
     let planner = Planner::new(&soc).expect("planner");
     let graphs = [ModelId::Bert.graph()];
     c.bench_function("plan_single/BERT", |b| {
-        b.iter(|| {
-            planner
-                .plan_with_threads(&graphs, PAR_THREADS)
-                .expect("plan")
-        })
+        b.iter(|| planner.plan(&graphs).expect("plan"))
     });
     // The same plan from a cold tables cache: every iteration rebuilds
-    // BERT's cost tables, runs the sequential pruned subset search (8 of
-    // 15 subset DPs), builds the stage vector and the tail candidates,
-    // and assembles.
+    // BERT's cost tables, runs the pruned subset search (8 of 15 subset
+    // DPs), builds the stage vector and the tail candidates, and
+    // assembles.
     c.bench_function("prepare_cold/BERT", |b| {
         b.iter(|| {
             planner.estimator().clear_tables_cache();
-            planner
-                .plan_with_threads(&graphs, PAR_THREADS)
-                .expect("plan")
+            planner.plan(&graphs).expect("plan")
         })
     });
 }
@@ -134,9 +122,10 @@ fn bench_mitigation(c: &mut Criterion) {
 }
 
 fn bench_plan_scaling(c: &mut Criterion) {
-    // The reference re-solves every request on every iteration; t1 and
-    // t4 are warm (memo-hit prepare, then the four candidate assemblies,
-    // all on the calling thread), so they time the same code.
+    // The reference re-solves every request on every iteration; the
+    // cached planner is warm (memo-hit prepare, then the four candidate
+    // assemblies). The `t1` in its case names is kept from when the
+    // planner could fan out, so the trajectory stays comparable.
     let soc = SocSpec::kirin_990();
     let planner = Planner::new(&soc).expect("planner");
     for m in [2usize, 4, 8, 16] {
@@ -145,34 +134,23 @@ fn bench_plan_scaling(c: &mut Criterion) {
             b.iter(|| planner.plan_reference(&graphs).expect("plan"))
         });
         c.bench_function(&format!("plan/t1/{m}"), |b| {
-            b.iter(|| planner.plan_with_threads(&graphs, 1).expect("plan"))
-        });
-        c.bench_function(&format!("plan/t{PAR_THREADS}/{m}"), |b| {
-            b.iter(|| {
-                planner
-                    .plan_with_threads(&graphs, PAR_THREADS)
-                    .expect("plan")
-            })
+            b.iter(|| planner.plan(&graphs).expect("plan"))
         });
     }
 }
 
 fn bench_plan_cold(c: &mut Criterion) {
     // The 8-request plan from a cleared tables cache on every iteration,
-    // as `prepare_cold/BERT` does: every request needs a subset search,
-    // so step 1 fans out at t4. This pair is the one parallel path left
-    // in `Planner::plan`, and `t4_vs_t1` is read from it.
+    // as `prepare_cold/BERT` does: every request needs a subset search.
     let soc = SocSpec::kirin_990();
     let planner = Planner::new(&soc).expect("planner");
     let graphs = workload(GATE_REQUESTS);
-    for threads in [1, PAR_THREADS] {
-        c.bench_function(&format!("plan_cold/t{threads}/{GATE_REQUESTS}"), |b| {
-            b.iter(|| {
-                planner.estimator().clear_tables_cache();
-                planner.plan_with_threads(&graphs, threads).expect("plan")
-            })
-        });
-    }
+    c.bench_function(&format!("plan_cold/t1/{GATE_REQUESTS}"), |b| {
+        b.iter(|| {
+            planner.estimator().clear_tables_cache();
+            planner.plan(&graphs).expect("plan")
+        })
+    });
 }
 
 fn bench_simulate(c: &mut Criterion) {
@@ -330,44 +308,24 @@ fn write_json(results: &[BenchResult]) {
             )
         })
         .collect();
-    // `t4_vs_reference` compares the warm t4 plan with the reference;
-    // `t4_vs_t1` compares the cold pair, whose step 1 fans out at t4 (the
-    // warm t1 and t4 cases run identical code).
-    let case = |name: String| median_of(results, &name);
-    let reference = case(format!("plan/reference/{GATE_REQUESTS}"));
-    let t1 = case(format!("plan/t1/{GATE_REQUESTS}"));
-    let t4 = case(format!("plan/t{PAR_THREADS}/{GATE_REQUESTS}"));
-    let cold_t1 = case(format!("plan_cold/t1/{GATE_REQUESTS}"));
-    let cold_t4 = case(format!("plan_cold/t{PAR_THREADS}/{GATE_REQUESTS}"));
-    let speedup = match (reference, t1, t4, cold_t1, cold_t4) {
-        (Some(reference), Some(t1), Some(t4), Some(cold_t1), Some(cold_t4))
-            if t4 > 0.0 && cold_t4 > 0.0 =>
-        {
-            format!(
-                concat!(
-                    "  \"speedup\": {{\n",
-                    "    \"workload_requests\": {req},\n",
-                    "    \"threads\": {thr},\n",
-                    "    \"reference_median_ns\": {reference:.1},\n",
-                    "    \"t1_median_ns\": {t1:.1},\n",
-                    "    \"t{thr}_median_ns\": {t4:.1},\n",
-                    "    \"cold_t1_median_ns\": {cold_t1:.1},\n",
-                    "    \"cold_t{thr}_median_ns\": {cold_t4:.1},\n",
-                    "    \"t{thr}_vs_reference\": {vs_ref:.3},\n",
-                    "    \"t{thr}_vs_t1\": {vs_t1:.3}\n",
-                    "  }}"
-                ),
-                req = GATE_REQUESTS,
-                thr = PAR_THREADS,
-                reference = reference,
-                t1 = t1,
-                t4 = t4,
-                cold_t1 = cold_t1,
-                cold_t4 = cold_t4,
-                vs_ref = reference / t4,
-                vs_t1 = cold_t1 / cold_t4,
-            )
-        }
+    // `t1_vs_reference` compares the warm plan with the reference.
+    let reference = median_of(results, &format!("plan/reference/{GATE_REQUESTS}"));
+    let t1 = median_of(results, &format!("plan/t1/{GATE_REQUESTS}"));
+    let speedup = match (reference, t1) {
+        (Some(reference), Some(t1)) if t1 > 0.0 => format!(
+            concat!(
+                "  \"speedup\": {{\n",
+                "    \"workload_requests\": {req},\n",
+                "    \"reference_median_ns\": {reference:.1},\n",
+                "    \"t1_median_ns\": {t1:.1},\n",
+                "    \"t1_vs_reference\": {vs_ref:.3}\n",
+                "  }}"
+            ),
+            req = GATE_REQUESTS,
+            reference = reference,
+            t1 = t1,
+            vs_ref = reference / t1,
+        ),
         _ => "  \"speedup\": null".to_owned(),
     };
     let scratch = median_of(results, "online/replan_w4/16");
@@ -390,7 +348,7 @@ fn write_json(results: &[BenchResult]) {
     let json = format!(
         "{{\n  \"schema\": \"h2p-bench-planner/v1\",\n  \"quick\": {},\n  \"available_parallelism\": {},\n  \"cases\": [\n{}\n  ],\n{},\n{}\n}}\n",
         criterion::quick_mode(),
-        par::available_parallelism(),
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         cases.join(",\n"),
         speedup,
         replan,

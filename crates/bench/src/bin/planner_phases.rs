@@ -33,7 +33,7 @@ fn main() {
     for _ in 0..iters {
         planner.plan(&requests).expect("plan");
     }
-    let mut snap = planner.telemetry().metrics.snapshot();
+    let snap = planner.telemetry().metrics.snapshot();
 
     let per_iter = |gauge: &str| snap.gauge(gauge).unwrap_or(0.0) / iters as f64;
     let count = |counter: &str| snap.counter(counter).unwrap_or(0);
@@ -100,10 +100,6 @@ fn main() {
         "partition memo: {hits} hits, {misses} misses across {iters} plans ({hit_rate:.1}% hit rate)"
     );
 
-    // How many DP scratches the pool had to allocate depends on how the
-    // cold plan's subset searches interleaved, not on the plan: leave it
-    // out so every regeneration writes the same counters.
-    snap.counters.remove("planner.dp.scratch_allocs");
     std::fs::write(&out, snap.to_json()).expect("write metrics snapshot");
     println!("\nmetrics snapshot written to {out}");
 }

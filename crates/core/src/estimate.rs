@@ -28,8 +28,8 @@
 //! layer and processor, summed in the cost model's own order, instead of
 //! re-evaluating the roofline for every stage it builds.
 
-use crate::sync::{Arc, Mutex, MutexGuard};
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use h2p_contention::{ContentionClass, IntensityModel};
 use h2p_models::cost::{CostModel, CostTable};
@@ -281,24 +281,19 @@ impl Estimator {
         pipeline_procs: &[ProcessorId],
     ) -> (Arc<RequestTables>, bool) {
         let mut memo = self.lock_tables_memo();
-        if let Some(tables) = find_tables(&memo, graph, pipeline_procs) {
-            return (tables, true);
+        let hit = memo.get(graph.name()).and_then(|entries| {
+            entries
+                .iter()
+                .find(|t| t.pipeline_procs == pipeline_procs && t.graph == *graph)
+        });
+        if let Some(tables) = hit {
+            return (Arc::clone(tables), true);
         }
         let tables = Arc::new(self.tables(graph, pipeline_procs));
         memo.entry(graph.name().to_owned())
             .or_default()
             .push(Arc::clone(&tables));
         (tables, false)
-    }
-
-    /// The entry [`Estimator::tables_cached`] would hit, without building
-    /// one on a miss.
-    pub(crate) fn tables_if_cached(
-        &self,
-        graph: &ModelGraph,
-        pipeline_procs: &[ProcessorId],
-    ) -> Option<Arc<RequestTables>> {
-        find_tables(&self.lock_tables_memo(), graph, pipeline_procs)
     }
 
     fn lock_tables_memo(&self) -> MutexGuard<'_, TablesMemo> {
@@ -316,17 +311,6 @@ impl Estimator {
     pub fn clear_tables_cache(&self) {
         self.lock_tables_memo().clear();
     }
-}
-
-fn find_tables(
-    memo: &TablesMemo,
-    graph: &ModelGraph,
-    pipeline_procs: &[ProcessorId],
-) -> Option<Arc<RequestTables>> {
-    memo.get(graph.name())?
-        .iter()
-        .find(|t| t.pipeline_procs == pipeline_procs && t.graph == *graph)
-        .map(Arc::clone)
 }
 
 fn assert_active_slots(active_slots: &[usize]) {

@@ -58,14 +58,12 @@ pub mod lap;
 pub mod lint;
 pub mod mitigation;
 pub mod online;
-pub mod par;
 pub mod partition;
 pub mod plan;
 pub mod planner;
 pub mod recovery;
 pub mod report;
 pub mod searchspace;
-pub mod sync;
 pub mod workload;
 pub mod worksteal;
 

@@ -38,8 +38,12 @@
 //! back to planning from scratch (the planner's normal path, with step 1
 //! served from the memo), and in debug builds every cache hit is
 //! re-planned and asserted bit-identical to the from-scratch plan.
+//!
+//! Windows are planned one after another on the calling thread, like
+//! the requests inside [`Planner::plan`]. The window cache sits behind a
+//! mutex, so an online planner can still be shared across threads.
 
-use crate::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use h2p_contention::ContentionClass;
 use h2p_models::graph::ModelGraph;
@@ -48,9 +52,8 @@ use h2p_telemetry::lifecycle::{LifecycleStage, RequestId, TraceId};
 use h2p_telemetry::span;
 
 use crate::error::PlanError;
-use crate::par;
 use crate::plan::PipelinePlan;
-use crate::planner::{item_span, PlannedPipeline, Planner};
+use crate::planner::{PlannedPipeline, Planner};
 
 /// One memoized window: the key components and the finished plan (with
 /// window-local request indices). The plan is stored as a one-window
@@ -149,30 +152,19 @@ impl OnlinePlanner {
     }
 
     /// Plans `(window index, requests)` pairs from scratch, one plan per
-    /// pair in input order — the third parallel loop of the planning
-    /// runtime. When more than one window fans out across the workers,
-    /// each window plans with a single inner thread so the worker pool is
-    /// not oversubscribed, and each window's span sits on lane `w` under
-    /// the caller's span, whichever worker plans it; a lone window keeps
-    /// the full inner parallelism. Either way each window's plan is
-    /// bit-identical (the planner's thread-count invariance).
+    /// pair in input order, each under its own `window:{w}` span.
     fn plan_windows(
         &self,
         windows: &[(usize, &[ModelGraph])],
     ) -> Result<Vec<PlannedPipeline>, PlanError> {
-        let telemetry = self.planner.telemetry();
-        let outer_threads = self.planner.config().effective_threads();
-        let inner_threads = if windows.len() > 1 && outer_threads > 1 {
-            1
-        } else {
-            outer_threads
-        };
-        let spread = (par::worker_count(outer_threads, windows.len()) > 1)
-            .then(|| telemetry.spans.current());
-        par::try_map(outer_threads, windows, |_, &(w, chunk)| {
-            let _span = item_span(&telemetry.spans, spread, w, format!("window:{w}"));
-            self.planner.plan_with_threads(chunk, inner_threads)
-        })
+        let spans = &self.planner.telemetry().spans;
+        windows
+            .iter()
+            .map(|&(w, chunk)| {
+                span!(spans, "window:{}", w);
+                self.planner.plan(chunk)
+            })
+            .collect()
     }
 
     /// Concatenates per-window plans (window-local request indices) into
@@ -358,7 +350,7 @@ impl OnlinePlanner {
     fn check_hit(&self, chunk: &[ModelGraph], cached: &PlannedPipeline) -> Result<(), PlanError> {
         #[cfg(debug_assertions)]
         {
-            let fresh = self.planner.plan_with_threads(chunk, 1)?;
+            let fresh = self.planner.plan(chunk)?;
             debug_assert!(
                 fresh.plan == cached.plan && fresh.tail_merges == cached.tail_merges,
                 "memoized window plan diverged from the from-scratch plan"
@@ -403,7 +395,7 @@ impl OnlinePlanner {
         Ok(shared)
     }
 
-    fn lock_cache(&self) -> crate::sync::MutexGuard<'_, Vec<WindowEntry>> {
+    fn lock_cache(&self) -> MutexGuard<'_, Vec<WindowEntry>> {
         match self.window_cache.lock() {
             Ok(guard) => guard,
             // Pure cache: a poisoned lock cannot hold partial state.

@@ -34,22 +34,24 @@
 //!
 //! # Planning runtime
 //!
-//! The production path ([`Planner::plan`]) shares per-request cost
-//! tables ([`crate::estimate::RequestTables`]). Requests that still need
-//! a subset search fan out across worker threads on the [`crate::par`]
-//! runtime (each search runs whole on one worker) and merge by index.
-//! Steps 2–3 then assemble the candidate orders one after another on the
-//! calling thread, skipping an order equal to one already assembled: an
-//! assembly prices work-stealing and tail candidates on a grid of stage
-//! times and a column ledger ([`crate::worksteal`]), reads the step-1
-//! plans and contexts in place and works in pooled buffers, so it costs
-//! less than a thread spawn. The output is **bit-identical for every thread count** —
-//! including the frozen sequential reference
+//! The production path ([`Planner::plan`]) plans on the calling thread.
+//! The paper re-invokes its planner on the phone whose CPU clusters are
+//! the pipeline stages it schedules, so planner worker threads would
+//! compete with the inference they plan. Step 1 prepares the requests
+//! one after another over shared per-request cost tables
+//! ([`crate::estimate::RequestTables`]). Steps 2–3 then assemble the
+//! candidate orders, skipping an order equal to one already assembled:
+//! an assembly prices work-stealing and tail candidates on a grid of
+//! stage times and a column ledger ([`crate::worksteal`]), reads the
+//! step-1 plans and contexts in place and works in pooled buffers. The
+//! output is **bit-identical** to the frozen reference
 //! ([`Planner::plan_reference`]), which preserves the original
 //! clone-per-mask implementation as the recorded perf baseline (see
 //! `scripts/bench.sh`) and as the oracle for the equivalence proptest.
+//! The memos, the tables cache and the scratch pool sit behind mutexes,
+//! so a planner can still be shared by callers on several threads.
 
-use crate::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use h2p_models::graph::ModelGraph;
@@ -57,13 +59,11 @@ use h2p_models::zoo::ModelId;
 use h2p_simulator::soc::SocSpec;
 use h2p_simulator::ProcessorId;
 use h2p_telemetry::lifecycle::{LifecycleStage, RequestId, TraceId};
-use h2p_telemetry::span::{SpanGuard, SpanParent, SpanRecorder};
 use h2p_telemetry::{span, Telemetry};
 
 use crate::error::PlanError;
 use crate::estimate::{Estimator, RequestContext, RequestTables};
 use crate::mitigation::{self, MitigationOutcome};
-use crate::par;
 use crate::partition::{min_max_partition, DpScratch};
 use crate::plan::{self, EstimateScratch, PipelinePlan, RequestPlan, StagePlan};
 use crate::worksteal::{self, CollapseSlots, PassScratch, StealReport};
@@ -278,10 +278,6 @@ pub struct PlannerConfig {
     pub max_depth: usize,
     /// Numerical precision the deployment executes at.
     pub precision: h2p_models::cost::Precision,
-    /// Worker threads for the parallel planning runtime; `0` (the
-    /// default) resolves to the machine's available parallelism. The
-    /// planned output is bit-identical for every value.
-    pub threads: usize,
 }
 
 impl Default for PlannerConfig {
@@ -292,7 +288,6 @@ impl Default for PlannerConfig {
             tail_optimization: true,
             max_depth: 4,
             precision: h2p_models::cost::Precision::Fp32,
-            threads: 0,
         }
     }
 }
@@ -316,13 +311,10 @@ impl PlannerConfig {
         }
     }
 
-    /// The worker-thread count this configuration resolves to.
+    /// The number of threads a plan runs on: always 1, since the
+    /// planner plans on the calling thread.
     pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            par::available_parallelism()
-        } else {
-            self.threads
-        }
+        1
     }
 }
 
@@ -339,23 +331,6 @@ pub struct PlannedPipeline {
     pub steal: Option<StealReport>,
     /// Number of tail requests collapsed onto a single processor.
     pub tail_merges: usize,
-}
-
-/// Opens the span of item `index` of a loop that may fan out over
-/// worker threads. `spread` is `Some(caller's span)` when it does: the
-/// item's span then sits under that span on lane `index`, whichever
-/// worker runs it, so traces do not depend on scheduling. Otherwise the
-/// span nests under the calling thread's current span as usual.
-pub(crate) fn item_span(
-    spans: &SpanRecorder,
-    spread: Option<Option<SpanParent>>,
-    index: usize,
-    name: String,
-) -> SpanGuard<'_> {
-    match spread {
-        Some(parent) => spans.enter_at(parent, index as u64, name),
-        None => spans.enter(name),
-    }
 }
 
 /// The Hetero²Pipe planner bound to one SoC.
@@ -433,7 +408,7 @@ struct Step1<'a> {
 }
 
 /// Everything step 1 produces for one request, computed independently
-/// per request (and therefore in parallel).
+/// per request.
 struct PreparedRequest {
     ctx: RequestContext,
     plan: RequestPlan,
@@ -473,9 +448,9 @@ impl Planner {
 
     /// Checks a [`PlanScratch`] out of the pool (allocating a fresh one
     /// only on a pool miss), runs `f`, and returns the scratch for
-    /// reuse. Requests prepared concurrently by the per-request fan-out
-    /// each get their own scratch; the pool grows to the high-water
-    /// concurrency and stays there.
+    /// reuse. Planning checks out one scratch at a time, so a planner
+    /// used from one thread pools a single scratch; callers that share
+    /// a planner across threads each check out their own.
     fn with_plan_scratch<R>(&self, f: impl FnOnce(&mut PlanScratch) -> R) -> R {
         let popped = {
             let mut pool = match self.scratch_pool.lock() {
@@ -594,9 +569,10 @@ impl Planner {
     /// matches it bit for bit, and re-check every winner against the
     /// Option-oracle DP. An entry holds at most 2^K answers, so the memo
     /// grows only with the tables cache itself. The entry's lock is held
-    /// while the search runs, so concurrent callers on one entry search
-    /// once. Hits and misses count as `planner.partition.cache_hits` /
-    /// `_misses`; the DP counters (`planner.dp.*`) grow on misses only.
+    /// while the search runs, so each mask is searched once per entry
+    /// even by callers that share the planner across threads. Hits and
+    /// misses count as `planner.partition.cache_hits` / `_misses`; the
+    /// DP counters (`planner.dp.*`) grow on misses only.
     /// On the h2pbench workloads, every timed plan-batch lookup hits and
     /// serve-chaos survivor replans hit 79% of the time.
     ///
@@ -727,46 +703,24 @@ impl Planner {
         procs: &[ProcessorId],
     ) -> Arc<RequestTables> {
         let (tables, hit) = self.estimator.tables_cached(graph, procs);
-        self.count_tables_lookup(hit);
-        tables
-    }
-
-    fn count_tables_lookup(&self, hit: bool) {
         self.telemetry.metrics.inc(if hit {
             "planner.tables.cache_hits"
         } else {
             "planner.tables.cache_misses"
         });
+        tables
     }
 
     /// Step 1 for one request: its memoized partition over every slot,
     /// its contention class and its tail-collapse candidates, all read
-    /// from the request's tables entry (`tables`, when the caller already
-    /// looked it up).
-    ///
-    /// `spread` carries the caller's span when the requests fan out over
-    /// worker threads: the request's span then sits under it on lane
-    /// `idx`, whichever worker runs it, so traces are reproducible.
+    /// from the request's tables entry.
     fn prepare_request(
         &self,
         idx: usize,
         graph: &ModelGraph,
-        tables: Option<Arc<RequestTables>>,
-        spread: Option<Option<SpanParent>>,
     ) -> Result<PreparedRequest, PlanError> {
-        let _span = item_span(
-            &self.telemetry.spans,
-            spread,
-            idx,
-            format!("prepare:{}:{}", idx, graph.name()),
-        );
-        let tables = match tables {
-            Some(tables) => {
-                self.count_tables_lookup(true);
-                tables
-            }
-            None => self.tables_cached(graph, self.pipeline_procs()),
-        };
+        span!(self.telemetry.spans, "prepare:{}:{}", idx, graph.name());
+        let tables = self.tables_cached(graph, self.pipeline_procs());
         let partition = self.plan_request_cached(&tables, u32::MAX)?;
         let (intensity, class) = tables.contention();
         let collapse = self
@@ -845,28 +799,13 @@ impl Planner {
     }
 
     /// Runs the full two-step planning pipeline over `requests` on the
-    /// configured number of worker threads.
+    /// calling thread.
     ///
     /// # Errors
     ///
     /// Returns [`PlanError::EmptyRequestSet`] for an empty input and
     /// [`PlanError::NoFeasiblePipeline`] if any model cannot be placed.
     pub fn plan(&self, requests: &[ModelGraph]) -> Result<PlannedPipeline, PlanError> {
-        self.plan_with_threads(requests, self.config.effective_threads())
-    }
-
-    /// [`Planner::plan`] with an explicit worker-thread count. The output
-    /// is bit-identical for every `threads` value (the equivalence the
-    /// proptest suite pins down); only wall-clock time changes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Planner::plan`].
-    pub fn plan_with_threads(
-        &self,
-        requests: &[ModelGraph],
-        threads: usize,
-    ) -> Result<PlannedPipeline, PlanError> {
         if requests.is_empty() {
             return Err(PlanError::EmptyRequestSet);
         }
@@ -875,35 +814,16 @@ impl Planner {
         span!(self.telemetry.spans, "plan:{}req", requests.len());
         let procs = self.pipeline_procs();
 
-        // Step 1: horizontal partitioning, independently per request —
-        // the planner's only parallel loop. A request whose partition is
-        // already memoized prepares in microseconds, less than a scoped
-        // spawn costs, so the loop fans out only when two or more
-        // requests still need a subset search, and `par` never starts
-        // more workers than there are requests (`threads == 1` runs it on
-        // the calling thread with no thread-scope setup).
+        // Step 1: horizontal partitioning, independently per request.
         // h2p-lint: allow(H2P011) — phase timing feeds gauges only, never plan bits
         let prepare_start = Instant::now();
         let prepared = {
             span!(self.telemetry.spans, "prepare");
-            let cached: Vec<Option<Arc<RequestTables>>> = requests
+            requests
                 .iter()
-                .map(|graph| self.estimator.tables_if_cached(graph, procs))
-                .collect();
-            let full = slot_mask(u32::MAX, procs.len());
-            let searches = cached
-                .iter()
-                .filter(|t| {
-                    t.as_ref()
-                        .is_none_or(|t| t.partitions().get(full).is_none())
-                })
-                .count();
-            let fan_out = if searches >= 2 { threads } else { 1 };
-            let spread = (par::worker_count(fan_out, requests.len()) > 1)
-                .then(|| self.telemetry.spans.current());
-            par::try_map(fan_out, requests, |idx, graph| {
-                self.prepare_request(idx, graph, cached[idx].clone(), spread)
-            })?
+                .enumerate()
+                .map(|(idx, graph)| self.prepare_request(idx, graph))
+                .collect::<Result<Vec<_>, _>>()?
         };
         self.telemetry.metrics.gauge_add(
             "planner.phase.prepare_ms",
@@ -1098,13 +1018,12 @@ impl Planner {
         Ok(planned)
     }
 
-    /// The frozen sequential reference implementation of
-    /// [`Planner::plan`]: the original clone-per-mask, rebuild-per-stage
-    /// code path, kept verbatim so (a) the equivalence proptest has an
+    /// The frozen reference implementation of [`Planner::plan`]: the
+    /// original clone-per-mask, rebuild-per-stage code path, kept
+    /// verbatim so (a) the equivalence proptest has an
     /// independently-written oracle and (b) `scripts/bench.sh` can record
-    /// the sequential baseline the parallel runtime's speedup is measured
-    /// against, in the same run. Produces bit-identical plans to
-    /// [`Planner::plan`].
+    /// the baseline the cached planner's speedup is measured against, in
+    /// the same run. Produces bit-identical plans to [`Planner::plan`].
     ///
     /// # Errors
     ///
@@ -1371,11 +1290,11 @@ mod tests {
         assert_eq!(a.plan, b.plan);
     }
 
-    /// The tentpole contract: the parallel cached path must reproduce the
-    /// frozen sequential reference bit-for-bit, at every thread count.
-    /// (The proptest suite widens this over random workloads.)
+    /// The determinism contract: the cached path must reproduce the
+    /// frozen reference bit-for-bit. (The proptest suite widens this over
+    /// random workloads.)
     #[test]
-    fn plan_matches_reference_at_all_thread_counts() {
+    fn plan_matches_reference() {
         let p = kirin_planner();
         let workloads: [&[ModelId]; 4] = [
             &[ModelId::ResNet50],
@@ -1399,22 +1318,20 @@ mod tests {
         for ids in workloads {
             let graphs: Vec<ModelGraph> = ids.iter().map(|m| m.graph()).collect();
             let reference = p.plan_reference(&graphs).unwrap();
-            for threads in [1usize, 2, 4] {
-                let out = p.plan_with_threads(&graphs, threads).unwrap();
-                assert_eq!(out.plan, reference.plan, "{ids:?} threads={threads}");
-                assert_eq!(
-                    out.plan.estimated_makespan_ms().to_bits(),
-                    reference.plan.estimated_makespan_ms().to_bits(),
-                    "{ids:?} threads={threads}: makespan bits differ"
-                );
-                assert_eq!(out.tail_merges, reference.tail_merges, "{ids:?}");
-                assert_eq!(out.steal, reference.steal, "{ids:?}");
-                assert_eq!(
-                    out.mitigation.is_some(),
-                    reference.mitigation.is_some(),
-                    "{ids:?}"
-                );
-            }
+            let out = p.plan(&graphs).unwrap();
+            assert_eq!(out.plan, reference.plan, "{ids:?}");
+            assert_eq!(
+                out.plan.estimated_makespan_ms().to_bits(),
+                reference.plan.estimated_makespan_ms().to_bits(),
+                "{ids:?}: makespan bits differ"
+            );
+            assert_eq!(out.tail_merges, reference.tail_merges, "{ids:?}");
+            assert_eq!(out.steal, reference.steal, "{ids:?}");
+            assert_eq!(
+                out.mitigation.is_some(),
+                reference.mitigation.is_some(),
+                "{ids:?}"
+            );
         }
     }
 
@@ -1426,7 +1343,7 @@ mod tests {
             .map(|m| m.graph())
             .collect();
         let reference = p.plan_reference(&graphs).unwrap();
-        let out = p.plan_with_threads(&graphs, 4).unwrap();
+        let out = p.plan(&graphs).unwrap();
         assert_eq!(out.plan, reference.plan);
     }
 
@@ -1517,6 +1434,16 @@ mod tests {
         assert!(feasible_pairs > 0);
     }
 
+    /// The memos, the tables cache, the window cache and the scratch
+    /// pool sit behind mutexes, so callers may share one planner across
+    /// threads although planning itself runs on the calling thread.
+    #[test]
+    fn planners_are_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Planner>();
+        assert_send_sync::<crate::online::OnlinePlanner>();
+    }
+
     #[test]
     fn hysteresis_margin_is_the_documented_constant() {
         assert_eq!(PlannerConfig::ORDER_HYSTERESIS, 0.97);
@@ -1538,9 +1465,11 @@ mod tests {
         // Mitigation ran instrumented (three requests, mitigation on).
         assert_eq!(snap.counter("mitigation.passes"), Some(1));
         // Span tree: one plan root, one prepare phase, one closed span
-        // per request, one assemble per candidate order.
+        // per request, one assemble per candidate order, all on the
+        // calling thread's lane although every request searched cold.
         let spans = p.telemetry().spans.records();
         assert!(spans.iter().all(|s| s.is_closed()));
+        assert!(spans.iter().all(|s| s.lane == 0), "{spans:?}");
         assert_eq!(spans.iter().filter(|s| s.name == "plan:3req").count(), 1);
         assert_eq!(spans.iter().filter(|s| s.name == "prepare").count(), 1);
         assert_eq!(

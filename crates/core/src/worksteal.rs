@@ -39,7 +39,7 @@ use h2p_models::cost::CostModel;
 
 use crate::estimate::{Estimator, RequestContext, RequestTables};
 use crate::plan::{column_slots, PipelinePlan, StagePlan};
-use crate::sync::Arc;
+use std::sync::Arc;
 
 /// Precomputed single-slot collapse candidates for one request: entry
 /// `slot` holds the stages and derived context of running the whole model

@@ -201,12 +201,11 @@ pub fn chrome_trace(soc: &SocSpec, tasks: &[TaskSpec], events: &[EngineEvent]) -
 
 /// Adds the planner's recorded phase spans under [`PLANNER_PID`], one
 /// track per planner lane, lane by lane and in enter order within a
-/// lane. Lane 0 is the planning thread's (`planner-main`); lane `k > 0`
-/// holds fanned-out item `k`, a request or window index, whichever
-/// thread ran it (`planner-item-{k}`), so the document does not depend
-/// on scheduling. A second thread that enters root spans on the same
-/// recorder takes the next thread lane, which shares this numbering
-/// (see [`SpanRecord`]). Open (never-closed) spans are skipped.
+/// lane. Lane 0 is the planning thread's (`planner-main`). The planner
+/// plans on the calling thread, so only another thread that enters root
+/// spans on the same recorder makes lane `k > 0`
+/// (`planner-thread-{k}`, see [`SpanRecord`]). Open (never-closed)
+/// spans are skipped.
 pub fn add_planner_spans(doc: &mut TraceDoc, spans: &[SpanRecord]) {
     if spans.is_empty() {
         return;
@@ -219,7 +218,7 @@ pub fn add_planner_spans(doc: &mut TraceDoc, spans: &[SpanRecord]) {
         let name = if lane == 0 {
             "planner-main".to_owned()
         } else {
-            format!("planner-item-{lane}")
+            format!("planner-thread-{lane}")
         };
         doc.thread_name(PLANNER_PID, lane, name);
     }
@@ -365,16 +364,15 @@ mod tests {
     }
 
     #[test]
-    fn planner_tracks_name_the_main_lane_and_each_item() {
-        // Two fanned-out items: item 0 shares the caller's lane 0, and
-        // item 1 sits on lane 1 although a second thread runs it.
+    fn planner_tracks_name_the_main_lane_and_each_thread() {
+        // The planning thread's spans sit on lane 0; a second thread's
+        // root span opens lane 1.
         let spans = h2p_telemetry::span::SpanRecorder::new();
         {
             let _root = spans.enter("plan");
-            let parent = spans.current();
+            drop(spans.enter("prepare:0"));
             std::thread::scope(|scope| {
-                scope.spawn(|| drop(spans.enter_at(parent, 1, "prepare:1")));
-                drop(spans.enter_at(parent, 0, "prepare:0"));
+                scope.spawn(|| drop(spans.enter("plan")));
             });
         }
         let mut doc = TraceDoc::new();
@@ -390,7 +388,7 @@ mod tests {
             tracks,
             [
                 (0, &Arg::Str("planner-main".to_owned())),
-                (1, &Arg::Str("planner-item-1".to_owned())),
+                (1, &Arg::Str("planner-thread-1".to_owned())),
             ]
         );
     }

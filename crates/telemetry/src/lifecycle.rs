@@ -375,7 +375,7 @@ pub const LIFECYCLE_WINDOW: usize = 4096;
 /// Thread-safe log of the [`LIFECYCLE_WINDOW`] most recent lifecycle
 /// events. Sequence numbers are assigned under the lock in record
 /// order, so a single log yields a totally ordered stream even when
-/// planner threads record concurrently. An event's `seq` counts the
+/// threads that share it record concurrently. An event's `seq` counts the
 /// events recorded before it, evicted ones included, so a retained
 /// event carries the `seq` an unbounded log would give it.
 ///

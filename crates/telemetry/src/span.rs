@@ -1,24 +1,19 @@
 //! RAII phase spans with deterministic ids and per-thread lanes.
 //!
 //! A [`SpanRecorder`] keeps a per-thread stack of open spans, so nested
-//! `enter` calls form a tree even when planner phases fan out across
-//! `std::thread::scope` workers. Span ids are content-derived (FNV-1a
-//! over parent id, name, and the sibling ordinal), so the sequential
-//! phase tree of a deterministic planner run hashes to the same ids on
-//! every run — stable anchors for golden tests and trace diffing. The
-//! sibling ordinal is the number of earlier spans with the same parent
-//! and name; a per-`(parent, name)` counter supplies it, so `enter`
-//! costs O(1) however many spans a long-lived recorder has seen, and a
-//! name seen before under the same parent is not copied again.
+//! `enter` calls form a tree on each thread that shares the recorder.
+//! Span ids are content-derived (FNV-1a over parent id, name, and the
+//! sibling ordinal), so the sequential phase tree of a deterministic
+//! planner run hashes to the same ids on every run — stable anchors for
+//! golden tests and trace diffing. The sibling ordinal is the number of
+//! earlier spans with the same parent and name; a per-`(parent, name)`
+//! counter supplies it, so `enter` costs O(1) however many spans a
+//! long-lived recorder has seen, and a name seen before under the same
+//! parent is not copied again.
 //!
 //! A span's lane is its parent's lane, and a root span's lane is its
-//! thread's. A fan-out that spreads items over worker threads opens
-//! each item's span with [`SpanRecorder::enter_at`] instead, under the
-//! span the caller captured ([`SpanRecorder::current`]) and on a lane
-//! derived from the item, so the recorded tree — ids, depths and
-//! lanes — does not depend on which thread claimed which item.
-//! Wall-clock fields (`start_us`, `dur_us`) are measured, not derived,
-//! and are the only non-deterministic part of a record.
+//! thread's. Wall-clock fields (`start_us`, `dur_us`) are measured, not
+//! derived, and are the only non-deterministic part of a record.
 //!
 //! A recorder retains at most [`SPAN_WINDOW`] recent records, so a
 //! planner that lives for millions of plans holds a flat amount of
@@ -27,12 +22,13 @@
 //! window, counting them in [`SpanRecorder::dropped`]; drops the sibling
 //! counters of parents that have closed, since a closed span takes no
 //! new children (root names keep theirs, so root ids keep counting);
-//! and removes the empty per-thread stacks fan-out workers leave
-//! behind. A sweep never evicts an open record, so every guard and
-//! per-thread stack entry resolves, and the records it keeps retain
-//! their ids, parents, depths and lanes. Eviction stops at the oldest
-//! open record, so a span held open keeps itself and every later record
-//! until it closes; the planner's spans close before its calls return.
+//! and removes the empty per-thread stacks that threads which entered
+//! spans leave behind. A sweep never evicts an open record, so every
+//! guard and per-thread stack entry resolves, and the records it keeps
+//! retain their ids, parents, depths and lanes. Eviction stops at the
+//! oldest open record, so a span held open keeps itself and every later
+//! record until it closes; the planner's spans close before its calls
+//! return.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -52,12 +48,8 @@ const SWEEP_KEEP: usize = SPAN_WINDOW / 2;
 
 /// One recorded span. `lane` is the `tid` of its planner track in the
 /// chrome exporter: a root span's lane is a dense per-recorder thread
-/// index (0 is the first thread that ever entered a span), a span
-/// entered with [`SpanRecorder::enter_at`] sits on the lane its caller
-/// names (the planner names the item index), and any other span
-/// inherits its parent's lane. Thread and item lanes share one
-/// numbering, so every track holds only nested spans while one thread
-/// at a time enters root spans, as a planner and its fan-outs do.
+/// index (0 is the first thread that ever entered a span), and any
+/// other span inherits its parent's lane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     pub id: u64,
@@ -156,14 +148,6 @@ impl Inner {
     }
 }
 
-/// An open span captured on one thread, to parent the spans a fan-out
-/// enters on others ([`SpanRecorder::enter_at`]) while it stays open.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanParent {
-    id: u64,
-    depth: u32,
-}
-
 /// Records a tree of timed phases. Create one per planner (or share via
 /// [`crate::Telemetry`]); guards returned by [`SpanRecorder::enter`]
 /// close their span on drop.
@@ -213,63 +197,23 @@ impl SpanRecorder {
     /// span (if any). Returns a guard that closes the span when
     /// dropped.
     pub fn enter(&self, name: impl Into<String>) -> SpanGuard<'_> {
-        self.open(name.into(), None)
-    }
-
-    /// The calling thread's innermost open span, if any: the parent to
-    /// hand to [`SpanRecorder::enter_at`] across a fan-out.
-    pub fn current(&self) -> Option<SpanParent> {
-        let thread = std::thread::current().id();
-        let inner = self.lock();
-        let seq = *inner.stacks.get(&thread)?.last()?;
-        let record = inner.record(seq);
-        Some(SpanParent {
-            id: record.id,
-            depth: record.depth,
-        })
-    }
-
-    /// Opens a span named `name` under `parent` on lane `lane`, whatever
-    /// thread calls it; spans it encloses on the calling thread inherit
-    /// the lane. A fan-out opens each item's span this way, with a lane
-    /// derived from the item, so the recorded tree is the same however
-    /// the items were spread over threads.
-    pub fn enter_at(
-        &self,
-        parent: Option<SpanParent>,
-        lane: u64,
-        name: impl Into<String>,
-    ) -> SpanGuard<'_> {
-        self.open(name.into(), Some((parent, lane)))
-    }
-
-    fn open(&self, name: String, at: Option<(Option<SpanParent>, u64)>) -> SpanGuard<'_> {
+        let name = name.into();
         let start_us = self.epoch.elapsed().as_secs_f64() * 1e6;
         let thread = std::thread::current().id();
         let mut inner = self.lock();
         if inner.records.len() >= inner.sweep_at {
             inner.sweep();
         }
-        let (parent, lane) = match at {
-            Some(at) => at,
-            None => match inner.stacks.get(&thread).and_then(|s| s.last().copied()) {
-                Some(seq) => {
-                    let record = inner.record(seq);
-                    let parent = SpanParent {
-                        id: record.id,
-                        depth: record.depth,
-                    };
-                    (Some(parent), record.lane)
-                }
-                None => {
-                    let next_lane = inner.lanes.len() as u64;
-                    (None, *inner.lanes.entry(thread).or_insert(next_lane))
-                }
-            },
-        };
-        let (parent, depth) = match parent {
-            Some(p) => (Some(p.id), p.depth + 1),
-            None => (None, 0),
+        let top = inner.stacks.get(&thread).and_then(|s| s.last().copied());
+        let (parent, depth, lane) = match top {
+            Some(seq) => {
+                let record = inner.record(seq);
+                (Some(record.id), record.depth + 1, record.lane)
+            }
+            None => {
+                let next_lane = inner.lanes.len() as u64;
+                (None, 0, *inner.lanes.entry(thread).or_insert(next_lane))
+            }
         };
         let ordinal = inner.next_ordinal(parent, &name);
         let id = fnv1a(parent.unwrap_or(0), &name, ordinal);
@@ -416,44 +360,6 @@ mod tests {
         // Worker spans are roots of their own lanes (no cross-thread
         // parenting).
         assert!(records[1..].iter().all(|r| r.parent.is_none()));
-    }
-
-    #[test]
-    fn fan_out_spans_record_the_same_tree_on_any_thread() {
-        // Item spans entered with `enter_at` get their parent and lane
-        // from the caller, not from the thread that ran them, and their
-        // children inherit the lane.
-        let tree = |spread: bool| {
-            let rec = SpanRecorder::new();
-            {
-                let _root = rec.enter("plan");
-                let parent = rec.current();
-                let item = |i: u64| {
-                    let _s = rec.enter_at(parent, i, format!("prepare:{i}"));
-                    let _c = rec.enter("search");
-                };
-                if spread {
-                    std::thread::scope(|scope| {
-                        scope.spawn(|| item(1));
-                        item(0);
-                    });
-                } else {
-                    item(0);
-                    item(1);
-                }
-            }
-            let mut records = rec.records();
-            records.sort_by_key(|r| (r.lane, r.depth, r.id));
-            records
-                .iter()
-                .map(|r| (r.id, r.parent, r.lane, r.depth, r.name.clone()))
-                .collect::<Vec<_>>()
-        };
-        let sequential = tree(false);
-        assert_eq!(sequential, tree(true));
-        let lanes: Vec<u64> = sequential.iter().map(|r| r.2).collect();
-        assert_eq!(lanes, [0, 0, 0, 1, 1]);
-        assert!(sequential[1..].iter().all(|r| r.1.is_some()));
     }
 
     /// Runs a seeded random enter/drop sequence on the calling thread:

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Runs the planner perf-trajectory suite and writes BENCH_planner.json at
-# the workspace root (median ns/iter per case, thread counts, the
-# parallel-vs-sequential speedup, and the recovery re-plan latency after
-# a processor dropout — case "recovery/replan_drop1/8" — all measured in
-# the same run).
+# the workspace root (median ns/iter per case, the planner-vs-reference
+# speedup, and the recovery re-plan latency after a processor dropout —
+# case "recovery/replan_drop1/8" — all measured in the same run).
 #
 #   scripts/bench.sh                  # full sampling (local profiling)
 #   scripts/bench.sh --quick          # shrunk sampling (finishes in seconds)
@@ -37,17 +36,18 @@ fi
 
 cargo bench -p h2p-bench --bench planner_scaling
 
-# Stamp the snapshot's host class into the JSON itself: a speedup block
-# measured with available_parallelism < threads is advisory — scoped
-# threads time-slicing one core cannot demonstrate a parallel win — and
-# the flag must travel WITH the committed snapshot so a later reader
-# (bench_check, a reviewer, CI on a different host) sees it without
-# having to reconstruct the producing host. bench_check prints the flag
-# loudly and ci.sh refuses advisory snapshots under --require-parallel.
+# Stamp the snapshot's host class into the JSON itself: a snapshot from
+# a host with fewer than 4 cores is advisory (the host class the former
+# 4-thread cases were stamped advisory on), and the flag must travel WITH
+# the committed snapshot so a later reader (bench_check, a reviewer, CI
+# on a different host) sees it without having to reconstruct the
+# producing host. bench_check prints the flag loudly, and on an advisory
+# snapshot the --diff sentinel and the partition_dp/BERT kernel gate
+# report without failing.
+MIN_CORES=4
 AP=$(sed -n 's/.*"available_parallelism": \([0-9][0-9]*\).*/\1/p' "$H2P_BENCH_OUT" | head -n1)
-THREADS=$(sed -n 's/.*"threads": \([0-9][0-9]*\).*/\1/p' "$H2P_BENCH_OUT" | head -n1)
-if [ -n "${AP:-}" ] && [ -n "${THREADS:-}" ] && [ "$AP" -lt "$THREADS" ]; then
-    REASON="available_parallelism=$AP < threads=$THREADS: thread-vs-thread ratios measure time-slicing, not parallelism"
+if [ -n "${AP:-}" ] && [ "$AP" -lt "$MIN_CORES" ]; then
+    REASON="available_parallelism=$AP < $MIN_CORES: below the $MIN_CORES-core host class the perf gates are enforced on (the class the former $MIN_CORES-thread cases were advisory on), so the --diff sentinel and the partition_dp/BERT gate only report"
     sed -i "s|^  \"quick\":|  \"advisory\": true,\n  \"advisory_reason\": \"$REASON\",\n  \"quick\":|" "$H2P_BENCH_OUT"
     echo "== NOTE: snapshot stamped ADVISORY ($REASON)"
 else

@@ -15,7 +15,7 @@ use h2p_simulator::export::{
 use h2p_simulator::{audit, EngineEvent, FaultSpec, ProcessorId, SocSpec, TaskSpec, Trace};
 use h2p_telemetry::{MetricsRegistry, Telemetry};
 use hetero2pipe::executor::request_slices;
-use hetero2pipe::planner::{Planner, PlannerConfig};
+use hetero2pipe::planner::Planner;
 use hetero2pipe::recovery::{run_with_recovery, RecoveryOutcome, RecoveryPolicy};
 use hetero2pipe::report::{PlanSummary, ReportSummary};
 
@@ -55,22 +55,11 @@ fn processor_names(soc: &SocSpec) -> Vec<&str> {
 
 /// `h2p plan`: print the Hetero²Pipe plan.
 pub fn plan(args: &[String]) {
-    let flags = Flags::new("plan", args, &[("--soc", Value), ("--threads", Value)]);
+    let flags = Flags::new("plan", args, &[("--soc", Value)]);
     let soc = flags.soc();
-    let config = PlannerConfig {
-        threads: flags
-            .num("--threads", "a non-negative integer")
-            .unwrap_or(0),
-        ..PlannerConfig::default()
-    };
-    let planner = Planner::with_config(&soc, config).expect("planner");
+    let planner = Planner::new(&soc).expect("planner");
     let planned = planner.plan(&graphs(&flags.models())).expect("plan");
-    let threads = config.effective_threads();
-    println!(
-        "plan on {} ({threads} planner thread{}):",
-        soc.name,
-        if threads == 1 { "" } else { "s" }
-    );
+    println!("plan on {}:", soc.name);
     print!("{}", PlanSummary::new(&planned.plan, &soc));
 }
 
@@ -398,12 +387,11 @@ pub fn export(args: &[String]) {
         write_out(path, &doc.to_json(), "chrome trace");
     }
     if let Some(path) = metrics_out {
-        let mut snapshot = telemetry.metrics.snapshot();
-        // How many DP scratches the pool had to allocate depends on how
-        // many workers ran at once, not on the plan: leave it out so a
-        // fixed input exports the same metrics on every run.
-        snapshot.counters.remove("planner.dp.scratch_allocs");
-        write_out(path, &snapshot.to_json(), "metrics snapshot");
+        write_out(
+            path,
+            &telemetry.metrics.snapshot().to_json(),
+            "metrics snapshot",
+        );
     }
     if !audit_report.is_clean() {
         print!("{audit_report}");

@@ -96,7 +96,7 @@ fn warm_dp_path_is_allocation_free_and_pool_recycles() {
             .counter(name)
             .unwrap_or(0)
     };
-    planner.plan_with_threads(&graphs, 1).expect("plan");
+    planner.plan(&graphs).expect("plan");
     let allocs_first = counter("planner.dp.scratch_allocs");
     let dps_first = counter("planner.dp.masks_evaluated");
     assert!(
@@ -104,7 +104,7 @@ fn warm_dp_path_is_allocation_free_and_pool_recycles() {
         "first plan should have populated the scratch pool"
     );
     planner.estimator().clear_tables_cache();
-    planner.plan_with_threads(&graphs, 1).expect("plan");
+    planner.plan(&graphs).expect("plan");
     assert!(
         counter("planner.dp.masks_evaluated") > dps_first,
         "second plan ran no subset DP, so it never exercised the pool"

@@ -1,9 +1,10 @@
 //! Property-based tests over the core algorithms and data structures:
 //! optimality of the partition DP and its scale invariance, optimality of
 //! the Hungarian solver, permutation/resolution invariants of contention
-//! mitigation, plan tiling after the full planning pipeline, the order
-//! hysteresis, the incremental column accounting of the vertical passes,
-//! simulator determinism and batching conservation.
+//! mitigation, plan tiling after the full planning pipeline, the planner
+//! against its frozen reference, the order hysteresis, the incremental
+//! column accounting of the vertical passes, simulator determinism and
+//! batching conservation.
 
 use proptest::prelude::*;
 
@@ -670,10 +671,79 @@ proptest! {
     }
 }
 
+/// Deterministically picks `m` zoo models from `seed` (an LCG, as in the
+/// other seeded tests, so failures replay exactly).
+fn pick_workload(seed: u64, m: usize) -> Vec<h2p_models::graph::ModelGraph> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        (state >> 33) as usize
+    };
+    (0..m)
+        .map(|_| ModelId::ALL[next() % ModelId::ALL.len()].graph())
+        .collect()
+}
+
+/// An NPU SoC (operator fallback paths) for even seeds, a CPU/GPU-only
+/// one (no fallback slot at all) for odd ones.
+fn pick_soc(seed: u64) -> SocSpec {
+    if seed.is_multiple_of(2) {
+        SocSpec::kirin_990()
+    } else {
+        SocSpec::snapdragon_870()
+    }
+}
+
 proptest! {
     // Planning is expensive (each case trains a regression), so this
     // block runs fewer cases than the algorithmic properties above.
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The planner's determinism contract over random workloads:
+    /// `Planner::plan` is bit-identical to the frozen reference
+    /// `Planner::plan_reference`: same splits, request order and stage
+    /// times, same makespan bits, same pass outcomes.
+    #[test]
+    fn plan_matches_reference_on_random_workloads(
+        m in 1usize..8,
+        seed in any::<u64>(),
+    ) {
+        use hetero2pipe::planner::Planner;
+
+        let soc = pick_soc(seed);
+        let graphs = pick_workload(seed, m);
+        let planner = Planner::new(&soc).expect("planner");
+        let reference = planner.plan_reference(&graphs).expect("reference plan");
+        let out = planner.plan(&graphs).expect("plan");
+        prop_assert_eq!(&out.plan, &reference.plan);
+        prop_assert_eq!(
+            out.plan.estimated_makespan_ms().to_bits(),
+            reference.plan.estimated_makespan_ms().to_bits()
+        );
+        prop_assert_eq!(
+            out.plan.estimated_makespan_contention_ms(&soc).to_bits(),
+            reference.plan.estimated_makespan_contention_ms(&soc).to_bits()
+        );
+        prop_assert_eq!(out.tail_merges, reference.tail_merges);
+        prop_assert_eq!(out.steal, reference.steal);
+        prop_assert_eq!(out.mitigation.is_some(), reference.mitigation.is_some());
+    }
+
+    /// The "No C/T" ablation configuration obeys the same contract (it
+    /// exercises the single-assembly path).
+    #[test]
+    fn no_ct_plan_matches_reference_on_random_workloads(
+        m in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        use hetero2pipe::planner::{Planner, PlannerConfig};
+
+        let soc = pick_soc(seed);
+        let graphs = pick_workload(seed, m);
+        let planner = Planner::with_config(&soc, PlannerConfig::no_ct()).expect("planner");
+        let reference = planner.plan_reference(&graphs).expect("reference plan");
+        prop_assert_eq!(&planner.plan(&graphs).expect("plan").plan, &reference.plan);
+    }
 
     /// Any workload the planner produces must execute to a trace that
     /// passes the full simulator audit: the trace-audit layer treats
