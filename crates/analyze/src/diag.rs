@@ -72,29 +72,13 @@ pub enum DiagCode {
     /// (dropped out or administratively excluded): recovery replans must
     /// never route work onto a dead processor.
     ProcessorDown,
-    /// H2P010 — source determinism: iteration over a `HashMap`/`HashSet`
-    /// in plan-affecting code — hash order is nondeterministic across
-    /// runs, so anything it feeds can differ bit-for-bit.
-    NondetIteration,
-    /// H2P011 — source determinism: wall-clock read (`Instant::now`,
-    /// `SystemTime`) in a planning path; plans must be pure functions of
-    /// their inputs.
-    WallClock,
-    /// H2P012 — source determinism: a float reduction (`sum`/`product`/
-    /// `fold`) over an unordered hash iteration — float addition is not
-    /// associative, so the result depends on iteration order.
-    UnorderedReduction,
-    /// H2P013 — source determinism: unseeded RNG (`thread_rng`,
-    /// `from_entropy`, `rand::random`) in library code; randomness must
-    /// be seeded to stay replayable.
-    UnseededRng,
 }
 
 /// The single source of truth for every diagnostic code: variant,
 /// stable `H2Pnnn` string, default severity, and one-line meaning —
 /// indexed by discriminant and used by [`DiagCode::code`],
-/// [`DiagCode::severity`], [`DiagCode::summary`], [`DiagCode::parse_code`]
-/// (and, through `code()`, by `Display` and the JSON serialization).
+/// [`DiagCode::severity`] and [`DiagCode::summary`] (and, through
+/// `code()`, by `Display` and the JSON serialization).
 const CODE_TABLE: &[(DiagCode, &str, Severity, &str)] = &[
     (
         DiagCode::EmptyPlan,
@@ -156,35 +140,11 @@ const CODE_TABLE: &[(DiagCode, &str, Severity, &str)] = &[
         Severity::Error,
         "the plan references a processor marked unavailable",
     ),
-    (
-        DiagCode::NondetIteration,
-        "H2P010",
-        Severity::Error,
-        "HashMap/HashSet iteration feeding plan-affecting output",
-    ),
-    (
-        DiagCode::WallClock,
-        "H2P011",
-        Severity::Error,
-        "wall-clock read (Instant/SystemTime) in a planning path",
-    ),
-    (
-        DiagCode::UnorderedReduction,
-        "H2P012",
-        Severity::Error,
-        "float reduction over an unordered hash iteration",
-    ),
-    (
-        DiagCode::UnseededRng,
-        "H2P013",
-        Severity::Error,
-        "unseeded RNG in library code (thread_rng/from_entropy/random)",
-    ),
 ];
 
 impl DiagCode {
     /// Every code, in `H2P000..` order.
-    pub const ALL: [DiagCode; 14] = [
+    pub const ALL: [DiagCode; 10] = [
         DiagCode::EmptyPlan,
         DiagCode::LayerCoverage,
         DiagCode::SlotConflict,
@@ -195,10 +155,6 @@ impl DiagCode {
         DiagCode::BoundViolation,
         DiagCode::NonFiniteCost,
         DiagCode::ProcessorDown,
-        DiagCode::NondetIteration,
-        DiagCode::WallClock,
-        DiagCode::UnorderedReduction,
-        DiagCode::UnseededRng,
     ];
 
     fn entry(self) -> &'static (DiagCode, &'static str, Severity, &'static str) {
@@ -220,15 +176,6 @@ impl DiagCode {
     /// One-line meaning, for tables and `--help`-style listings.
     pub fn summary(self) -> &'static str {
         self.entry().3
-    }
-
-    /// Parses a stable code string (`"H2P010"`, case-insensitive) back
-    /// to its variant — used by the source-lint allowlist annotations.
-    pub fn parse_code(s: &str) -> Option<DiagCode> {
-        CODE_TABLE
-            .iter()
-            .find(|e| e.1.eq_ignore_ascii_case(s.trim()))
-            .map(|e| e.0)
     }
 }
 
@@ -351,12 +298,6 @@ impl Diagnostics {
         self.checks += 1;
     }
 
-    /// Merges another pass's findings and check count into this one.
-    pub fn merge(&mut self, other: Diagnostics) {
-        self.diags.extend(other.diags);
-        self.checks += other.checks;
-    }
-
     /// Number of `Error` findings.
     pub fn error_count(&self) -> usize {
         self.count(Severity::Error)
@@ -431,13 +372,9 @@ mod tests {
         codes.sort_unstable();
         codes.dedup();
         assert_eq!(codes.len(), DiagCode::ALL.len(), "codes must be unique");
-        assert_eq!(DiagCode::ALL.len(), 14);
+        assert_eq!(DiagCode::ALL.len(), 10);
         assert_eq!(DiagCode::LayerCoverage.code(), "H2P001");
         assert_eq!(DiagCode::ProcessorDown.code(), "H2P009");
-        assert_eq!(DiagCode::NondetIteration.code(), "H2P010");
-        assert_eq!(DiagCode::WallClock.code(), "H2P011");
-        assert_eq!(DiagCode::UnorderedReduction.code(), "H2P012");
-        assert_eq!(DiagCode::UnseededRng.code(), "H2P013");
     }
 
     #[test]
@@ -449,35 +386,6 @@ mod tests {
             assert_eq!(*code as usize, i, "ALL out of discriminant order at {i}");
             assert_eq!(code.code(), format!("H2P{i:03}"), "table row {i} misplaced");
             assert!(!code.summary().is_empty());
-        }
-    }
-
-    #[test]
-    fn parse_code_round_trips() {
-        for code in DiagCode::ALL {
-            assert_eq!(DiagCode::parse_code(code.code()), Some(code));
-        }
-        assert_eq!(
-            DiagCode::parse_code("h2p010"),
-            Some(DiagCode::NondetIteration)
-        );
-        assert_eq!(
-            DiagCode::parse_code(" H2P013 "),
-            Some(DiagCode::UnseededRng)
-        );
-        assert_eq!(DiagCode::parse_code("H2P099"), None);
-        assert_eq!(DiagCode::parse_code(""), None);
-    }
-
-    #[test]
-    fn new_determinism_codes_are_errors() {
-        for code in [
-            DiagCode::NondetIteration,
-            DiagCode::WallClock,
-            DiagCode::UnorderedReduction,
-            DiagCode::UnseededRng,
-        ] {
-            assert_eq!(code.severity(), Severity::Error, "{code:?}");
         }
     }
 

@@ -15,6 +15,10 @@
 //!   `h2p trace --audit`) — re-validates a finished trace against the
 //!   engine's execution contracts.
 //!
+//! Both judge plans and runs. The repository's own source is held to
+//! the determinism rules (no hash-order iteration, no wall-clock read)
+//! by clippy, configured in the root `clippy.toml` and lint tables.
+//!
 //! Entry points: [`lint_plan`] over the analyzer IR ([`PlanIr`]),
 //! [`lint_tasks`] over a lowered `&[TaskSpec]` graph, and the
 //! [`mutate`] corruption harness that backs `h2p lint --corrupt`.
@@ -24,18 +28,19 @@
 //! `PipelinePlan → PlanIr` conversion.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, reason = "tests may panic")
+)]
 
 pub mod checks;
 pub mod diag;
 pub mod ir;
 pub mod mutate;
-pub mod source;
 pub mod tasks;
 
 pub use checks::lint_plan;
 pub use diag::{DiagCode, Diagnostic, Diagnostics, Severity};
 pub use ir::{PlanIr, RequestIr, RunIr, StageIr};
-pub use mutate::{apply, Mutation, SourceMutation};
-pub use source::{lint_source, lint_workspace};
+pub use mutate::{apply, Mutation};
 pub use tasks::{lint_tasks, lint_tasks_available};

@@ -1,19 +1,11 @@
-//! Plan and source corruption harness.
+//! Plan corruption harness.
 //!
 //! Each [`Mutation`] injects one class of structural damage into a
 //! [`PlanIr`], chosen so that exactly one lint family is responsible for
 //! catching it. The CLI's `h2p lint --corrupt` flag and the mutation
 //! tests both drive [`apply`], so "the linter catches every corruption
 //! class" is checked end to end, not just in-crate.
-//!
-//! [`SourceMutation`] plays the same role for the determinism lints
-//! (`h2p lint --source`): each class is a seeded snippet of Rust that
-//! must trip exactly its `H2P010`–`H2P013` diagnostic, and an annotated
-//! twin ([`SourceMutation::waived_snippet`]) that must lint clean — so
-//! both the detector and the allowlist path are proven live from the
-//! CLI (`h2p lint --source --mutant <class>`).
 
-use crate::diag::DiagCode;
 use crate::ir::PlanIr;
 
 /// A corruption class for the mutation harness.
@@ -139,107 +131,9 @@ fn inflate_makespan(ir: &mut PlanIr) -> bool {
     true
 }
 
-/// A seeded determinism hazard for the source-lint harness: each class
-/// is a small Rust snippet that must trip exactly one of the
-/// `H2P010`–`H2P013` diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourceMutation {
-    /// Iteration over a `HashMap`. Caught by `H2P010`.
-    HashIteration,
-    /// `Instant::now()` in planning code. Caught by `H2P011`.
-    WallClock,
-    /// Float `.sum()` over hash-iteration. Caught by `H2P012`.
-    UnorderedReduction,
-    /// `rand::thread_rng()`. Caught by `H2P013`.
-    UnseededRng,
-}
-
-impl SourceMutation {
-    /// All source-hazard classes, in code order.
-    pub const ALL: [SourceMutation; 4] = [
-        SourceMutation::HashIteration,
-        SourceMutation::WallClock,
-        SourceMutation::UnorderedReduction,
-        SourceMutation::UnseededRng,
-    ];
-
-    /// Stable CLI name of the class.
-    pub fn name(self) -> &'static str {
-        match self {
-            SourceMutation::HashIteration => "hash-iteration",
-            SourceMutation::WallClock => "wall-clock",
-            SourceMutation::UnorderedReduction => "unordered-reduction",
-            SourceMutation::UnseededRng => "unseeded-rng",
-        }
-    }
-
-    /// Parses a CLI name back into a class.
-    pub fn parse(s: &str) -> Option<SourceMutation> {
-        SourceMutation::ALL.into_iter().find(|m| m.name() == s)
-    }
-
-    /// The diagnostic this class must trip.
-    pub fn expected_code(self) -> DiagCode {
-        match self {
-            SourceMutation::HashIteration => DiagCode::NondetIteration,
-            SourceMutation::WallClock => DiagCode::WallClock,
-            SourceMutation::UnorderedReduction => DiagCode::UnorderedReduction,
-            SourceMutation::UnseededRng => DiagCode::UnseededRng,
-        }
-    }
-
-    /// The seeded hazard snippet. Hazard tokens are assembled with
-    /// `concat!` so this file's own text never contains them
-    /// contiguously (the workspace lints itself).
-    pub fn snippet(self) -> &'static str {
-        match self {
-            SourceMutation::HashIteration => concat!(
-                "let m: Hash",
-                "Map<u32, u32> = build();\n",
-                "for (k, v) in &m { emit(k, v); }\n",
-            ),
-            SourceMutation::WallClock => {
-                concat!("let t0 = std::time::Instant", "::now();\n")
-            }
-            SourceMutation::UnorderedReduction => concat!(
-                "let w: Hash",
-                "Map<u32, f64> = build();\n",
-                "let total: f64 = w.val",
-                "ues().su",
-                "m();\n",
-            ),
-            SourceMutation::UnseededRng => {
-                concat!("let mut rng = rand::thread_", "rng();\n")
-            }
-        }
-    }
-
-    /// The same hazard with a justified allowlist annotation on the
-    /// hazardous line — must lint clean, proving the waiver path.
-    pub fn waived_snippet(self) -> String {
-        let snippet = self.snippet();
-        let hazard_line = match self {
-            SourceMutation::HashIteration | SourceMutation::UnorderedReduction => 1,
-            SourceMutation::WallClock | SourceMutation::UnseededRng => 0,
-        };
-        let mut out = String::new();
-        for (i, line) in snippet.lines().enumerate() {
-            if i == hazard_line {
-                out.push_str(concat!("// h2p-", "lint: all", "ow("));
-                out.push_str(self.expected_code().code());
-                out.push_str(") — seeded mutant waiver: hazard is intentional here\n");
-            }
-            out.push_str(line);
-            out.push('\n');
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::lint_source;
 
     #[test]
     fn names_round_trip() {
@@ -264,37 +158,6 @@ mod tests {
                 "{} should report nothing to corrupt",
                 m.name()
             );
-        }
-    }
-
-    #[test]
-    fn source_mutation_names_round_trip() {
-        for m in SourceMutation::ALL {
-            assert_eq!(SourceMutation::parse(m.name()), Some(m));
-        }
-        assert_eq!(SourceMutation::parse("no-such-class"), None);
-    }
-
-    #[test]
-    fn every_source_mutant_trips_exactly_its_lint() {
-        for m in SourceMutation::ALL {
-            let d = lint_source("mutant.rs", "core", m.snippet());
-            let codes: Vec<DiagCode> = d.diags.iter().map(|x| x.code).collect();
-            assert_eq!(
-                codes,
-                vec![m.expected_code()],
-                "{} must trip exactly {}: {d:?}",
-                m.name(),
-                m.expected_code().code()
-            );
-        }
-    }
-
-    #[test]
-    fn every_waived_source_mutant_lints_clean() {
-        for m in SourceMutation::ALL {
-            let d = lint_source("mutant.rs", "core", &m.waived_snippet());
-            assert!(d.is_clean(), "{} waiver failed: {d:?}", m.name());
         }
     }
 }

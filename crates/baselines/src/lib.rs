@@ -17,7 +17,10 @@
 //! exposed here through [`Scheme::NoCt`].
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, reason = "tests may panic")
+)]
 
 pub mod annealing;
 pub mod band;

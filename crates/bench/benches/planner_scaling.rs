@@ -284,6 +284,10 @@ fn bench_span_enter(c: &mut Criterion) {
             for _ in 0..10_000 {
                 drop(recorder.enter(NAME));
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a benchmark timer measures wall-clock time by design"
+            )]
             let start = std::time::Instant::now();
             for _ in 0..iters {
                 drop(recorder.enter(NAME));

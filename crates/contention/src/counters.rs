@@ -64,9 +64,11 @@ pub fn measure(cost: &CostModel, graph: &ModelGraph, proc: ProcessorId) -> PmuSa
     let mut miss_acc = 0.0;
     let mut stall_acc = 0.0;
     for layer in graph.layers() {
-        // Documented panic: callers must measure on a CPU, which
-        // supports every operator.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: callers must measure on a CPU, which supports \
+                      every operator"
+        )]
         let c = cost
             .layer_cost(layer, proc)
             .expect("PMU measurement requires a processor supporting all operators");
@@ -100,9 +102,11 @@ pub fn measure(cost: &CostModel, graph: &ModelGraph, proc: ProcessorId) -> PmuSa
 pub fn ground_truth_intensity(cost: &CostModel, graph: &ModelGraph, proc: ProcessorId) -> f64 {
     use h2p_models::graph::LayerRange;
     let whole = LayerRange::new(0, graph.len() - 1);
-    // Documented panic: ground truth is measured on a CPU, which
-    // supports every operator.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: ground truth is measured on a CPU, which supports \
+                  every operator"
+    )]
     let bw = cost
         .slice_bandwidth_gbps(graph, whole, proc)
         .expect("intensity requires a processor supporting all operators");

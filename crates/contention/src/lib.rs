@@ -16,7 +16,10 @@
 //! high/low classifier used by the planner ([`intensity`]).
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, reason = "tests may panic")
+)]
 
 pub mod counters;
 pub mod intensity;

@@ -102,30 +102,6 @@ impl Estimator {
         })
     }
 
-    /// Creates an estimator trained on a custom profiling set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::NoCpu`] if the SoC lacks a big CPU cluster, or
-    /// [`PlanError::Training`] if the regression cannot be fitted.
-    pub fn with_profiling_set(
-        soc: &SocSpec,
-        profiling_set: &[ModelGraph],
-    ) -> Result<Self, PlanError> {
-        let pmu_proc = soc
-            .processor_by_kind(ProcessorKind::CpuBig)
-            .ok_or(PlanError::NoCpu)?;
-        let cost = CostModel::new(soc);
-        let intensity = IntensityModel::train_default(&cost, profiling_set, pmu_proc)
-            .map_err(PlanError::Training)?;
-        Ok(Estimator {
-            cost,
-            intensity,
-            pmu_proc,
-            tables_memo: Arc::new(Mutex::new(HashMap::new())),
-        })
-    }
-
     /// The underlying cost model.
     pub fn cost(&self) -> &CostModel {
         &self.cost
@@ -520,10 +496,12 @@ impl NpuFallback {
         for i in 0..n {
             let proc = if supported[i] { npu } else { fallback };
             let (ms, traffic) = cost.layer_cost_for(graph, i, proc);
-            // Invariant of the cost table: the fallback processor is a
-            // CPU and CPUs support every operator, so the lookup cannot
-            // miss. A miss would be a zoo/cost-model bug worth a crash.
-            #[allow(clippy::expect_used)]
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant of the cost table: the fallback processor is a CPU \
+                          and CPUs support every operator, so the lookup cannot miss; a \
+                          miss would be a zoo/cost-model bug worth a crash"
+            )]
             let ms = ms.expect("fallback CPU supports every operator");
             lat_prefix.push(lat_prefix[i] + ms);
             traffic_bytes.push(traffic);
@@ -772,9 +750,11 @@ impl RequestContext {
     pub fn splits_of(&self, stages: &[Option<StagePlan>]) -> Vec<usize> {
         let mut splits = Vec::with_capacity(self.stage_count() - 1);
         for (a, &slot) in self.active_slots.iter().enumerate() {
-            // Documented panic: callers must pass a vector produced by
-            // `build_stages`, which populates every active slot.
-            #[allow(clippy::expect_used)]
+            #[expect(
+                clippy::expect_used,
+                reason = "documented panic: callers must pass a vector produced by \
+                          `build_stages`, which populates every active slot"
+            )]
             let stage = stages[slot]
                 .as_ref()
                 .expect("stage vector must populate every active slot");

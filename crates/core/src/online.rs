@@ -52,7 +52,6 @@ use h2p_telemetry::lifecycle::{LifecycleStage, RequestId, TraceId};
 use h2p_telemetry::span;
 
 use crate::error::PlanError;
-use crate::plan::PipelinePlan;
 use crate::planner::{PlannedPipeline, Planner};
 
 /// One memoized window: the key components and the finished plan (with
@@ -413,15 +412,6 @@ impl OnlinePlanner {
     /// Number of memoized window plans currently held.
     pub fn window_cache_len(&self) -> usize {
         self.lock_cache().len()
-    }
-
-    /// Plans and returns only the [`PipelinePlan`] (convenience).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] if any window fails to plan.
-    pub fn plan_pipeline(&self, requests: &[ModelGraph]) -> Result<PipelinePlan, PlanError> {
-        Ok(self.plan(requests)?.plan)
     }
 
     /// Runs the request stream under scripted faults, reacting to fault

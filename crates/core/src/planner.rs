@@ -809,13 +809,19 @@ impl Planner {
         if requests.is_empty() {
             return Err(PlanError::EmptyRequestSet);
         }
-        // h2p-lint: allow(H2P011) — phase timing feeds gauges only, never plan bits
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "phase timing feeds gauges only, never plan bits"
+        )]
         let total_start = Instant::now();
         span!(self.telemetry.spans, "plan:{}req", requests.len());
         let procs = self.pipeline_procs();
 
         // Step 1: horizontal partitioning, independently per request.
-        // h2p-lint: allow(H2P011) — phase timing feeds gauges only, never plan bits
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "phase timing feeds gauges only, never plan bits"
+        )]
         let prepare_start = Instant::now();
         let prepared = {
             span!(self.telemetry.spans, "prepare");
@@ -847,7 +853,10 @@ impl Planner {
         // works in pooled buffers; only the adopted order becomes a plan,
         // from the step-1 plans themselves, and only its merged contexts
         // are rebuilt.
-        // h2p-lint: allow(H2P011) — phase timing feeds gauges only, never plan bits
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "phase timing feeds gauges only, never plan bits"
+        )]
         let assemble_start = Instant::now();
         let m = plans.len();
         let (plan, mitigation, steal, tail_merges) = self.with_plan_scratch(|ps| {

@@ -257,11 +257,6 @@ impl CostModel {
         })
     }
 
-    /// Latency of `layer` on `proc` in ms, `None` if unsupported.
-    pub fn layer_latency_ms(&self, layer: &Layer, proc: ProcessorId) -> Option<f64> {
-        self.layer_cost(layer, proc).map(|c| c.latency_ms)
-    }
-
     /// Solo execution latency of a contiguous slice on `proc`: the sum of
     /// its layers' latencies (the paper's `T_e`), `None` if any layer is
     /// unsupported on `proc`.

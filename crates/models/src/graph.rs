@@ -155,14 +155,6 @@ impl ModelGraph {
             .sum()
     }
 
-    /// Aggregate FLOPs within a slice.
-    pub fn slice_flops(&self, range: LayerRange) -> f64 {
-        self.layers[range.first..=range.last]
-            .iter()
-            .map(|l| l.flops)
-            .sum()
-    }
-
     /// The activation bytes crossing the boundary *after* layer `i`
     /// (i.e. what must be copied if the model is split between `i` and
     /// `i+1`). For the final layer this is the network output size.

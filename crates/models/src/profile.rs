@@ -69,6 +69,10 @@ impl ProfileTable {
     /// Merges another table into this one; the other table's entries win
     /// on conflicts (newer measurements override older ones).
     pub fn merge(&mut self, other: &ProfileTable) {
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "keys are distinct, so every insert lands the same in any order"
+        )]
         for (k, &v) in &other.entries {
             self.entries.insert(k.clone(), v);
         }

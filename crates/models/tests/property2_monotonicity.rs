@@ -1,6 +1,4 @@
-// Integration tests may unwrap/expect freely: a panic here is a test
-// failure, not a library defect.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "tests may panic")]
 
 //! Property 2 (the monotonicity condition Algorithm 1's optimized search
 //! depends on): slice costs `T_k(i, j)` strictly shrink when the front

@@ -30,7 +30,8 @@
 //!
 //! Everything is virtual-time: the clock is the simulator's, all
 //! randomness flows from explicit seeds, and a run at a fixed seed is
-//! bit-identical (determinism lint H2P011). The robustness invariants
+//! bit-identical (clippy's determinism rules disallow wall-clock reads).
+//! The robustness invariants
 //! — exactly one typed terminal outcome per request, bounded queue
 //! depth, bounded retries, a causally valid lifecycle stream — are
 //! re-checked after every run by [`ServeReport::verify_invariants`],
@@ -38,7 +39,10 @@
 //! admit / shed / dispatch sequences.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, reason = "tests may panic")
+)]
 
 pub mod admission;
 pub mod loadgen;

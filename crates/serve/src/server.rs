@@ -616,7 +616,11 @@ impl Server {
     /// Checks run cheapest-structural first: depth limit, then
     /// deadline feasibility against the backlog estimate, then the
     /// class token bucket.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "takes `Server::run`'s loop state (queue, stream, outcomes, \
+                  anomalies) as separate borrows"
+    )]
     fn admit(
         &self,
         a: &Arrival,
@@ -668,7 +672,11 @@ impl Server {
     /// Executes one batch at `start0`, retrying whole-dispatch
     /// failures on the recovery backoff schedule up to the policy's
     /// retry bound. Returns the instant the executor becomes idle.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "takes `Server::run`'s loop state (queue, stream, outcomes, \
+                  anomalies) as separate borrows"
+    )]
     fn dispatch(
         &self,
         batch: &[QueuedRequest],

@@ -484,10 +484,12 @@ impl<'soc> Simulation<'soc> {
                 .spans
                 .into_iter()
                 .map(|s| {
-                    // Invariant: the fault-free path only returns once
-                    // every task completed; a hole would be an engine bug
-                    // worth a crash rather than a silently shorter trace.
-                    #[allow(clippy::expect_used)]
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: the fault-free path only returns once every \
+                                  task completed; a hole would be an engine bug worth a \
+                                  crash rather than a silently shorter trace"
+                    )]
                     s.expect("all completed")
                 })
                 .collect(),

@@ -116,28 +116,6 @@ impl FaultOutcome {
             processor_count: self.processor_count,
         }
     }
-
-    /// Request indices this outcome impacted — every request owning a
-    /// failed or orphaned task (sorted, deduplicated), read from the
-    /// lowering labels ([`crate::label::TaskLabel::request`]).
-    /// These are the requests a recovery round must replan; tasks with
-    /// auxiliary labels carry no request and are skipped.
-    pub fn impacted_requests(&self, tasks: &[crate::engine::TaskSpec]) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .failed
-            .iter()
-            .map(|f| f.task)
-            .chain(self.orphaned.iter().copied())
-            .filter_map(|t| {
-                tasks
-                    .get(t)
-                    .and_then(crate::engine::TaskSpec::request_index)
-            })
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 /// A compiled, deterministic fault script against one simulation run.

@@ -72,8 +72,11 @@ impl CouplingMatrix {
         gamma[g][n] = 0.022;
         gamma[s][n] = 0.030;
         gamma[n][n] = 0.02;
-        // Symmetrize. Indexed loops: each entry mirrors its transpose.
-        #[allow(clippy::needless_range_loop)]
+        // Symmetrize.
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "indexed loops: each entry mirrors its transpose"
+        )]
         for i in 0..4 {
             for j in 0..i {
                 gamma[i][j] = gamma[j][i];
@@ -105,9 +108,11 @@ impl CouplingMatrix {
     /// Panics if the table is not symmetric or contains negative or
     /// non-finite entries.
     pub fn from_table(gamma: [[f64; 4]; 4], intra_cluster: f64) -> Self {
-        // Indexed loops: the symmetry check pairs each entry with its
-        // transpose.
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "indexed loops: the symmetry check pairs each entry with its \
+                      transpose"
+        )]
         for i in 0..4 {
             for j in 0..4 {
                 assert!(

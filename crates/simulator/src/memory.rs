@@ -38,9 +38,11 @@ impl MemorySpec {
 
     /// The highest governor frequency level in MHz.
     pub fn max_freq_mhz(&self) -> u32 {
-        // Documented invariant: every constructor provides at least one
-        // frequency level; an empty table is a spec-construction bug.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "documented invariant: every constructor provides at least one \
+                      frequency level; an empty table is a spec-construction bug"
+        )]
         *self
             .freq_levels_mhz
             .last()

@@ -122,11 +122,6 @@ impl Trace {
         }
     }
 
-    /// Largest observed per-span slowdown.
-    pub fn max_slowdown(&self) -> f64 {
-        self.spans.iter().map(Span::slowdown).fold(0.0, f64::max)
-    }
-
     /// Renders the trace as an ASCII Gantt chart, one row per processor,
     /// `width` characters across the makespan. Busy cells show the last
     /// character of the running task's label; dots are idle time.

@@ -1,6 +1,4 @@
-// Integration tests may unwrap/expect freely: a panic here is a test
-// failure, not a library defect.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "tests may panic")]
 
 //! Property-based invariants of the discrete-event engine: physical
 //! sanity (no task finishes faster than its solo time; one task per

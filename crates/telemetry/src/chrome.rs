@@ -136,10 +136,12 @@ impl TraceDoc {
     }
 
     /// Adds an `X` complete slice.
-    // The arity mirrors the Trace Event Format's field list; bundling
-    // pid/tid/ts/dur into a struct would just rename the same eight
-    // values at every call site.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the arity mirrors the Trace Event Format's field list; bundling \
+                  pid/tid/ts/dur into a struct would just rename the same eight \
+                  values at every call site"
+    )]
     pub fn complete(
         &mut self,
         pid: u32,
@@ -165,8 +167,10 @@ impl TraceDoc {
     }
 
     /// Adds an `i` instant event with the given scope (`t`/`p`/`g`).
-    // Same arity rationale as `complete`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the arity mirrors the Trace Event Format's field list, as for `complete`"
+    )]
     pub fn instant(
         &mut self,
         pid: u32,
@@ -215,8 +219,10 @@ impl TraceDoc {
 
     /// Adds a matched async begin/end pair (`b` + `e`) correlated by
     /// `id` within `cat`.
-    // Same arity rationale as `complete`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the arity mirrors the Trace Event Format's field list, as for `complete`"
+    )]
     pub fn async_slice(
         &mut self,
         pid: u32,
@@ -317,8 +323,11 @@ impl TraceDoc {
         for e in self.events.iter().filter(|e| e.ph == 'X') {
             tracks.entry((e.pid, e.tid)).or_default().push(e);
         }
-        // h2p-lint: allow(H2P010) — validation verdict is order-independent; only
-        // which track's error surfaces first varies
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "validation verdict is order-independent; only which track's \
+                      error surfaces first varies"
+        )]
         for ((pid, tid), slices) in &tracks {
             let mut prev_ts = f64::NEG_INFINITY;
             let mut stack: Vec<f64> = Vec::new(); // open slice end times
@@ -377,8 +386,11 @@ impl TraceDoc {
                 _ => {}
             }
         }
-        // h2p-lint: allow(H2P010) — any unbalanced async slice is an error; which
-        // one is named in the message is immaterial
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "any unbalanced async slice is an error; which one is named in \
+                      the message is immaterial"
+        )]
         if let Some(((cat, id), _)) = open.iter().find(|(_, begins)| !begins.is_empty()) {
             return Err(format!("async begin without end: cat={cat} id=0x{id:x}"));
         }

@@ -26,7 +26,10 @@
 //! The crate is `std`-only by design: the workspace has no registry
 //! access, and telemetry must never drag a dependency into the build.
 
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, reason = "tests may panic")
+)]
 
 pub mod analytics;
 pub mod chrome;

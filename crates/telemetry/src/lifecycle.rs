@@ -6,7 +6,8 @@
 //! Events carry *simulated* time (the engine's millisecond clock) and a
 //! global sequence number assigned at record time — never wall-clock
 //! time, so a replayed run emits a byte-identical lifecycle stream
-//! (determinism lint H2P011). The JSONL rendering interleaves with the
+//! (clippy's determinism rules disallow the clock reads). The JSONL
+//! rendering interleaves with the
 //! engine event log: each line is a flat object with
 //! `"event":"lifecycle"`, so the existing hardened event-log parser can
 //! ingest mixed streams.

@@ -256,8 +256,10 @@ fn entry<'m, V>(
     if !map.contains_key(name) {
         map.insert(name.to_owned(), init());
     }
-    // Invariant: inserted just above when it was missing.
-    #[allow(clippy::expect_used)]
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: inserted just above when it was missing"
+    )]
     map.get_mut(name).expect("metric present")
 }
 

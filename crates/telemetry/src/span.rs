@@ -140,6 +140,11 @@ impl Inner {
             .filter(|r| !r.is_closed())
             .map(|r| r.id)
             .collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "each parent's counters are pruned on their own, so the visit \
+                      order changes nothing"
+        )]
         self.ordinals.values_mut().for_each(|siblings| {
             siblings.retain(|parent, _| parent.is_none_or(|p| open.contains(&p)));
         });
@@ -158,6 +163,11 @@ pub struct SpanRecorder {
 }
 
 impl Default for SpanRecorder {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the epoch only offsets wall-clock span timings, which feed no \
+                  plan bit"
+    )]
     fn default() -> Self {
         Self {
             epoch: Instant::now(),
@@ -527,6 +537,10 @@ mod tests {
     }
 
     /// The parent of every sibling counter `rec` holds.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the caller checks each parent on its own, in any order"
+    )]
     fn counter_parents(rec: &SpanRecorder) -> Vec<Option<u64>> {
         rec.lock()
             .ordinals

@@ -8,6 +8,11 @@ echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "== cargo clippy -D warnings"
+# Besides the usual lints, this holds the workspace to the determinism
+# rules (root clippy.toml plus the lint tables in Cargo.toml): no
+# hash-order iteration, no wall-clock read, and no waiver but an
+# `#[expect]` with a reason. The workspace's own expectations keep
+# clippy.toml honest: drop a method from it and they fail as unfulfilled.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo doc -D warnings (intra-doc links)"
@@ -73,18 +78,47 @@ for class in drop-layer duplicate-slot bad-proc inflate-makespan; do
     fi
 done
 
-echo "== h2p lint --source (workspace determinism lints)"
-# The workspace must be free of determinism hazards (H2P010-H2P013):
-# hash-order iteration, wall-clock reads in planning paths, unordered
-# float reductions, unseeded RNG. Waivers require a justification.
-$H2P lint --source --deny-warnings > /dev/null
-# Every seeded source-hazard class must be caught with a nonzero exit.
-for class in hash-iteration wall-clock unordered-reduction unseeded-rng; do
-    if $H2P lint --source --mutant "$class" > /dev/null 2>&1; then
-        echo "source lint MISSED hazard class: $class" >&2
-        exit 1
-    fi
+echo "== determinism lints: lint tables and seeded hazards (scripts/lint-hazards)"
+# An `#[expect]` enables its own lint, so dropping a level from a lint
+# table leaves every expectation fulfilled: check the tables instead.
+# The workspace table, the root package's, h2p-bench's and the
+# fixture's (a workspace of its own) must each deny all three lints.
+for lint in iter_over_hash_type allow_attributes allow_attributes_without_reason; do
+    for table in Cargo.toml:2 crates/bench/Cargo.toml:1 scripts/lint-hazards/Cargo.toml:1; do
+        [ "$(grep -cx "$lint = \"deny\"" "${table%:*}")" -eq "${table#*:}" ] || {
+            echo "${table%:*}: each of its ${table#*:} lint table(s) must deny $lint" >&2
+            exit 1; }
+    done
 done
+# A crate outside the workspace holds one bin per seeded hazard class
+# and per waiver rule. Each must fail clippy with its own lint (or, for
+# the unseeded generator the vendored rand does not offer, its missing
+# item) named in the output; the justified waivers must pass.
+HAZARDS="cargo clippy --offline --quiet --target-dir target/lint-hazards \
+    --manifest-path scripts/lint-hazards/Cargo.toml"
+HAZARD_OUT=$(mktemp)
+expect_hazard() {
+    if $HAZARDS --bin "$1" -- -D warnings > "$HAZARD_OUT" 2>&1; then
+        echo "clippy MISSED seeded hazard: $1" >&2
+        rm -f "$HAZARD_OUT"; exit 1
+    fi
+    grep -qE "$2" "$HAZARD_OUT" || {
+        echo "seeded hazard $1 failed without matching /$2/:" >&2
+        cat "$HAZARD_OUT" >&2
+        rm -f "$HAZARD_OUT"; exit 1; }
+}
+expect_hazard hash-iteration '#iter_over_hash_type$'
+expect_hazard wall-clock 'disallowed method `std::time::Instant::now`'
+expect_hazard unordered-reduction 'disallowed method `std::collections::HashMap::values`'
+expect_hazard unseeded-rng 'cannot find function `thread_rng`'
+expect_hazard stale 'this lint expectation is unfulfilled'
+expect_hazard no-reason '#allow_attributes_without_reason$'
+expect_hazard plain-allow '#allow_attributes$'
+$HAZARDS --bin waived -- -D warnings > "$HAZARD_OUT" 2>&1 || {
+    echo "justified waivers failed clippy:" >&2
+    cat "$HAZARD_OUT" >&2
+    rm -f "$HAZARD_OUT"; exit 1; }
+rm -f "$HAZARD_OUT"
 
 echo "== h2p trace --audit (baselines included)"
 # Every scheme lowers through Scheme::lower -> LoweredPlan, so the
@@ -201,7 +235,7 @@ if grep -q '"saturation_qps":null' "$SERVE_A"; then
     serve_cleanup; exit 1
 fi
 # Determinism: the identical invocation must be bit-identical, both the
-# per-point JSON and the emitted lifecycle event log (H2P011).
+# per-point JSON and the emitted lifecycle event log.
 $H2P serve --qps-sweep 1..10 --steps 3 --seed 7 --requests 32 --json \
     --events "$SERVE_LOG_B" > "$SERVE_B"
 cmp -s "$SERVE_A" "$SERVE_B" || {
@@ -259,7 +293,7 @@ echo "== planner bench (quick) + BENCH_planner.json gate"
 # partition_dp/BERT kernel win. The quick run writes its
 # snapshots to a temporary directory, so the committed ones stay as they
 # are, and the perf-regression sentinel below diffs the fresh quick run
-# against the committed BENCH_planner.json: a >20% median regression on
+# against the committed BENCH_planner.json: a >10% median regression on
 # any shared case fails, unless either snapshot carries the advisory
 # stamp (hosts with fewer than 4 cores), which downgrades the diff to
 # report-only.
@@ -269,6 +303,6 @@ scripts/bench.sh --quick --out-dir "$BENCH_DIR"
 
 echo "== bench_check --diff vs committed BENCH_planner.json"
 cargo run --release -q -p h2p-bench --bin bench_check -- \
-    --diff BENCH_planner.json "$BENCH_DIR/BENCH_planner.json"
+    --diff BENCH_planner.json "$BENCH_DIR/BENCH_planner.json" --threshold 0.10
 
 echo "CI gate passed."

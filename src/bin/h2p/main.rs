@@ -6,7 +6,7 @@
 //! own module.
 
 mod chaos;
-mod checks;
+mod events;
 mod flags;
 mod pipeline;
 mod report;
@@ -26,7 +26,7 @@ use hetero2pipe::planner::{Planner, PlannerConfig};
 use flags::Flags;
 
 /// What every usage error prints after its message.
-const USAGE: &str = "usage:\n  h2p socs\n  h2p zoo\n  h2p plan  [--soc NAME] MODEL...\n  h2p run   [--soc NAME] [--scheme NAME] MODEL...\n  h2p gantt [--soc NAME] MODEL...\n  h2p trace [--soc NAME] [--scheme NAME] [--audit] [--summary]\n            [--corrupt [CLASS]] [--events PATH|-] [--faults SPEC] MODEL...\n  h2p report [--soc NAME] [--scheme NAME] [--json] [--slo-budget F] MODEL...\n  h2p report --chaos-seed N [--soc NAME] [--json]\n  h2p report --faults SPEC [--soc NAME] [--json] MODEL...\n  h2p report --from PATH|- [--soc NAME] [--json]\n  h2p chaos [--soc NAME] --seeds N [--json]\n  h2p serve [--soc NAME] [--qps F | --qps-sweep LO..HI] [--steps N]\n            [--seed N] [--requests N] [--window N] [--max-batch N]\n            [--chaos] [--json] [--events PATH|-]\n  h2p events PATH|-\n  h2p lint  [--soc NAME] [--scheme NAME] [--json] [--deny-warnings]\n            [--corrupt CLASS] MODEL...\n  h2p lint  --source [--deny-warnings] [--json] [--mutant CLASS] [ROOT]\n  h2p export [--soc NAME] [--scheme NAME] [--trace PATH|-]\n            [--metrics PATH|-] MODEL...\n\nsocs: kirin990 (default), sd778g, sd870\nschemes: mnn, pipeit, band, dart, noct, h2p (default)\n\ntrace flags:\n  --scheme NAME   lower and trace the named scheme (default h2p)\n  --audit         validate the trace against the simulator contracts,\n                  including the event-log replay reconciliation; exit\n                  nonzero on any violation\n  --summary       print the per-processor metrics snapshot table\n                  (busy/idle/bubble/stretch ms)\n  --corrupt [CLASS] deliberately corrupt the trace before auditing\n                  (demo); CLASS is overlap (default) or stretch — an\n                  in-envelope duration corruption only the replay\n                  reconciliation catches\n  --events PATH   write the JSON-lines event log to PATH ('-' = stdout)\n  --faults SPEC   run under scripted faults with recovery (h2p scheme\n                  only); SPEC is comma-separated:\n                    drop:<PROC>@<t>                   processor dropout\n                    throttle:<PROC>@<from>..<until>x<f>  rate throttle\n                    flaky:<request>x<count>           transient failures\n                    mispredict:<scale>                cost misprediction\n\nreport flags:\n  Serving-grade observability: per-QoS-class latency quantiles\n  (p50/p95/p99), per-processor utilization and bubble timelines,\n  contention-window occupancy, and deadline/SLO burn-rate accounting.\n  Every number is cross-checked against the audit replay of the run's\n  event log — a reconciliation mismatch or a causally invalid request\n  lifecycle exits nonzero.\n  --chaos-seed N  report on chaos scenario N (same workload and faults\n                  as seed N of `h2p chaos`), through the recovery\n                  runner\n  --faults SPEC   report on a scripted-fault recovery run (spec syntax\n                  as under `h2p trace --faults`)\n  --from PATH     report from a saved `--events` JSON-lines log instead\n                  of a live run ('-' = stdin)\n  --slo-budget F  allowed deadline-miss fraction per class (default\n                  0.01, i.e. a 99% on-deadline objective)\n  --json          one `h2p-report/v1` JSON object instead of the tables\n\nchaos flags:\n  --seeds N       run N seeded random fault scenarios through the\n                  recovery runner; every scenario must end recovered\n                  with audit-clean rounds or in a typed degraded\n                  outcome — exit nonzero otherwise\n  --json          one JSON object per seed plus a summary object\n\nserve flags:\n  Overload-robust virtual-time serving loop: seeded open-loop arrivals\n  flow through admission control (per-class token buckets + queue depth\n  limits), deadline-aware load shedding, lightweight-model batching,\n  incremental window planning, and bounded retry. Every request ends in\n  exactly one typed outcome; any invariant violation exits nonzero.\n  --qps F         offered load for a single point (default 50)\n  --qps-sweep LO..HI  sweep offered load from LO to HI qps\n  --steps N       sweep points, linearly spaced (default 6)\n  --seed N        load-generator / chaos seed (default 42); a fixed\n                  seed makes the whole run bit-identical\n  --requests N    requests per sweep point (default 64)\n  --window N      dispatch window / batch drain quantum (default 4)\n  --max-batch N   batching cap for adjacent identical lightweight\n                  models (default 8)\n  --chaos         inject seeded faults; execution runs through the\n                  recovery machinery and failures degrade, typed\n  --events PATH   write the last point's lifecycle event log as JSON\n                  lines ('-' = stdout), ingestible by `h2p report\n                  --from` and `h2p events`\n  --json          one `h2p-serve/v1` JSON object per point plus a\n                  summary object\n\nlint flags:\n  --json            emit one JSON object per finding plus a summary line\n  --deny-warnings   exit nonzero on warnings, not just errors\n  --corrupt CLASS   corrupt the plan before linting (demo); CLASS is one\n                    of: drop-layer, duplicate-slot, bad-proc,\n                    inflate-makespan\n  --source          lint workspace sources for determinism hazards\n                    (H2P010-H2P013) instead of linting a plan; ROOT\n                    defaults to '.'\n  --mutant CLASS    lint a seeded hazard snippet instead of the\n                    workspace (demo; must exit nonzero); CLASS is one\n                    of: hash-iteration, wall-clock, unordered-reduction,\n                    unseeded-rng\n\nexport flags:\n  --trace PATH    write the run as Chrome Trace Event JSON, loadable in\n                  chrome://tracing or ui.perfetto.dev ('-' = stdout)\n  --metrics PATH  write the metrics snapshot JSON ('-' = stdout)";
+const USAGE: &str = "usage:\n  h2p socs\n  h2p zoo\n  h2p plan  [--soc NAME] MODEL...\n  h2p run   [--soc NAME] [--scheme NAME] MODEL...\n  h2p gantt [--soc NAME] MODEL...\n  h2p trace [--soc NAME] [--scheme NAME] [--audit] [--summary]\n            [--corrupt [CLASS]] [--events PATH|-] [--faults SPEC] MODEL...\n  h2p report [--soc NAME] [--scheme NAME] [--json] [--slo-budget F] MODEL...\n  h2p report --chaos-seed N [--soc NAME] [--json]\n  h2p report --faults SPEC [--soc NAME] [--json] MODEL...\n  h2p report --from PATH|- [--soc NAME] [--json]\n  h2p chaos [--soc NAME] --seeds N [--json]\n  h2p serve [--soc NAME] [--qps F | --qps-sweep LO..HI] [--steps N]\n            [--seed N] [--requests N] [--window N] [--max-batch N]\n            [--chaos] [--json] [--events PATH|-]\n  h2p events PATH|-\n  h2p lint  [--soc NAME] [--scheme NAME] [--json] [--deny-warnings]\n            [--corrupt CLASS] MODEL...\n  h2p export [--soc NAME] [--scheme NAME] [--trace PATH|-]\n            [--metrics PATH|-] MODEL...\n\nsocs: kirin990 (default), sd778g, sd870\nschemes: mnn, pipeit, band, dart, noct, h2p (default)\n\ntrace flags:\n  --scheme NAME   lower and trace the named scheme (default h2p)\n  --audit         validate the trace against the simulator contracts,\n                  including the event-log replay reconciliation; exit\n                  nonzero on any violation\n  --summary       print the per-processor metrics snapshot table\n                  (busy/idle/bubble/stretch ms)\n  --corrupt [CLASS] deliberately corrupt the trace before auditing\n                  (demo); CLASS is overlap (default) or stretch — an\n                  in-envelope duration corruption only the replay\n                  reconciliation catches\n  --events PATH   write the JSON-lines event log to PATH ('-' = stdout)\n  --faults SPEC   run under scripted faults with recovery (h2p scheme\n                  only); SPEC is comma-separated:\n                    drop:<PROC>@<t>                   processor dropout\n                    throttle:<PROC>@<from>..<until>x<f>  rate throttle\n                    flaky:<request>x<count>           transient failures\n                    mispredict:<scale>                cost misprediction\n\nreport flags:\n  Serving-grade observability: per-QoS-class latency quantiles\n  (p50/p95/p99), per-processor utilization and bubble timelines,\n  contention-window occupancy, and deadline/SLO burn-rate accounting.\n  Every number is cross-checked against the audit replay of the run's\n  event log — a reconciliation mismatch or a causally invalid request\n  lifecycle exits nonzero.\n  --chaos-seed N  report on chaos scenario N (same workload and faults\n                  as seed N of `h2p chaos`), through the recovery\n                  runner\n  --faults SPEC   report on a scripted-fault recovery run (spec syntax\n                  as under `h2p trace --faults`)\n  --from PATH     report from a saved `--events` JSON-lines log instead\n                  of a live run ('-' = stdin)\n  --slo-budget F  allowed deadline-miss fraction per class (default\n                  0.01, i.e. a 99% on-deadline objective)\n  --json          one `h2p-report/v1` JSON object instead of the tables\n\nchaos flags:\n  --seeds N       run N seeded random fault scenarios through the\n                  recovery runner; every scenario must end recovered\n                  with audit-clean rounds or in a typed degraded\n                  outcome — exit nonzero otherwise\n  --json          one JSON object per seed plus a summary object\n\nserve flags:\n  Overload-robust virtual-time serving loop: seeded open-loop arrivals\n  flow through admission control (per-class token buckets + queue depth\n  limits), deadline-aware load shedding, lightweight-model batching,\n  incremental window planning, and bounded retry. Every request ends in\n  exactly one typed outcome; any invariant violation exits nonzero.\n  --qps F         offered load for a single point (default 50)\n  --qps-sweep LO..HI  sweep offered load from LO to HI qps\n  --steps N       sweep points, linearly spaced (default 6)\n  --seed N        load-generator / chaos seed (default 42); a fixed\n                  seed makes the whole run bit-identical\n  --requests N    requests per sweep point (default 64)\n  --window N      dispatch window / batch drain quantum (default 4)\n  --max-batch N   batching cap for adjacent identical lightweight\n                  models (default 8)\n  --chaos         inject seeded faults; execution runs through the\n                  recovery machinery and failures degrade, typed\n  --events PATH   write the last point's lifecycle event log as JSON\n                  lines ('-' = stdout), ingestible by `h2p report\n                  --from` and `h2p events`\n  --json          one `h2p-serve/v1` JSON object per point plus a\n                  summary object\n\nlint flags:\n  --json            emit one JSON object per finding plus a summary line\n  --deny-warnings   exit nonzero on warnings, not just errors\n  --corrupt CLASS   corrupt the plan before linting (demo); CLASS is one\n                    of: drop-layer, duplicate-slot, bad-proc,\n                    inflate-makespan\n\nexport flags:\n  --trace PATH    write the run as Chrome Trace Event JSON, loadable in\n                  chrome://tracing or ui.perfetto.dev ('-' = stdout)\n  --metrics PATH  write the metrics snapshot JSON ('-' = stdout)";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -45,7 +45,7 @@ fn main() {
         "report" => report::main(args),
         "chaos" => chaos::main(args),
         "serve" => serve::main(args),
-        "events" => checks::events(args),
+        "events" => events::main(args),
         _ => flags::usage(),
     }
 }

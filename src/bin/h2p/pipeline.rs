@@ -1,6 +1,5 @@
 //! The subcommands that plan, lower and run one request set: `plan`,
-//! `run`, `gantt`, `trace`, `export` and `lint` (whose `--source` mode
-//! lives in [`crate::checks`]).
+//! `run`, `gantt`, `trace`, `export` and `lint`.
 
 use std::sync::Arc;
 
@@ -45,8 +44,6 @@ const LINT: Spec = &[
     ("--json", Switch),
     ("--deny-warnings", Switch),
     ("--corrupt", Value),
-    ("--source", Switch),
-    ("--mutant", Value),
 ];
 
 fn processor_names(soc: &SocSpec) -> Vec<&str> {
@@ -399,16 +396,9 @@ pub fn export(args: &[String]) {
     }
 }
 
-/// `h2p lint`: statically verify one scheme's plan or task graph, or
-/// with `--source` the workspace sources.
+/// `h2p lint`: statically verify one scheme's plan or task graph.
 pub fn lint(args: &[String]) {
     let flags = Flags::new("lint", args, LINT);
-    if flags.has("--source") {
-        crate::checks::source_lint(&flags)
-    }
-    if flags.has("--mutant") {
-        fail("--mutant seeds a source hazard; it needs --source")
-    }
     let (soc, scheme, models) = (flags.soc(), flags.scheme(), flags.models());
     let classes = Mutation::ALL.map(Mutation::name).join(", ");
     let mutation = flags.read(

@@ -319,7 +319,7 @@ fn malformed_values_exit_2_with_usage() {
         &["chaos", "--seeds", "0"][..],
         &["serve", "--qps-sweep", "5"],
         &["report", "--slo-budget", "2"],
-        &["lint", "--source", "--mutant", "nope"],
+        &["lint", "bert", "--corrupt", "nope"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_h2p"))
             .args(args)
