@@ -86,7 +86,8 @@ fn arrange(base: &Base, order: &[usize]) -> PipelinePlan {
             .map(|&i| base.planned.plan.requests[i].clone())
             .collect(),
     };
-    worksteal::align_by_stealing(&mut plan, &base.planned.contexts, base.estimator.cost());
+    let contexts = &base.planned.contexts;
+    worksteal::align_by_stealing(&mut plan, |r| &contexts[r], base.estimator.cost());
     worksteal::optimize_tail_cached(&mut plan, &base.collapse);
     plan
 }

@@ -8,18 +8,12 @@
 //! reports p50/p95 response times for the windowed online planner vs the
 //! serial CPU baseline, exposing the saturation point of each.
 //!
-//! Arguments: `--requests N` (default 40), `--seed S`, and
-//! `--metrics-log PATH` to stream periodic metrics snapshots (one JSON
-//! object per line) while the sweep runs.
+//! Arguments: `--requests N` (default 40) and `--seed S`.
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use h2p_bench::{arg_str, arg_usize, print_table};
+use h2p_bench::{arg_usize, print_table};
 use h2p_models::graph::ModelGraph;
 use h2p_simulator::{audit, SocSpec};
 use h2p_telemetry::analytics::LatencyProfile;
-use h2p_telemetry::MetricsRegistry;
 use hetero2pipe::executor::{lower_with_arrivals, response_times};
 use hetero2pipe::online::OnlinePlanner;
 use hetero2pipe::plan::PipelinePlan;
@@ -32,23 +26,6 @@ const WINDOW: usize = 8;
 fn main() {
     let n = arg_usize("--requests", 40);
     let seed = arg_usize("--seed", 20_250_705) as u64;
-    let metrics_log = arg_str("--metrics-log", "");
-    // Live metrics stream: a background flusher snapshots this registry
-    // to JSONL while the sweep runs, the deployment-style counterpart
-    // of the final printed table.
-    let metrics = Arc::new(MetricsRegistry::new());
-    let flusher = if metrics_log.is_empty() {
-        None
-    } else {
-        Some(
-            metrics
-                .flush_every(
-                    Duration::from_millis(25),
-                    std::path::Path::new(&metrics_log),
-                )
-                .expect("metrics flusher"),
-        )
-    };
     let soc = SocSpec::kirin_990();
     let planner = Planner::new(&soc).expect("planner");
     let models = random_models(seed, n);
@@ -95,10 +72,6 @@ fn main() {
         }
         let h2p_resp = LatencyProfile::compute(&response_times(&h2p, &arrivals))
             .expect("at least one request");
-        metrics.inc("streaming.loads");
-        metrics.add("streaming.events", events.len() as u64);
-        metrics.gauge("streaming.last_gap_ms", gap_ms);
-        metrics.observe("streaming.p95_ms", h2p_resp.p95_ms);
         // Serial CPU-Big baseline with the same arrivals: one task per
         // request, FIFO on CPU_B, released at arrival.
         let serial = LatencyProfile::compute(&serial_with_arrivals(&soc, &requests, &arrivals))
@@ -131,11 +104,6 @@ fn main() {
         if lint_clean { "clean" } else { "FAILED" },
         if audits_clean { "clean" } else { "FAILED" },
     );
-    if let Some(handle) = flusher {
-        metrics.add("streaming.windows_audited", windows_audited as u64);
-        let snapshots = handle.stop().expect("metrics flusher join");
-        println!("metrics log: {snapshots} snapshot(s) written to {metrics_log}");
-    }
     if !(lint_clean && audits_clean) {
         std::process::exit(1);
     }

@@ -28,8 +28,10 @@
 //! layer and processor, summed in the cost model's own order, instead of
 //! re-evaluating the roofline for every stage it builds.
 
+use std::cell::{RefCell, RefMut};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
+use std::sync::Arc;
 
 use h2p_contention::{ContentionClass, IntensityModel};
 use h2p_models::cost::{CostModel, CostTable};
@@ -50,7 +52,7 @@ use crate::planner::PartitionMemo;
 /// changes the list). Names alone are not unique, so the graph is compared
 /// too; a graph cloned from the entry's own (every zoo model's is) shares
 /// its storage and compares by pointer, any other graph in full.
-type TablesMemo = HashMap<String, Vec<Arc<RequestTables>>>;
+type TablesMemo = HashMap<String, Vec<Rc<RequestTables>>>;
 
 /// Bundles the cost model and the trained contention-intensity model.
 #[derive(Debug, Clone)]
@@ -60,8 +62,8 @@ pub struct Estimator {
     pmu_proc: ProcessorId,
     /// Cross-invocation memo for [`Estimator::tables_cached`]; shared by
     /// clones. Re-planning the same model set every window reuses its
-    /// prefix-sum cost tables via `Arc` instead of rebuilding them.
-    tables_memo: Arc<Mutex<TablesMemo>>,
+    /// prefix-sum cost tables via `Rc` instead of rebuilding them.
+    tables_memo: Rc<RefCell<TablesMemo>>,
 }
 
 impl Estimator {
@@ -98,7 +100,7 @@ impl Estimator {
             cost,
             intensity,
             pmu_proc,
-            tables_memo: Arc::new(Mutex::new(HashMap::new())),
+            tables_memo: Rc::default(),
         })
     }
 
@@ -232,13 +234,13 @@ impl Estimator {
             fallback,
             intensity,
             class,
-            partitions: Mutex::new(PartitionMemo::default()),
+            partitions: RefCell::default(),
         }
     }
 
     /// The cross-invocation cached variant of [`Estimator::tables`]: the
     /// same model planned over the same pipeline-processor list reuses
-    /// its shared tables via `Arc` instead of rebuilding them — the
+    /// its shared tables via `Rc` instead of rebuilding them — the
     /// online re-planning case, where every window re-plans the same
     /// model set. Everything memoized on the entry rides along: the
     /// contention class, and the partitions
@@ -255,37 +257,28 @@ impl Estimator {
         &self,
         graph: &ModelGraph,
         pipeline_procs: &[ProcessorId],
-    ) -> (Arc<RequestTables>, bool) {
-        let mut memo = self.lock_tables_memo();
+    ) -> (Rc<RequestTables>, bool) {
+        let mut memo = self.tables_memo.borrow_mut();
         let hit = memo.get(graph.name()).and_then(|entries| {
             entries
                 .iter()
                 .find(|t| t.pipeline_procs == pipeline_procs && t.graph == *graph)
         });
         if let Some(tables) = hit {
-            return (Arc::clone(tables), true);
+            return (Rc::clone(tables), true);
         }
-        let tables = Arc::new(self.tables(graph, pipeline_procs));
+        let tables = Rc::new(self.tables(graph, pipeline_procs));
         memo.entry(graph.name().to_owned())
             .or_default()
-            .push(Arc::clone(&tables));
+            .push(Rc::clone(&tables));
         (tables, false)
-    }
-
-    fn lock_tables_memo(&self) -> MutexGuard<'_, TablesMemo> {
-        match self.tables_memo.lock() {
-            Ok(guard) => guard,
-            // Pure cache: a panic while holding the lock cannot leave
-            // partial state, so a poisoned lock is usable.
-            Err(poisoned) => poisoned.into_inner(),
-        }
     }
 
     /// Drops every cached [`RequestTables`] (shared by clones of this
     /// estimator), and with them their memoized partitions. Subsequent
     /// lookups rebuild and re-populate.
     pub fn clear_tables_cache(&self) {
-        self.lock_tables_memo().clear();
+        self.tables_memo.borrow_mut().clear();
     }
 }
 
@@ -329,7 +322,7 @@ pub struct RequestTables {
     class: ContentionClass,
     /// Algorithm 1's answers over these tables, one per allowed-slot
     /// mask searched (see [`crate::planner::Planner::plan_request_cached`]).
-    partitions: Mutex<PartitionMemo>,
+    partitions: RefCell<PartitionMemo>,
 }
 
 impl RequestTables {
@@ -350,13 +343,8 @@ impl RequestTables {
     }
 
     /// The memo of solved partitions (see [`PartitionMemo`]).
-    pub(crate) fn partitions(&self) -> MutexGuard<'_, PartitionMemo> {
-        match self.partitions.lock() {
-            Ok(guard) => guard,
-            // A panic mid-search leaves the memo as it was before the
-            // search: entries are pushed only once complete.
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    pub(crate) fn partitions(&self) -> RefMut<'_, PartitionMemo> {
+        self.partitions.borrow_mut()
     }
 
     /// The full-pipeline prefix-sum cost table (row = pipeline slot).
@@ -903,7 +891,7 @@ mod tests {
         let rebuilt = ModelGraph::new(g.name(), g.input_bytes(), g.layers().to_vec());
         let (same, hit) = est.tables_cached(&rebuilt, &procs);
         assert!(hit);
-        assert!(Arc::ptr_eq(&same, &tables));
+        assert!(Rc::ptr_eq(&same, &tables));
         // A same-name but different graph must not hit the wrong entry.
         let batched = crate::batching::batched_graph(&g, 2);
         let (other, hit) = est.tables_cached(&batched, &procs);

@@ -40,10 +40,13 @@
 //! re-planned and asserted bit-identical to the from-scratch plan.
 //!
 //! Windows are planned one after another on the calling thread, like
-//! the requests inside [`Planner::plan`]. The window cache sits behind a
-//! mutex, so an online planner can still be shared across threads.
+//! the requests inside [`Planner::plan`]. The window cache is shared by
+//! clones through an `Rc`, so an online planner, like its planner, stays
+//! on one thread and takes no lock.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use h2p_contention::ContentionClass;
 use h2p_models::graph::ModelGraph;
@@ -97,7 +100,7 @@ pub struct OnlinePlanner {
     window: usize,
     /// Cross-invocation window-plan cache for
     /// [`OnlinePlanner::plan_shared`]; shared by clones.
-    window_cache: Arc<Mutex<Vec<WindowEntry>>>,
+    window_cache: Rc<RefCell<Vec<WindowEntry>>>,
 }
 
 impl OnlinePlanner {
@@ -111,7 +114,7 @@ impl OnlinePlanner {
         OnlinePlanner {
             planner,
             window,
-            window_cache: Arc::new(Mutex::new(Vec::new())),
+            window_cache: Rc::default(),
         }
     }
 
@@ -332,7 +335,8 @@ impl OnlinePlanner {
         procs: &[ProcessorId],
         class_of: &impl Fn(&ModelGraph) -> ContentionClass,
     ) -> Option<Arc<PlannedPipeline>> {
-        self.lock_cache()
+        self.window_cache
+            .borrow()
             .iter()
             .find(|e| e.matches(chunk, procs, |i| class_of(&chunk[i])))
             .map(|e| Arc::clone(&e.planned))
@@ -377,7 +381,7 @@ impl OnlinePlanner {
             .map(|&(_, chunk)| chunk.iter().map(class_of).collect())
             .collect();
         let fresh = self.plan_windows(to_plan)?;
-        let mut cache = self.lock_cache();
+        let mut cache = self.window_cache.borrow_mut();
         let mut shared = Vec::with_capacity(fresh.len());
         for ((&(_, chunk), classes), mut planned) in to_plan.iter().zip(classes).zip(fresh) {
             planned.mitigation = None;
@@ -394,24 +398,16 @@ impl OnlinePlanner {
         Ok(shared)
     }
 
-    fn lock_cache(&self) -> MutexGuard<'_, Vec<WindowEntry>> {
-        match self.window_cache.lock() {
-            Ok(guard) => guard,
-            // Pure cache: a poisoned lock cannot hold partial state.
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     /// Drops every memoized window plan. Subsequent
     /// [`OnlinePlanner::plan_incremental`] calls re-plan from scratch and
     /// re-populate the cache.
     pub fn clear_window_cache(&self) {
-        self.lock_cache().clear();
+        self.window_cache.borrow_mut().clear();
     }
 
     /// Number of memoized window plans currently held.
     pub fn window_cache_len(&self) -> usize {
-        self.lock_cache().len()
+        self.window_cache.borrow().len()
     }
 
     /// Runs the request stream under scripted faults, reacting to fault

@@ -48,10 +48,14 @@
 //! ([`Planner::plan_reference`]), which preserves the original
 //! clone-per-mask implementation as the recorded perf baseline (see
 //! `scripts/bench.sh`) and as the oracle for the equivalence proptest.
-//! The memos, the tables cache and the scratch pool sit behind mutexes,
-//! so a planner can still be shared by callers on several threads.
+//! A planner has one owner: its clones share the memos, the tables
+//! cache, the scratch pool and the telemetry sink through `Rc`s and
+//! `RefCell`s, so the compiler keeps the planner on one thread and no
+//! lock is taken.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
 
 use h2p_models::graph::ModelGraph;
@@ -334,6 +338,15 @@ pub struct PlannedPipeline {
 }
 
 /// The Hetero²Pipe planner bound to one SoC.
+///
+/// A planner and its clones share their memos, scratch pool and
+/// telemetry sink through `Rc`s, so a planner stays on the thread that
+/// made it; sharing one with another thread does not compile:
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<hetero2pipe::planner::Planner>();
+/// ```
 #[derive(Debug, Clone)]
 pub struct Planner {
     estimator: Estimator,
@@ -343,12 +356,12 @@ pub struct Planner {
     /// [`Planner::plan_reference`] path stays un-instrumented, so the
     /// bit-identical-output contract is untouched. Clones of a planner
     /// share the sink.
-    telemetry: Arc<Telemetry>,
+    telemetry: Rc<Telemetry>,
     /// Pool of warm [`PlanScratch`] buffers (shared by clones, like the
     /// tables cache): every subset search and every plan's assembly
     /// checks one out, so the steady-state DP is allocation-free. Pool
     /// misses allocate and bump `planner.dp.scratch_allocs`.
-    scratch_pool: Arc<Mutex<Vec<PlanScratch>>>,
+    scratch_pool: Rc<RefCell<Vec<PlanScratch>>>,
     /// The pipeline's processor slots ([`Planner::pipeline_procs`]),
     /// fixed by the SoC and the configuration at construction.
     slots: Vec<ProcessorId>,
@@ -440,48 +453,35 @@ impl Planner {
         Ok(Planner {
             estimator: Estimator::with_precision(soc, config.precision)?,
             config,
-            telemetry: Arc::new(Telemetry::new()),
-            scratch_pool: Arc::new(Mutex::new(Vec::new())),
+            telemetry: Rc::default(),
+            scratch_pool: Rc::default(),
             slots,
         })
     }
 
     /// Checks a [`PlanScratch`] out of the pool (allocating a fresh one
     /// only on a pool miss), runs `f`, and returns the scratch for
-    /// reuse. Planning checks out one scratch at a time, so a planner
-    /// used from one thread pools a single scratch; callers that share
-    /// a planner across threads each check out their own.
+    /// reuse. Planning checks out one scratch at a time, so the pool
+    /// holds a single scratch.
     fn with_plan_scratch<R>(&self, f: impl FnOnce(&mut PlanScratch) -> R) -> R {
-        let popped = {
-            let mut pool = match self.scratch_pool.lock() {
-                Ok(guard) => guard,
-                // The pool holds only reusable buffers: a panic while a
-                // scratch was checked out cannot corrupt the ones here.
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            pool.pop()
-        };
+        let popped = self.scratch_pool.borrow_mut().pop();
         let mut scratch = popped.unwrap_or_else(|| {
             self.telemetry.metrics.inc("planner.dp.scratch_allocs");
             PlanScratch::default()
         });
         let out = f(&mut scratch);
-        let mut pool = match self.scratch_pool.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        pool.push(scratch);
+        self.scratch_pool.borrow_mut().push(scratch);
         out
     }
 
     /// The planner's telemetry sink (metrics registry + span recorder).
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
+    pub fn telemetry(&self) -> &Rc<Telemetry> {
         &self.telemetry
     }
 
     /// Replaces the telemetry sink, e.g. to share one registry between
     /// several planners or with the CLI exporter.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+    pub fn set_telemetry(&mut self, telemetry: Rc<Telemetry>) {
         self.telemetry = telemetry;
     }
 
@@ -568,11 +568,9 @@ impl Planner {
     /// re-run the search on every hit and assert the stored answer
     /// matches it bit for bit, and re-check every winner against the
     /// Option-oracle DP. An entry holds at most 2^K answers, so the memo
-    /// grows only with the tables cache itself. The entry's lock is held
-    /// while the search runs, so each mask is searched once per entry
-    /// even by callers that share the planner across threads. Hits and
-    /// misses count as `planner.partition.cache_hits` / `_misses`; the
-    /// DP counters (`planner.dp.*`) grow on misses only.
+    /// grows only with the tables cache itself. Hits and misses count as
+    /// `planner.partition.cache_hits` / `_misses`; the DP counters
+    /// (`planner.dp.*`) grow on misses only.
     /// On the h2pbench workloads, every timed plan-batch lookup hits and
     /// serve-chaos survivor replans hit 79% of the time.
     ///
@@ -701,7 +699,7 @@ impl Planner {
         &self,
         graph: &ModelGraph,
         procs: &[ProcessorId],
-    ) -> Arc<RequestTables> {
+    ) -> Rc<RequestTables> {
         let (tables, hit) = self.estimator.tables_cached(graph, procs);
         self.telemetry.metrics.inc(if hit {
             "planner.tables.cache_hits"
@@ -770,8 +768,10 @@ impl Planner {
         );
         out.steal = self.config.work_stealing.then(|| {
             pass.steal(
-                |pos| (order[pos], step1.plans[order[pos]].stages.as_slice()),
-                step1.contexts,
+                |pos| {
+                    let orig = order[pos];
+                    (&step1.contexts[orig], step1.plans[orig].stages.as_slice())
+                },
                 self.estimator.cost(),
                 &mut out.adopted,
             )
@@ -1079,7 +1079,7 @@ impl Planner {
                 requests: ordered,
             };
             let steal = if self.config.work_stealing {
-                Some(worksteal::align_by_stealing(&mut plan, &ctxs, cost))
+                Some(worksteal::align_by_stealing(&mut plan, |r| &ctxs[r], cost))
             } else {
                 None
             };
@@ -1443,14 +1443,27 @@ mod tests {
         assert!(feasible_pairs > 0);
     }
 
-    /// The memos, the tables cache, the window cache and the scratch
-    /// pool sit behind mutexes, so callers may share one planner across
-    /// threads although planning itself runs on the calling thread.
+    /// `Planner` and `OnlinePlanner` share their memos, scratch pool and
+    /// telemetry sink through `Rc`s, so neither may move to or be shared
+    /// with another thread. Each call below names one impl when the type
+    /// lacks the marker and fails to compile (ambiguous impls) when it
+    /// has it.
     #[test]
-    fn planners_are_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Planner>();
-        assert_send_sync::<crate::online::OnlinePlanner>();
+    fn planners_are_neither_send_nor_sync() {
+        trait AmbiguousIfSend<A> {
+            fn check() {}
+        }
+        impl<T: ?Sized> AmbiguousIfSend<()> for T {}
+        impl<T: ?Sized + Send> AmbiguousIfSend<u8> for T {}
+        trait AmbiguousIfSync<A> {
+            fn check() {}
+        }
+        impl<T: ?Sized> AmbiguousIfSync<()> for T {}
+        impl<T: ?Sized + Sync> AmbiguousIfSync<u8> for T {}
+        <Planner as AmbiguousIfSend<_>>::check();
+        <Planner as AmbiguousIfSync<_>>::check();
+        <crate::online::OnlinePlanner as AmbiguousIfSend<_>>::check();
+        <crate::online::OnlinePlanner as AmbiguousIfSync<_>>::check();
     }
 
     #[test]
@@ -1473,12 +1486,12 @@ mod tests {
         assert!(snap.gauge("planner.phase.total_ms").unwrap_or(-1.0) >= 0.0);
         // Mitigation ran instrumented (three requests, mitigation on).
         assert_eq!(snap.counter("mitigation.passes"), Some(1));
-        // Span tree: one plan root, one prepare phase, one closed span
-        // per request, one assemble per candidate order, all on the
-        // calling thread's lane although every request searched cold.
+        // Span tree: one plan root that every other span nests under,
+        // one prepare phase, one closed span per request, one assemble
+        // per candidate order.
         let spans = p.telemetry().spans.records();
         assert!(spans.iter().all(|s| s.is_closed()));
-        assert!(spans.iter().all(|s| s.lane == 0), "{spans:?}");
+        assert_eq!(spans.iter().filter(|s| s.parent.is_none()).count(), 1);
         assert_eq!(spans.iter().filter(|s| s.name == "plan:3req").count(), 1);
         assert_eq!(spans.iter().filter(|s| s.name == "prepare").count(), 1);
         assert_eq!(

@@ -35,6 +35,8 @@
 //! plus exact event replay — and the plan lint with availability mask
 //! (H2P009: no task may target a down processor).
 
+use std::sync::Arc;
+
 use h2p_models::graph::ModelGraph;
 use h2p_simulator::audit;
 use h2p_simulator::engine::{EngineEvent, TaskLabel, TaskSpec};
@@ -47,10 +49,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::PlanError;
-use crate::estimate::RequestContext;
 use crate::executor::lower_with_arrivals;
 use crate::plan::{PipelinePlan, RequestPlan};
-use crate::planner::Planner;
+use crate::planner::{Planner, RequestPartition};
 use crate::worksteal;
 
 /// Retry, backoff, deadline, and round budgets for the recovery runner.
@@ -249,8 +250,9 @@ impl FaultScript {
 /// (`Planner::plan_request_cached`) runs over the surviving slots
 /// only (sharing the planner's cached cost tables and NPU fallback
 /// arrays) and the best subset wins; the resulting plan is then
-/// re-aligned with work stealing. Returns the plan plus per-request
-/// contexts indexed by original request index.
+/// re-aligned with work stealing over the contexts of the memoized
+/// partitions. Every request is searched, pending or not, so one that
+/// no survivor subset can host fails the replan either way.
 ///
 /// Public so the perf-trajectory bench can measure the recovery
 /// re-planning latency in isolation (without a simulated round).
@@ -265,7 +267,7 @@ pub fn replan_on_survivors(
     graphs: &[ModelGraph],
     pending: &[usize],
     down: &[bool],
-) -> Result<(PipelinePlan, Vec<RequestContext>), PlanError> {
+) -> Result<PipelinePlan, PlanError> {
     let procs = planner.pipeline_procs();
     let surviving: u32 = (0..procs.len())
         .filter(|&s| !down.get(procs[s].index()).copied().unwrap_or(false))
@@ -274,7 +276,7 @@ pub fn replan_on_survivors(
         return Err(PlanError::NoSurvivingProcessors);
     }
     let cost = planner.estimator().cost();
-    let mut ctxs: Vec<RequestContext> = Vec::with_capacity(graphs.len());
+    let mut partitions: Vec<Arc<RequestPartition>> = Vec::with_capacity(graphs.len());
     let mut requests: Vec<RequestPlan> = Vec::with_capacity(pending.len());
     for (r, graph) in graphs.iter().enumerate() {
         // Survivor replans reuse the cross-invocation tables cache: the
@@ -309,14 +311,14 @@ pub fn replan_on_survivors(
                 class,
             });
         }
-        ctxs.push(partition.ctx.clone());
+        partitions.push(partition);
     }
     let mut plan = PipelinePlan {
         procs: procs.to_vec(),
         requests,
     };
-    worksteal::align_by_stealing(&mut plan, &ctxs, cost);
-    Ok((plan, ctxs))
+    worksteal::align_by_stealing(&mut plan, |r| &partitions[r].ctx, cost);
+    Ok(plan)
 }
 
 /// Runs `requests` to completion under the scripted `faults`, recovering
@@ -426,7 +428,7 @@ pub fn run_with_recovery(
                     );
                 }
                 match replan_on_survivors(planner, requests, &pending, &down) {
-                    Ok((plan, _)) => plan,
+                    Ok(plan) => plan,
                     Err(
                         e @ (PlanError::NoSurvivingProcessors
                         | PlanError::NoFeasiblePipeline { .. }),
@@ -783,7 +785,7 @@ mod tests {
         let pending: Vec<usize> = (0..graphs.len()).collect();
         let mut down = vec![false; soc.processors.len()];
         down[cpu_b.index()] = true;
-        let (plan, _) = replan_on_survivors(&planner, &graphs, &pending, &down).unwrap();
+        let plan = replan_on_survivors(&planner, &graphs, &pending, &down).unwrap();
         for req in &plan.requests {
             for stage in req.stages.iter().flatten() {
                 assert_ne!(stage.proc, cpu_b, "{}: stage on down processor", req.model);

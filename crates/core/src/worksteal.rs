@@ -302,16 +302,15 @@ impl PassScratch {
         self.grid.load(k, rows);
     }
 
-    /// Algorithm 3 over the loaded grid. `rows(pos)` gives the original
-    /// request index of position `pos` and the stages it holds, which
-    /// must be `ctxs[request].build_stages` of some splits. A re-balance
+    /// Algorithm 3 over the loaded grid. `rows(pos)` gives the context
+    /// of the request at position `pos` and the stages it holds, which
+    /// must be the context's `build_stages` of some splits. A re-balance
     /// is priced from its stage costs; a kept one whose splits differ
     /// from the request's is built and pushed to `adopted` with its
     /// position.
     pub(crate) fn steal<'a>(
         &mut self,
-        rows: impl Fn(usize) -> (usize, &'a [Option<StagePlan>]),
-        ctxs: &[RequestContext],
+        rows: impl Fn(usize) -> (&'a RequestContext, &'a [Option<StagePlan>]),
         cost: &CostModel,
         adopted: &mut Vec<(usize, Vec<Option<StagePlan>>)>,
     ) -> StealReport {
@@ -356,8 +355,7 @@ impl PassScratch {
                 if pos == crit {
                     continue;
                 }
-                let (orig, current) = rows(pos);
-                let ctx = &ctxs[orig];
+                let (ctx, current) = rows(pos);
                 if ctx.stage_count() < 2 {
                     continue; // single-stage requests have nothing to steal
                 }
@@ -497,13 +495,14 @@ impl PassScratch {
 
 /// Algorithm 3: slide contention windows of size `K` over the plan and
 /// re-balance each non-critical request's splits towards the window's
-/// critical path. `ctxs` is indexed by *original* request index
-/// ([`crate::plan::RequestPlan::request`]), and each request's stages
-/// must be its context's [`RequestContext::build_stages`] of some splits,
-/// as the planner builds them.
-pub fn align_by_stealing(
+/// critical path. `ctx(request)` is the context of the request with
+/// *original* index `request` ([`crate::plan::RequestPlan::request`]),
+/// and each request's stages must be its context's
+/// [`RequestContext::build_stages`] of some splits, as the planner
+/// builds them.
+pub fn align_by_stealing<'a>(
     plan: &mut PipelinePlan,
-    ctxs: &[RequestContext],
+    ctx: impl Fn(usize) -> &'a RequestContext,
     cost: &CostModel,
 ) -> StealReport {
     let mut pass = PassScratch::default();
@@ -515,9 +514,8 @@ pub fn align_by_stealing(
     let report = pass.steal(
         |pos| {
             let req = &plan.requests[pos];
-            (req.request, req.stages.as_slice())
+            (ctx(req.request), req.stages.as_slice())
         },
-        ctxs,
         cost,
         &mut adopted,
     );
@@ -700,7 +698,7 @@ mod tests {
             ModelId::Bert,
             ModelId::GoogLeNet,
         ]);
-        let report = align_by_stealing(&mut plan, &ctxs, est.cost());
+        let report = align_by_stealing(&mut plan, |r| &ctxs[r], est.cost());
         assert!(
             report.bubbles_after_ms <= report.bubbles_before_ms + 1e-9,
             "{report:?}"
@@ -718,7 +716,7 @@ mod tests {
             ModelId::Vgg16,
         ]);
         let before = plan.total_bubble_ms();
-        let report = align_by_stealing(&mut plan, &ctxs, est.cost());
+        let report = align_by_stealing(&mut plan, |r| &ctxs[r], est.cost());
         assert!(report.adjustments > 0, "{report:?}");
         assert!(plan.total_bubble_ms() < before, "{report:?}");
     }
@@ -731,7 +729,7 @@ mod tests {
             ModelId::ResNet50,
             ModelId::Vit,
         ]);
-        align_by_stealing(&mut plan, &ctxs, est.cost());
+        align_by_stealing(&mut plan, |r| &ctxs[r], est.cost());
         for req in &plan.requests {
             let n = ctxs[req.request].layer_count();
             let mut covered = 0usize;
@@ -813,7 +811,7 @@ mod tests {
     fn single_stage_requests_are_left_alone() {
         let (mut plan, ctxs, est) = build_plan(&[ModelId::SqueezeNet]);
         let before = plan.clone();
-        align_by_stealing(&mut plan, &ctxs, est.cost());
+        align_by_stealing(&mut plan, |r| &ctxs[r], est.cost());
         assert_eq!(plan.requests.len(), before.requests.len());
     }
 }

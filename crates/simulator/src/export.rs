@@ -199,35 +199,19 @@ pub fn chrome_trace(soc: &SocSpec, tasks: &[TaskSpec], events: &[EngineEvent]) -
     doc
 }
 
-/// Adds the planner's recorded phase spans under [`PLANNER_PID`], one
-/// track per planner lane, lane by lane and in enter order within a
-/// lane. Lane 0 is the planning thread's (`planner-main`). The planner
-/// plans on the calling thread, so only another thread that enters root
-/// spans on the same recorder makes lane `k > 0`
-/// (`planner-thread-{k}`, see [`SpanRecord`]). Open (never-closed)
-/// spans are skipped.
+/// Adds the planner's recorded phase spans under [`PLANNER_PID`], in
+/// enter order on one track, `planner-main`: the planner plans on the
+/// calling thread. Open (never-closed) spans are skipped.
 pub fn add_planner_spans(doc: &mut TraceDoc, spans: &[SpanRecord]) {
     if spans.is_empty() {
         return;
     }
     doc.process_name(PLANNER_PID, "planner");
-    let mut lanes: Vec<u64> = spans.iter().map(|s| s.lane).collect();
-    lanes.sort_unstable();
-    lanes.dedup();
-    for lane in lanes {
-        let name = if lane == 0 {
-            "planner-main".to_owned()
-        } else {
-            format!("planner-thread-{lane}")
-        };
-        doc.thread_name(PLANNER_PID, lane, name);
-    }
-    let mut closed: Vec<&SpanRecord> = spans.iter().filter(|s| s.is_closed()).collect();
-    closed.sort_by_key(|s| s.lane);
-    for s in closed {
+    doc.thread_name(PLANNER_PID, 0, "planner-main");
+    for s in spans.iter().filter(|s| s.is_closed()) {
         doc.complete(
             PLANNER_PID,
-            s.lane,
+            0,
             s.name.clone(),
             "planner",
             s.start_us,
@@ -364,17 +348,16 @@ mod tests {
     }
 
     #[test]
-    fn planner_tracks_name_the_main_lane_and_each_thread() {
-        // The planning thread's spans sit on lane 0; a second thread's
-        // root span opens lane 1.
+    fn planner_spans_share_the_main_track() {
+        // Two root spans and a child all land on track 0, in enter
+        // order; the span left open is skipped.
         let spans = h2p_telemetry::span::SpanRecorder::new();
         {
             let _root = spans.enter("plan");
             drop(spans.enter("prepare:0"));
-            std::thread::scope(|scope| {
-                scope.spawn(|| drop(spans.enter("plan")));
-            });
         }
+        drop(spans.enter("plan"));
+        let _open = spans.enter("open");
         let mut doc = TraceDoc::new();
         add_planner_spans(&mut doc, &spans.records());
         doc.validate().expect("valid trace");
@@ -384,13 +367,14 @@ mod tests {
             .filter(|e| e.ph == 'M' && e.name == "thread_name")
             .map(|e| (e.tid, &e.args[0].1))
             .collect();
-        assert_eq!(
-            tracks,
-            [
-                (0, &Arg::Str("planner-main".to_owned())),
-                (1, &Arg::Str("planner-thread-1".to_owned())),
-            ]
-        );
+        assert_eq!(tracks, [(0, &Arg::Str("planner-main".to_owned()))]);
+        let slices: Vec<(u64, &str)> = doc
+            .events
+            .iter()
+            .filter(|e| e.cat == "planner")
+            .map(|e| (e.tid, e.name.as_str()))
+            .collect();
+        assert_eq!(slices, [(0, "plan"), (0, "prepare:0"), (0, "plan")]);
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //!
 //! Five layers, each usable on its own:
 //!
-//! - [`metrics`] — a thread-safe registry of counters, gauges, and
-//!   log-bucketed histograms with exact-rank quantiles and mergeable
-//!   snapshots, renderable to hand-written JSON or a human-readable
-//!   table. Designed for coarse-grained recording: hot loops count
-//!   locally and flush once, so instrumentation never sits on a planner
-//!   hot path.
-//! - [`span`](mod@span) — RAII phase spans with deterministic content-derived ids
-//!   and per-thread lanes, recording the planner's phase tree.
+//! - [`metrics`] — a registry of counters, gauges, and log-bucketed
+//!   histograms with exact-rank quantiles, snapshotted to hand-written
+//!   JSON or a human-readable table. Designed for coarse-grained
+//!   recording: hot loops count locally and flush once, so
+//!   instrumentation never sits on a planner hot path.
+//! - [`span`](mod@span) — RAII phase spans with deterministic
+//!   content-derived ids, recording the planner's phase tree.
 //! - [`lifecycle`] — the causal request-lifecycle model: typed
 //!   admit → plan → window → execute → recover/degrade → complete
 //!   events keyed by stable [`RequestId`]/[`TraceId`], JSONL-renderable
@@ -22,6 +21,11 @@
 //!   (`chrome://tracing` / Perfetto-loadable JSON) with a schema
 //!   validator, fed by the simulator's engine event log and the span
 //!   recorder.
+//!
+//! The recording layers have one owner each. They hold their state in
+//! `RefCell`s, so they are `!Sync`: the planner plans on the calling
+//! thread and shares its [`Telemetry`] through an `Rc`, and the compiler
+//! rather than a lock rules out a second thread.
 //!
 //! The crate is `std`-only by design: the workspace has no registry
 //! access, and telemetry must never drag a dependency into the build.
@@ -38,11 +42,11 @@ pub mod metrics;
 pub mod span;
 
 pub use lifecycle::{LifecycleEvent, LifecycleLog, LifecycleStage, QosClass, RequestId, TraceId};
-pub use metrics::{FlushHandle, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use span::{SpanGuard, SpanRecord, SpanRecorder};
 
-/// Bundle of the recording layers, shared behind an `Arc` by the
-/// planner, the online planner, and the CLI exporter.
+/// Bundle of the recording layers, shared through an `Rc` by the
+/// planner, its clones, the online planner, and the CLI exporter.
 #[derive(Debug, Default)]
 pub struct Telemetry {
     pub metrics: MetricsRegistry,

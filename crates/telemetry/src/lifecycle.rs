@@ -27,9 +27,9 @@
 //! longer cover its solo critical path). Both carry a typed reason so
 //! no request ever leaves the system silently.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::{json_escape, json_num};
 
@@ -373,12 +373,13 @@ pub fn validate(events: &[LifecycleEvent]) -> Vec<LifecycleViolation> {
 /// The most recent events a [`LifecycleLog`] retains.
 pub const LIFECYCLE_WINDOW: usize = 4096;
 
-/// Thread-safe log of the [`LIFECYCLE_WINDOW`] most recent lifecycle
-/// events. Sequence numbers are assigned under the lock in record
-/// order, so a single log yields a totally ordered stream even when
-/// threads that share it record concurrently. An event's `seq` counts the
-/// events recorded before it, evicted ones included, so a retained
-/// event carries the `seq` an unbounded log would give it.
+/// Log of the [`LIFECYCLE_WINDOW`] most recent lifecycle events. It has
+/// one owner: it holds its window in a `RefCell`, so it is `!Sync`, and
+/// the planner that records into it shares it through an `Rc`.
+/// Sequence numbers are assigned in record order, so a log yields a
+/// totally ordered stream. An event's `seq` counts the events recorded
+/// before it, evicted ones included, so a retained event carries the
+/// `seq` an unbounded log would give it.
 ///
 /// Once [`LifecycleLog::dropped`] is nonzero the retained tail is not a
 /// complete causal stream: a request whose admission was evicted reads
@@ -387,7 +388,7 @@ pub const LIFECYCLE_WINDOW: usize = 4096;
 /// `h2p-serve`'s loop records its own.
 #[derive(Debug, Default)]
 pub struct LifecycleLog {
-    window: Mutex<Window>,
+    window: RefCell<Window>,
 }
 
 #[derive(Debug, Default)]
@@ -402,15 +403,11 @@ impl LifecycleLog {
         Self::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, Window> {
-        self.window.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Records one event, assigning the next sequence number. At the
     /// window's bound the oldest event is evicted first, so the
     /// deque's capacity stays at the bound.
     pub fn record(&self, trace: TraceId, request: RequestId, at_ms: f64, stage: LifecycleStage) {
-        let mut window = self.lock();
+        let mut window = self.window.borrow_mut();
         let seq = window.dropped + window.events.len() as u64;
         if window.events.len() == LIFECYCLE_WINDOW {
             window.events.pop_front();
@@ -427,12 +424,12 @@ impl LifecycleLog {
 
     /// Copies the retained events out, in sequence order.
     pub fn records(&self) -> Vec<LifecycleEvent> {
-        self.lock().events.iter().cloned().collect()
+        self.window.borrow().events.iter().cloned().collect()
     }
 
     /// Retained events.
     pub fn len(&self) -> usize {
-        self.lock().events.len()
+        self.window.borrow().events.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -442,21 +439,22 @@ impl LifecycleLog {
     /// Events evicted to keep the window: `len() + dropped()` is the
     /// number recorded since the log was created or last cleared.
     pub fn dropped(&self) -> u64 {
-        self.lock().dropped
+        self.window.borrow().dropped
     }
 
     /// Drops all recorded events and the eviction count, so sequence
     /// numbers restart at 0 (e.g. between planning invocations in a
     /// long-lived process).
     pub fn clear(&self) {
-        let mut window = self.lock();
+        let mut window = self.window.borrow_mut();
         window.events.clear();
         window.dropped = 0;
     }
 
     /// Renders every retained event as a JSONL line, in sequence order.
     pub fn json_lines(&self) -> Vec<String> {
-        self.lock()
+        self.window
+            .borrow()
             .events
             .iter()
             .map(LifecycleEvent::json_line)

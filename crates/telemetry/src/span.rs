@@ -1,38 +1,35 @@
-//! RAII phase spans with deterministic ids and per-thread lanes.
+//! RAII phase spans with deterministic ids.
 //!
-//! A [`SpanRecorder`] keeps a per-thread stack of open spans, so nested
-//! `enter` calls form a tree on each thread that shares the recorder.
-//! Span ids are content-derived (FNV-1a over parent id, name, and the
-//! sibling ordinal), so the sequential phase tree of a deterministic
-//! planner run hashes to the same ids on every run — stable anchors for
-//! golden tests and trace diffing. The sibling ordinal is the number of
-//! earlier spans with the same parent and name; a per-`(parent, name)`
-//! counter supplies it, so `enter` costs O(1) however many spans a
-//! long-lived recorder has seen, and a name seen before under the same
-//! parent is not copied again.
+//! A [`SpanRecorder`] keeps one stack of open spans, so nested `enter`
+//! calls form a tree. The recorder has one owner: it holds its state in
+//! a `RefCell`, so it is `!Sync`, and the planner that records into it
+//! shares it through an `Rc`, which no second thread can reach. Span ids
+//! are content-derived (FNV-1a over parent id, name, and the sibling
+//! ordinal), so the phase tree of a deterministic planner run hashes to
+//! the same ids on every run — stable anchors for golden tests and trace
+//! diffing. The sibling ordinal is the number of earlier spans with the
+//! same parent and name; a per-`(parent, name)` counter supplies it, so
+//! `enter` costs O(1) however many spans a long-lived recorder has seen,
+//! and a name seen before under the same parent is not copied again.
 //!
-//! A span's lane is its parent's lane, and a root span's lane is its
-//! thread's. Wall-clock fields (`start_us`, `dur_us`) are measured, not
-//! derived, and are the only non-deterministic part of a record.
+//! Wall-clock fields (`start_us`, `dur_us`) are measured, not derived,
+//! and are the only non-deterministic part of a record.
 //!
 //! A recorder retains at most [`SPAN_WINDOW`] recent records, so a
 //! planner that lives for millions of plans holds a flat amount of
 //! memory. An `enter` that finds the window full first runs one sweep:
 //! it evicts the oldest closed records from the front down to half the
-//! window, counting them in [`SpanRecorder::dropped`]; drops the sibling
-//! counters of parents that have closed, since a closed span takes no
-//! new children (root names keep theirs, so root ids keep counting);
-//! and removes the empty per-thread stacks that threads which entered
-//! spans leave behind. A sweep never evicts an open record, so every
-//! guard and per-thread stack entry resolves, and the records it keeps
-//! retain their ids, parents, depths and lanes. Eviction stops at the
-//! oldest open record, so a span held open keeps itself and every later
-//! record until it closes; the planner's spans close before its calls
-//! return.
+//! window, counting them in [`SpanRecorder::dropped`], and drops the
+//! sibling counters of parents that have closed, since a closed span
+//! takes no new children (root names keep theirs, so root ids keep
+//! counting). A sweep never evicts an open record, so every guard and
+//! stack entry resolves, and the records it keeps retain their ids,
+//! parents and depths. Eviction stops at the oldest open record, so a
+//! span held open keeps itself and every later record until it closes;
+//! the planner's spans close before its calls return.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::thread::ThreadId;
 use std::time::Instant;
 
 /// Sentinel duration of a span that has not been closed yet.
@@ -46,16 +43,12 @@ pub const SPAN_WINDOW: usize = 4096;
 /// consecutive sweeps are at least this many `enter`s apart.
 const SWEEP_KEEP: usize = SPAN_WINDOW / 2;
 
-/// One recorded span. `lane` is the `tid` of its planner track in the
-/// chrome exporter: a root span's lane is a dense per-recorder thread
-/// index (0 is the first thread that ever entered a span), and any
-/// other span inherits its parent's lane.
+/// One recorded span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     pub id: u64,
     pub parent: Option<u64>,
     pub name: String,
-    pub lane: u64,
     pub depth: u32,
     pub start_us: f64,
     pub dur_us: f64,
@@ -77,10 +70,9 @@ struct Inner {
     dropped: usize,
     /// Window length at which the next `enter` sweeps first.
     sweep_at: usize,
-    /// Per-thread stack of open sequence numbers.
-    stacks: HashMap<ThreadId, Vec<usize>>,
-    /// Dense lane assignment per thread.
-    lanes: HashMap<ThreadId, u64>,
+    /// Sequence numbers of the open spans, in enter order: the last is
+    /// the parent of the next span entered.
+    stack: Vec<usize>,
     /// Spans entered so far per name and parent: the next sibling's
     /// ordinal, which equals the count of earlier spans with that
     /// parent and name. A sweep drops the counters of closed parents,
@@ -96,8 +88,7 @@ impl Default for Inner {
             records: VecDeque::new(),
             dropped: 0,
             sweep_at: SPAN_WINDOW,
-            stacks: HashMap::new(),
-            lanes: HashMap::new(),
+            stack: Vec::new(),
             ordinals: HashMap::new(),
         }
     }
@@ -122,11 +113,10 @@ impl Inner {
         &self.records[seq - self.dropped]
     }
 
-    /// Evicts the oldest closed records down to [`SWEEP_KEEP`], drops
-    /// the sibling counters of closed parents and removes empty
-    /// per-thread stacks. An open record at the front stops eviction;
-    /// the next sweep then waits for another `SWEEP_KEEP` records, so
-    /// sweeps stay amortized.
+    /// Evicts the oldest closed records down to [`SWEEP_KEEP`] and drops
+    /// the sibling counters of closed parents. An open record at the
+    /// front stops eviction; the next sweep then waits for another
+    /// `SWEEP_KEEP` records, so sweeps stay amortized.
     fn sweep(&mut self) {
         while self.records.len() > SWEEP_KEEP
             && self.records.front().is_some_and(SpanRecord::is_closed)
@@ -134,12 +124,7 @@ impl Inner {
             self.records.pop_front();
             self.dropped += 1;
         }
-        let open: Vec<u64> = self
-            .records
-            .iter()
-            .filter(|r| !r.is_closed())
-            .map(|r| r.id)
-            .collect();
+        let open: Vec<u64> = self.stack.iter().map(|&seq| self.record(seq).id).collect();
         #[expect(
             clippy::disallowed_methods,
             reason = "each parent's counters are pruned on their own, so the visit \
@@ -148,7 +133,6 @@ impl Inner {
         self.ordinals.values_mut().for_each(|siblings| {
             siblings.retain(|parent, _| parent.is_none_or(|p| open.contains(&p)));
         });
-        self.stacks.retain(|_, stack| !stack.is_empty());
         self.sweep_at = SPAN_WINDOW.max(self.records.len() + SWEEP_KEEP);
     }
 }
@@ -159,7 +143,7 @@ impl Inner {
 #[derive(Debug)]
 pub struct SpanRecorder {
     epoch: Instant,
-    inner: Mutex<Inner>,
+    inner: RefCell<Inner>,
 }
 
 impl Default for SpanRecorder {
@@ -171,7 +155,7 @@ impl Default for SpanRecorder {
     fn default() -> Self {
         Self {
             epoch: Instant::now(),
-            inner: Mutex::new(Inner::default()),
+            inner: RefCell::new(Inner::default()),
         }
     }
 }
@@ -199,31 +183,21 @@ impl SpanRecorder {
         Self::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Opens a span named `name` under the calling thread's current
-    /// span (if any). Returns a guard that closes the span when
-    /// dropped.
+    /// Opens a span named `name` under the innermost open span (if
+    /// any). Returns a guard that closes the span when dropped.
     pub fn enter(&self, name: impl Into<String>) -> SpanGuard<'_> {
         let name = name.into();
         let start_us = self.epoch.elapsed().as_secs_f64() * 1e6;
-        let thread = std::thread::current().id();
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         if inner.records.len() >= inner.sweep_at {
             inner.sweep();
         }
-        let top = inner.stacks.get(&thread).and_then(|s| s.last().copied());
-        let (parent, depth, lane) = match top {
-            Some(seq) => {
+        let (parent, depth) = match inner.stack.last() {
+            Some(&seq) => {
                 let record = inner.record(seq);
-                (Some(record.id), record.depth + 1, record.lane)
+                (Some(record.id), record.depth + 1)
             }
-            None => {
-                let next_lane = inner.lanes.len() as u64;
-                (None, 0, *inner.lanes.entry(thread).or_insert(next_lane))
-            }
+            None => (None, 0),
         };
         let ordinal = inner.next_ordinal(parent, &name);
         let id = fnv1a(parent.unwrap_or(0), &name, ordinal);
@@ -232,15 +206,13 @@ impl SpanRecorder {
             id,
             parent,
             name,
-            lane,
             depth,
             start_us,
             dur_us: OPEN_DUR_US,
         });
-        inner.stacks.entry(thread).or_default().push(seq);
+        inner.stack.push(seq);
         SpanGuard {
             recorder: self,
-            thread,
             seq,
         }
     }
@@ -248,13 +220,13 @@ impl SpanRecorder {
     /// Copies out the retained records (closed and still-open) in
     /// enter order.
     pub fn records(&self) -> Vec<SpanRecord> {
-        self.lock().records.iter().cloned().collect()
+        self.inner.borrow().records.iter().cloned().collect()
     }
 
     /// How many records sweeps have evicted: `records().len() +
     /// dropped()` is the number of spans ever entered.
     pub fn dropped(&self) -> u64 {
-        self.lock().dropped as u64
+        self.inner.borrow().dropped as u64
     }
 
     /// Renders the span tree as an indented text listing, roots in
@@ -273,18 +245,16 @@ impl SpanRecorder {
         out
     }
 
-    fn close(&self, thread: ThreadId, seq: usize) {
+    fn close(&self, seq: usize) {
         let end_us = self.epoch.elapsed().as_secs_f64() * 1e6;
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         let index = seq - inner.dropped;
         let record = &mut inner.records[index];
         record.dur_us = (end_us - record.start_us).max(0.0);
-        if let Some(stack) = inner.stacks.get_mut(&thread) {
-            // The guard being dropped is normally the top of the stack;
-            // retain-by-value keeps the recorder consistent even if
-            // guards are dropped out of order.
-            stack.retain(|&s| s != seq);
-        }
+        // The guard being dropped is normally the top of the stack;
+        // retain-by-value keeps the recorder consistent even if guards
+        // are dropped out of order.
+        inner.stack.retain(|&s| s != seq);
     }
 }
 
@@ -292,13 +262,12 @@ impl SpanRecorder {
 #[must_use = "dropping the guard immediately closes the span"]
 pub struct SpanGuard<'a> {
     recorder: &'a SpanRecorder,
-    thread: ThreadId,
     seq: usize,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        self.recorder.close(self.thread, self.seq);
+        self.recorder.close(self.seq);
     }
 }
 
@@ -306,7 +275,6 @@ impl Drop for SpanGuard<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::Barrier;
 
     #[test]
     fn nested_spans_form_a_tree() {
@@ -348,46 +316,22 @@ mod tests {
         assert_ne!(first[1], first[2]);
     }
 
-    #[test]
-    fn spans_from_worker_threads_get_their_own_lanes() {
-        let rec = SpanRecorder::new();
-        let _root = rec.enter("plan");
-        std::thread::scope(|scope| {
-            for i in 0..2 {
-                let rec = &rec;
-                scope.spawn(move || {
-                    let _s = rec.enter(format!("worker:{i}"));
-                });
-            }
-        });
-        drop(_root);
-        let records = rec.records();
-        assert_eq!(records.len(), 3);
-        let mut lanes: Vec<u64> = records.iter().map(|r| r.lane).collect();
-        lanes.sort_unstable();
-        lanes.dedup();
-        assert_eq!(lanes.len(), 3, "each thread gets a distinct lane");
-        // Worker spans are roots of their own lanes (no cross-thread
-        // parenting).
-        assert!(records[1..].iter().all(|r| r.parent.is_none()));
-    }
-
-    /// Runs a seeded random enter/drop sequence on the calling thread:
-    /// at most three guards open at once, names from a three-name
-    /// alphabet, and every fourth close picks an arbitrary open guard
-    /// instead of the innermost one.
+    /// Runs a seeded random enter/drop sequence: at most three guards
+    /// open at once, names from a three-name alphabet, and every fourth
+    /// close picks an arbitrary open guard instead of the innermost one.
     fn random_spans(rec: &SpanRecorder, seed: u64, steps: usize) {
-        drive_spans(rec, seed, steps, None);
+        drive_spans(rec, seed, steps, None, None);
     }
 
-    /// [`random_spans`], reporting every enter and close to `shadow` as
-    /// test thread `thread`. Each enter or close runs under the
-    /// shadow's lock, so the shadow sees the recorder's order.
+    /// [`random_spans`], reporting every enter and close to `shadow`.
+    /// `base` is the shadow index of a span the caller holds open, the
+    /// parent of every span entered while no span of the run is open.
     fn drive_spans(
         rec: &SpanRecorder,
         seed: u64,
         steps: usize,
-        shadow: Option<(&Mutex<Shadow>, usize)>,
+        mut shadow: Option<&mut Shadow>,
+        base: Option<usize>,
     ) {
         const NAMES: [&str; 3] = ["plan", "prepare", "window"];
         let mut state = seed | 1;
@@ -395,25 +339,22 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             (state >> 33) as usize
         };
-        let lock = || shadow.map(|(s, thread)| (s.lock().expect("shadow lock"), thread));
         // Open guards with their shadow indices.
         let mut open: Vec<(SpanGuard<'_>, usize)> = Vec::new();
-        let close = |(guard, ix): (SpanGuard<'_>, usize)| {
-            let mut held = lock();
+        let close = |(guard, ix): (SpanGuard<'_>, usize), shadow: &mut Option<&mut Shadow>| {
             drop(guard);
-            if let Some((shadow, _)) = held.as_mut() {
+            if let Some(shadow) = shadow {
                 shadow.closed(rec, ix);
             }
         };
         for _ in 0..steps {
             if open.len() < 3 && next() % 3 != 0 {
                 let name = NAMES[next() % 3];
-                let parent = open.last().map(|&(_, ix)| ix);
-                let mut held = lock();
+                let parent = open.last().map(|&(_, ix)| ix).or(base);
                 let guard = rec.enter(name);
-                let ix = held.as_mut().map_or(0, |(shadow, thread)| {
-                    shadow.entered(rec, parent, name, *thread)
-                });
+                let ix = shadow
+                    .as_deref_mut()
+                    .map_or(0, |shadow| shadow.entered(rec, parent, name));
                 open.push((guard, ix));
             } else if !open.is_empty() {
                 let ix = if next() % 4 == 0 {
@@ -421,11 +362,11 @@ mod tests {
                 } else {
                     open.len() - 1
                 };
-                close(open.remove(ix));
+                close(open.remove(ix), &mut shadow);
             }
         }
         while let Some(last) = open.pop() {
-            close(last);
+            close(last, &mut shadow);
         }
     }
 
@@ -434,9 +375,7 @@ mod tests {
         id: u64,
         parent: Option<u64>,
         name: &'static str,
-        lane: u64,
         depth: u32,
-        thread: usize,
     }
 
     /// Every span a retention test entered, numbered as by an unbounded
@@ -447,8 +386,6 @@ mod tests {
         /// Spans entered per parent id and name, never pruned: the
         /// count a scan over every earlier span gives.
         siblings: HashMap<(Option<u64>, &'static str), u64>,
-        /// Lane of each test thread that entered a root span.
-        lanes: HashMap<usize, u64>,
         /// Shadow indices of the open spans.
         open: std::collections::BTreeSet<usize>,
         dropped: u64,
@@ -463,17 +400,13 @@ mod tests {
             rec: &SpanRecorder,
             parent: Option<usize>,
             name: &'static str,
-            thread: usize,
         ) -> usize {
-            let (parent, depth, lane) = match parent {
+            let (parent, depth) = match parent {
                 Some(p) => {
                     let p = &self.spans[p];
-                    (Some(p.id), p.depth + 1, p.lane)
+                    (Some(p.id), p.depth + 1)
                 }
-                None => {
-                    let next_lane = self.lanes.len() as u64;
-                    (None, 0, *self.lanes.entry(thread).or_insert(next_lane))
-                }
+                None => (None, 0),
             };
             let ordinal = self.siblings.entry((parent, name)).or_insert(0);
             let id = fnv1a(parent.unwrap_or(0), name, *ordinal);
@@ -483,9 +416,7 @@ mod tests {
                 id,
                 parent,
                 name,
-                lane,
                 depth,
-                thread,
             });
             self.open.insert(ix);
             self.check(rec);
@@ -497,9 +428,9 @@ mod tests {
             self.check(rec);
         }
 
-        /// Open spans are always retained; after a sweep the recorder
-        /// counts siblings only under root names and open parents, and
-        /// keeps a stack only for threads with an open span.
+        /// Open spans are always retained and the recorder's stack holds
+        /// exactly them; after a sweep the recorder counts siblings only
+        /// under root names and open parents.
         fn check(&mut self, rec: &SpanRecorder) {
             let dropped = rec.dropped();
             if let Some(&oldest) = self.open.first() {
@@ -507,6 +438,13 @@ mod tests {
                     self.failures
                         .push(format!("open span {oldest} evicted ({dropped} dropped)"));
                 }
+            }
+            let stack = rec.inner.borrow().stack.clone();
+            if !stack.iter().eq(&self.open) {
+                self.failures.push(format!(
+                    "stack {stack:?} differs from the open spans {:?}",
+                    self.open
+                ));
             }
             if dropped == self.dropped {
                 return;
@@ -522,17 +460,6 @@ mod tests {
                     ));
                 }
             }
-            let mut threads: Vec<usize> = self.open.iter().map(|&i| self.spans[i].thread).collect();
-            threads.sort_unstable();
-            threads.dedup();
-            let stacks = rec.lock().stacks.len();
-            if stacks != threads.len() {
-                self.failures.push(format!(
-                    "sweep {} left {stacks} stacks for {} threads with open spans",
-                    self.sweeps,
-                    threads.len()
-                ));
-            }
         }
     }
 
@@ -542,7 +469,8 @@ mod tests {
         reason = "the caller checks each parent on its own, in any order"
     )]
     fn counter_parents(rec: &SpanRecorder) -> Vec<Option<u64>> {
-        rec.lock()
+        rec.inner
+            .borrow()
             .ordinals
             .values()
             .flat_map(|siblings| siblings.keys().copied())
@@ -555,21 +483,17 @@ mod tests {
         /// Every id equals the one the original numbering gave: the
         /// ordinal is the count of earlier records (in enter order)
         /// with the same parent and name, recounted here by a scan.
+        /// Three seeded runs share the recorder, so later runs meet
+        /// counters the earlier ones left.
         #[test]
         fn ids_match_a_scan_over_earlier_records(
             seed in any::<u64>(),
             steps in 1usize..96,
         ) {
             let rec = SpanRecorder::new();
-            std::thread::scope(|scope| {
-                for k in 1..=2u64 {
-                    let rec = &rec;
-                    scope.spawn(move || {
-                        random_spans(rec, seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15), steps)
-                    });
-                }
-                random_spans(&rec, seed, steps);
-            });
+            for k in 0..3u64 {
+                random_spans(&rec, seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15), steps);
+            }
             let records = rec.records();
             for (i, r) in records.iter().enumerate() {
                 let ordinal = records[..i]
@@ -590,54 +514,28 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Past the window several times over, on one to three threads:
-        /// every retained record carries the id, parent, depth and lane
-        /// an unbounded recorder gives it, retained plus dropped records
-        /// are every span entered, no open span is ever evicted, and
-        /// each sweep prunes the counters of closed parents and the
-        /// stacks of threads with nothing open. One more thread holds a
-        /// root span open while the others run their steps, so sweeps
-        /// meet an open record at the front of the window; the first
-        /// thread then runs on alone, long enough to sweep three times
-        /// after the held span closes.
+        /// Past the window several times over: every retained record
+        /// carries the id, parent and depth an unbounded recorder gives
+        /// it, retained plus dropped records are every span entered, no
+        /// open span is ever evicted, the recorder's stack holds exactly
+        /// the open spans, and each sweep prunes the counters of closed
+        /// parents. A root span opens first and stays open while the
+        /// first run's spans nest under it, so sweeps meet an open
+        /// record at the front of the window; it closes mid-run, and a
+        /// second run goes on long enough to sweep three times after.
         #[test]
-        fn retained_records_match_an_unbounded_oracle(
-            seed in any::<u64>(),
-            threads in 1usize..4,
-        ) {
+        fn retained_records_match_an_unbounded_oracle(seed in any::<u64>()) {
             // About 0.45 enters per step: ~10,800 spans while the span
             // is held, then ~7,200 more, which reach the first sweep
             // within 2,048 entries and two more after it.
-            let steps = 24_000 / threads;
             let rec = SpanRecorder::new();
-            let shadow = Mutex::new(Shadow::default());
-            let (entered, released) = (Barrier::new(2), Barrier::new(2));
-            std::thread::scope(|scope| {
-                for k in 1..threads {
-                    let (rec, shadow) = (&rec, &shadow);
-                    scope.spawn(move || {
-                        let seed = seed ^ (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                        drive_spans(rec, seed, steps, Some((shadow, k)));
-                    });
-                }
-                let (rec, shadow, entered, released) = (&rec, &shadow, &entered, &released);
-                scope.spawn(move || {
-                    let mut held = shadow.lock().expect("shadow lock");
-                    let guard = rec.enter("hold");
-                    let ix = held.entered(rec, None, "hold", threads);
-                    drop(held);
-                    entered.wait();
-                    released.wait();
-                    let mut held = shadow.lock().expect("shadow lock");
-                    drop(guard);
-                    held.closed(rec, ix);
-                });
-                entered.wait();
-                drive_spans(rec, seed, steps, Some((shadow, 0)));
-                released.wait();
-                drive_spans(rec, !seed, 16_000, Some((shadow, 0)));
-            });
-            let shadow = shadow.into_inner().expect("shadow lock");
+            let mut shadow = Shadow::default();
+            let hold = rec.enter("hold");
+            let held = shadow.entered(&rec, None, "hold");
+            drive_spans(&rec, seed, 24_000, Some(&mut shadow), Some(held));
+            drop(hold);
+            shadow.closed(&rec, held);
+            drive_spans(&rec, !seed, 16_000, Some(&mut shadow), None);
             prop_assert!(shadow.failures.is_empty(), "{:?}", shadow.failures.first());
             prop_assert!(shadow.sweeps >= 3, "only {} sweeps", shadow.sweeps);
             let records = rec.records();
@@ -646,8 +544,8 @@ mod tests {
             prop_assert!(records.len() <= SPAN_WINDOW);
             for (r, o) in records.iter().zip(&shadow.spans[dropped..]) {
                 prop_assert_eq!(
-                    (r.id, r.parent, r.depth, r.lane, r.name.as_str()),
-                    (o.id, o.parent, o.depth, o.lane, o.name)
+                    (r.id, r.parent, r.depth, r.name.as_str()),
+                    (o.id, o.parent, o.depth, o.name)
                 );
             }
         }

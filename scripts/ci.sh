@@ -10,8 +10,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 # Besides the usual lints, this holds the workspace to the determinism
 # rules (root clippy.toml plus the lint tables in Cargo.toml): no
-# hash-order iteration, no wall-clock read, and no waiver but an
-# `#[expect]` with a reason. The workspace's own expectations keep
+# hash-order iteration, no wall-clock read, no `Mutex` or `RwLock`
+# around state that has one owner, and no waiver but an `#[expect]`
+# with a reason. The workspace's own expectations keep
 # clippy.toml honest: drop a method from it and they fail as unfulfilled.
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -110,6 +111,7 @@ expect_hazard() {
 expect_hazard hash-iteration '#iter_over_hash_type$'
 expect_hazard wall-clock 'disallowed method `std::time::Instant::now`'
 expect_hazard unordered-reduction 'disallowed method `std::collections::HashMap::values`'
+expect_hazard shared-lock 'disallowed type `std::sync::Mutex`'
 expect_hazard unseeded-rng 'cannot find function `thread_rng`'
 expect_hazard stale 'this lint expectation is unfulfilled'
 expect_hazard no-reason '#allow_attributes_without_reason$'

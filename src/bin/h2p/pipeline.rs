@@ -1,7 +1,7 @@
 //! The subcommands that plan, lower and run one request set: `plan`,
 //! `run`, `gantt`, `trace`, `export` and `lint`.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use h2p_analyze::{Diagnostics, Mutation, PlanIr};
 use h2p_baselines::{pipe_it, Scheme};
@@ -305,14 +305,14 @@ pub fn export(args: &[String]) {
         fail("export needs --trace PATH and/or --metrics PATH")
     }
     let reqs = graphs(&models);
-    let telemetry = Arc::new(Telemetry::new());
+    let telemetry = Rc::new(Telemetry::new());
     // Plan-producing schemes run through a planner that shares this
     // telemetry sink, so the export carries planner phase spans and
     // planning metrics; task-graph schemes lower directly and export
     // engine-side telemetry only.
     let (lowered, mitigation) = match crate::scheme_planner(&soc, scheme) {
         Some(mut planner) => {
-            planner.set_telemetry(Arc::clone(&telemetry));
+            planner.set_telemetry(Rc::clone(&telemetry));
             let planned = planner.plan(&reqs).expect("plan");
             let mit = planned.mitigation.clone();
             (planned.lower(&soc).expect("lower"), mit)

@@ -122,7 +122,7 @@ proptest! {
         let warm_out = replan_on_survivors(&warm, &graphs, &pending, &down);
         let fresh_out = replan_on_survivors(&fresh, &graphs, &pending, &down);
         match (&warm_out, &fresh_out) {
-            (Ok((warm_plan, _)), Ok((fresh_plan, _))) => {
+            (Ok(warm_plan), Ok(fresh_plan)) => {
                 prop_assert_eq!(warm_plan, fresh_plan);
                 prop_assert_eq!(
                     warm_plan.estimated_makespan_ms().to_bits(),

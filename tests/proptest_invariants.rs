@@ -276,7 +276,8 @@ fn incremental_column_accounting_matches_whole_plan_rescans() {
             let base = planner.plan(&graphs).expect("plans");
             let mut stolen = base.plan.clone();
             let before = stolen.total_bubble_ms();
-            let report = worksteal::align_by_stealing(&mut stolen, &base.contexts, est.cost());
+            let report =
+                worksteal::align_by_stealing(&mut stolen, |r| &base.contexts[r], est.cost());
             assert_eq!(
                 report.bubbles_before_ms.to_bits(),
                 before.to_bits(),

@@ -29,7 +29,7 @@ fn validate_replan(
     }
     let is_down = |p: h2p_simulator::ProcessorId| down.get(p.index()).copied().unwrap_or(false);
     match replan_on_survivors(planner, graphs, pending, down) {
-        Ok((plan, _contexts)) => {
+        Ok(plan) => {
             // `plan.procs` keeps the full slot list (slot identity is
             // stable across rounds); no stage or run may use a down
             // processor.
