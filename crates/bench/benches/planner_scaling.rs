@@ -4,8 +4,9 @@
 //! cached planner), a cold 8-request plan, lowering and simulated
 //! execution of a planned 8-request pipeline, an online window replan,
 //! the recovery re-plan after a processor dropout, the faulted audit of
-//! one recovery round, the serve loop's batching step, and one span
-//! entry on a recorder that holds 10,000 spans.
+//! one recovery round, the serve loop's batching step, one span entry
+//! on a recorder that 10,000 spans went through, and one counter update
+//! by handle on a planner's registry.
 //!
 //! Cases that repeat one request set on one planner are warm: from the
 //! second iteration on, the cost tables, the memoized partitions and the
@@ -270,19 +271,22 @@ fn bench_serve_sweep(c: &mut Criterion) {
 fn bench_span_enter(c: &mut Criterion) {
     // One span entered and closed on a recorder at its retention
     // window: the recorder of a serve loop deep into a stream, where
-    // every cache-hit dispatch opens one `online-inc` root. Each batch
-    // starts from a recorder that 10,000 same-name roots went through
-    // outside the timing, so it has swept three times and holds 3,856
-    // records. The timed entries sweep again every 2,048, so the
-    // reading is an entry's steady-state cost: the counter lookup, the
-    // push and its share of a sweep. Entry must not scan the earlier
-    // spans.
-    const NAME: &str = "online-inc:1req";
+    // every cache-hit dispatch opens one `online-inc` root, through the
+    // `span!` call `OnlinePlanner::plan_shared` makes. Each batch starts
+    // from a recorder that 10,000 same-name roots went through outside
+    // the timing, so it has swept three times and holds 3,856 records
+    // and the name's key. The timed entries sweep again every 2,048, so
+    // the reading is an entry's steady-state cost: the key and counter
+    // lookups, the two clock reads, the push and its share of a sweep.
+    // Entry must not scan the earlier spans.
+    let enter = |recorder: &h2p_telemetry::SpanRecorder| {
+        h2p_telemetry::span!(recorder, "online-inc:{}req", 1);
+    };
     c.bench_function("telemetry/span_enter/10000", |b| {
         b.iter_custom(|iters| {
             let recorder = h2p_telemetry::SpanRecorder::new();
             for _ in 0..10_000 {
-                drop(recorder.enter(NAME));
+                enter(&recorder);
             }
             #[expect(
                 clippy::disallowed_methods,
@@ -290,10 +294,28 @@ fn bench_span_enter(c: &mut Criterion) {
             )]
             let start = std::time::Instant::now();
             for _ in 0..iters {
-                drop(recorder.enter(NAME));
+                enter(&recorder);
             }
             start.elapsed()
         })
+    });
+}
+
+fn bench_counter_add(c: &mut Criterion) {
+    // One counter update by handle on the registry of a planner that
+    // has planned, so it holds the planner's whole metric set, after
+    // 10,000 updates outside the timing: the indexed add every hot
+    // caller makes in place of a lookup by name.
+    let soc = SocSpec::kirin_990();
+    let planner = Planner::new(&soc).expect("planner");
+    planner.plan(&workload(GATE_REQUESTS)).expect("plan");
+    let metrics = &planner.telemetry().metrics;
+    let requests = metrics.counter("planner.requests");
+    for _ in 0..10_000 {
+        metrics.add(std::hint::black_box(requests), 1);
+    }
+    c.bench_function("telemetry/counter_add/10000", |b| {
+        b.iter(|| metrics.add(std::hint::black_box(requests), 1))
     });
 }
 
@@ -381,5 +403,6 @@ fn main() {
     bench_batching(&mut criterion);
     bench_serve_sweep(&mut criterion);
     bench_span_enter(&mut criterion);
+    bench_counter_add(&mut criterion);
     write_json(&criterion::take_results());
 }

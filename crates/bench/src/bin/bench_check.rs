@@ -308,6 +308,7 @@ fn main() {
         "audit/faulted/8",
         "batching/graphs_for_groups/10",
         "telemetry/span_enter/10000",
+        "telemetry/counter_add/10000",
     ];
     for name in required_cases {
         match case_median_ns(&json, name) {

@@ -16,7 +16,7 @@
 //! [`crate::lap`].
 
 use h2p_contention::ContentionClass;
-use h2p_telemetry::MetricsRegistry;
+use h2p_telemetry::{CounterId, GaugeId, MetricsRegistry};
 
 use crate::lap;
 
@@ -105,8 +105,37 @@ pub fn mitigate(classes: &[ContentionClass], window: usize) -> MitigationOutcome
     mitigate_instrumented(classes, window, None)
 }
 
-/// [`mitigate`] with optional telemetry: when `metrics` is given,
-/// records `mitigation.passes` / `conflicts` / `moves` / `unresolved`
+/// The handles of the series [`mitigate_instrumented`] records, on one
+/// registry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MitigationMetrics {
+    passes: CounterId,
+    conflicts: CounterId,
+    moves: CounterId,
+    unresolved: CounterId,
+    displacement_cost: GaugeId,
+    lap_solves: CounterId,
+    lap_augment_steps: CounterId,
+}
+
+impl MitigationMetrics {
+    /// Registers the mitigation series on `metrics`.
+    pub(crate) fn register(metrics: &MetricsRegistry) -> Self {
+        Self {
+            passes: metrics.counter("mitigation.passes"),
+            conflicts: metrics.counter("mitigation.conflicts"),
+            moves: metrics.counter("mitigation.moves"),
+            unresolved: metrics.counter("mitigation.unresolved"),
+            displacement_cost: metrics.gauge("mitigation.displacement_cost"),
+            lap_solves: metrics.counter("lap.solves"),
+            lap_augment_steps: metrics.counter("lap.augment_steps"),
+        }
+    }
+}
+
+/// [`mitigate`] with optional telemetry: when `metrics` is given (a
+/// registry and the handles registered on it), records
+/// `mitigation.passes` / `conflicts` / `moves` / `unresolved`
 /// counters, the cumulative `mitigation.displacement_cost` gauge, and
 /// the underlying `lap.solves` / `lap.augment_steps` work counters.
 /// The returned outcome is identical to [`mitigate`]'s — telemetry
@@ -115,21 +144,21 @@ pub fn mitigate(classes: &[ContentionClass], window: usize) -> MitigationOutcome
 /// # Panics
 ///
 /// Panics if `window == 0`.
-pub fn mitigate_instrumented(
+pub(crate) fn mitigate_instrumented(
     classes: &[ContentionClass],
     window: usize,
-    metrics: Option<&MetricsRegistry>,
+    metrics: Option<(&MetricsRegistry, MitigationMetrics)>,
 ) -> MitigationOutcome {
     assert!(window > 0, "contention window must be positive");
-    if let Some(m) = metrics {
-        m.inc("mitigation.passes");
+    if let Some((m, h)) = metrics {
+        m.inc(h.passes);
     }
     let record = |out: &MitigationOutcome| {
-        if let Some(m) = metrics {
-            m.add("mitigation.moves", out.moves as u64);
-            m.gauge_add("mitigation.displacement_cost", out.displacement_cost);
+        if let Some((m, h)) = metrics {
+            m.add(h.moves, out.moves as u64);
+            m.gauge_add(h.displacement_cost, out.displacement_cost);
             if !out.resolved {
-                m.inc("mitigation.unresolved");
+                m.inc(h.unresolved);
             }
         }
     };
@@ -153,8 +182,8 @@ pub fn mitigate_instrumented(
             record(&out);
             return out;
         };
-        if let Some(m) = metrics {
-            m.inc("mitigation.conflicts");
+        if let Some((m, h)) = metrics {
+            m.inc(h.conflicts);
         }
         let need = window - (v - u); // Property 3: K − d relocations.
 
@@ -200,9 +229,9 @@ pub fn mitigate_instrumented(
             })
             .collect();
         let (solved, stats) = lap::solve_with_stats(&cost);
-        if let Some(m) = metrics {
-            m.inc("lap.solves");
-            m.add("lap.augment_steps", stats.augment_steps as u64);
+        if let Some((m, h)) = metrics {
+            m.inc(h.lap_solves);
+            m.add(h.lap_augment_steps, stats.augment_steps as u64);
         }
         let Some(assignment) = solved else {
             let out = MitigationOutcome {
@@ -373,7 +402,8 @@ mod tests {
     fn instrumented_pass_matches_plain_and_counts_work() {
         let cls = [H, H, L, H, L, L, H, L, L, L];
         let metrics = MetricsRegistry::new();
-        let instrumented = mitigate_instrumented(&cls, 3, Some(&metrics));
+        let handles = MitigationMetrics::register(&metrics);
+        let instrumented = mitigate_instrumented(&cls, 3, Some((&metrics, handles)));
         assert_eq!(
             instrumented,
             mitigate(&cls, 3),
@@ -394,7 +424,8 @@ mod tests {
     #[test]
     fn instrumented_unresolved_pass_is_counted() {
         let metrics = MetricsRegistry::new();
-        let out = mitigate_instrumented(&[H, H, H], 2, Some(&metrics));
+        let handles = MitigationMetrics::register(&metrics);
+        let out = mitigate_instrumented(&[H, H, H], 2, Some((&metrics, handles)));
         assert!(!out.resolved);
         assert_eq!(metrics.snapshot().counter("mitigation.unresolved"), Some(1));
     }

@@ -51,8 +51,7 @@ use std::sync::Arc;
 use h2p_contention::ContentionClass;
 use h2p_models::graph::ModelGraph;
 use h2p_simulator::ProcessorId;
-use h2p_telemetry::lifecycle::{LifecycleStage, RequestId, TraceId};
-use h2p_telemetry::span;
+use h2p_telemetry::{span, CounterId, MetricsRegistry};
 
 use crate::error::PlanError;
 use crate::planner::{PlannedPipeline, Planner};
@@ -93,11 +92,33 @@ impl WindowEntry {
     }
 }
 
+/// The handles of the series an online planner records, on its
+/// planner's telemetry sink, which an online planner never replaces.
+#[derive(Debug, Clone, Copy)]
+struct OnlineMetrics {
+    invocations: CounterId,
+    windows: CounterId,
+    window_hits: CounterId,
+    window_misses: CounterId,
+}
+
+impl OnlineMetrics {
+    fn register(m: &MetricsRegistry) -> Self {
+        Self {
+            invocations: m.counter("online.invocations"),
+            windows: m.counter("online.windows"),
+            window_hits: m.counter("online.window_cache.hits"),
+            window_misses: m.counter("online.window_cache.misses"),
+        }
+    }
+}
+
 /// A planner invoked once per arrival window.
 #[derive(Debug, Clone)]
 pub struct OnlinePlanner {
     planner: Planner,
     window: usize,
+    metrics: OnlineMetrics,
     /// Cross-invocation window-plan cache for
     /// [`OnlinePlanner::plan_shared`]; shared by clones.
     window_cache: Rc<RefCell<Vec<WindowEntry>>>,
@@ -112,6 +133,7 @@ impl OnlinePlanner {
     pub fn new(planner: Planner, window: usize) -> Self {
         assert!(window > 0, "window must be positive");
         OnlinePlanner {
+            metrics: OnlineMetrics::register(&planner.telemetry().metrics),
             planner,
             window,
             window_cache: Rc::default(),
@@ -145,12 +167,12 @@ impl OnlinePlanner {
         span!(telemetry.spans, "online:{}req", requests.len());
         let windows: Vec<(usize, &[ModelGraph])> =
             requests.chunks(self.window).enumerate().collect();
-        telemetry.metrics.inc("online.invocations");
+        telemetry.metrics.inc(self.metrics.invocations);
         telemetry
             .metrics
-            .add("online.windows", windows.len() as u64);
+            .add(self.metrics.windows, windows.len() as u64);
         let window_plans = self.plan_windows(&windows)?;
-        self.combine(window_plans, requests)
+        self.combine(window_plans)
     }
 
     /// Plans `(window index, requests)` pairs from scratch, one plan per
@@ -171,11 +193,7 @@ impl OnlinePlanner {
 
     /// Concatenates per-window plans (window-local request indices) into
     /// one executable pipeline plan with global submission-order indices.
-    fn combine(
-        &self,
-        window_plans: Vec<PlannedPipeline>,
-        requests: &[ModelGraph],
-    ) -> Result<PlannedPipeline, PlanError> {
+    fn combine(&self, window_plans: Vec<PlannedPipeline>) -> Result<PlannedPipeline, PlanError> {
         let mut combined: Option<PlannedPipeline> = None;
         let mut tail_merges = 0usize;
         for (w, mut planned) in window_plans.into_iter().enumerate() {
@@ -200,37 +218,15 @@ impl OnlinePlanner {
         // Window-local passes already ran; the combined plan keeps them.
         out.mitigation = None;
         out.steal = None;
-        self.record_combined(&out, requests);
+        self.lint_combined(&out);
         Ok(out)
     }
 
-    /// The bookkeeping every combined plan gets. Lifecycle: re-admit
-    /// every request under the *full-set* trace id (per-window planner
-    /// invocations recorded their own window-local streams; reports
-    /// filter by trace id) and record the contention window each
-    /// request landed in. The combined plan holds every request exactly
-    /// once, so ordering the names by global request index is reading
-    /// them off `requests`, and the id matches what a one-shot planner
-    /// invocation over the same batch would derive. Debug builds also
-    /// re-lint the concatenation, whose indices and claims are new (the
-    /// per-window plans were already gated inside `Planner::plan`).
-    fn record_combined(&self, planned: &PlannedPipeline, requests: &[ModelGraph]) {
-        let trace_id = TraceId::of_names(requests.iter().map(ModelGraph::name));
-        let lifecycle = &self.planner.telemetry().lifecycle;
-        for r in 0..requests.len() {
-            lifecycle.record(trace_id, RequestId(r), 0.0, LifecycleStage::Admit);
-        }
-        for r in 0..requests.len() {
-            lifecycle.record(trace_id, RequestId(r), 0.0, LifecycleStage::Plan);
-            lifecycle.record(
-                trace_id,
-                RequestId(r),
-                0.0,
-                LifecycleStage::Window {
-                    window: r / self.window,
-                },
-            );
-        }
+    /// Debug builds re-lint every combined plan: its indices and claims
+    /// are new, while the per-window plans were already gated inside
+    /// `Planner::plan`. Whoever admits the requests records their
+    /// lifecycle; the online planner records none.
+    fn lint_combined(&self, planned: &PlannedPipeline) {
         #[cfg(debug_assertions)]
         {
             let diags = planned.lint(self.planner.soc());
@@ -277,8 +273,10 @@ impl OnlinePlanner {
         let telemetry = self.planner.telemetry();
         span!(telemetry.spans, "online-inc:{}req", requests.len());
         let chunks: Vec<&[ModelGraph]> = requests.chunks(self.window).collect();
-        telemetry.metrics.inc("online.invocations");
-        telemetry.metrics.add("online.windows", chunks.len() as u64);
+        telemetry.metrics.inc(self.metrics.invocations);
+        telemetry
+            .metrics
+            .add(self.metrics.windows, chunks.len() as u64);
         let procs = self.planner.pipeline_procs();
         let estimator = self.planner.estimator();
         // Key component 2: the *current* contention class of a request,
@@ -320,11 +318,11 @@ impl OnlinePlanner {
             .collect::<Result<_, _>>()?;
         if let [planned] = &window_plans[..] {
             // A memoized plan is stored as its window's combined plan.
-            self.record_combined(planned, requests);
+            self.lint_combined(planned);
             return Ok(Arc::clone(planned));
         }
         let window_plans = window_plans.into_iter().map(Arc::unwrap_or_clone).collect();
-        self.combine(window_plans, requests).map(Arc::new)
+        self.combine(window_plans).map(Arc::new)
     }
 
     /// The memoized plan of `chunk` on `procs`, if the cache holds one
@@ -344,8 +342,8 @@ impl OnlinePlanner {
 
     fn count_lookups(&self, hits: usize, misses: usize) {
         let metrics = &self.planner.telemetry().metrics;
-        metrics.add("online.window_cache.hits", hits as u64);
-        metrics.add("online.window_cache.misses", misses as u64);
+        metrics.add(self.metrics.window_hits, hits as u64);
+        metrics.add(self.metrics.window_misses, misses as u64);
     }
 
     /// Debug-build equivalence gate: a hit re-plans its window from

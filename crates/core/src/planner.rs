@@ -63,13 +63,14 @@ use h2p_models::zoo::ModelId;
 use h2p_simulator::soc::SocSpec;
 use h2p_simulator::ProcessorId;
 use h2p_telemetry::lifecycle::{LifecycleStage, RequestId, TraceId};
-use h2p_telemetry::{span, Telemetry};
+use h2p_telemetry::{span, CounterId, GaugeId, HistogramId, MetricsRegistry, Telemetry};
 
 use crate::error::PlanError;
 use crate::estimate::{Estimator, RequestContext, RequestTables};
-use crate::mitigation::{self, MitigationOutcome};
+use crate::mitigation::{self, MitigationMetrics, MitigationOutcome};
 use crate::partition::{min_max_partition, DpScratch};
 use crate::plan::{self, EstimateScratch, PipelinePlan, RequestPlan, StagePlan};
+use crate::recovery::RecoveryMetrics;
 use crate::worksteal::{self, CollapseSlots, PassScratch, StealReport};
 
 /// Pooled planning buffers: the flat DP kernel arena and the mask-loop
@@ -337,6 +338,61 @@ pub struct PlannedPipeline {
     pub tail_merges: usize,
 }
 
+/// The handles of the series a planner records, and those the recovery
+/// runner records through it, on the planner's telemetry sink:
+/// registered when the planner is built and again whenever
+/// [`Planner::set_telemetry`] replaces the sink.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PlannerMetrics {
+    scratch_allocs: CounterId,
+    masks_evaluated: CounterId,
+    masks_pruned: CounterId,
+    dp_cells: CounterId,
+    partition_hits: CounterId,
+    partition_misses: CounterId,
+    tables_hits: CounterId,
+    tables_misses: CounterId,
+    prepare_ms: GaugeId,
+    assemble_ms: GaugeId,
+    total_ms: GaugeId,
+    plan_ms: HistogramId,
+    plans: CounterId,
+    requests: CounterId,
+    tail_merges: CounterId,
+    steal_windows: CounterId,
+    steal_adjustments: CounterId,
+    bubbles_removed_ms: GaugeId,
+    mitigation: MitigationMetrics,
+    pub(crate) recovery: RecoveryMetrics,
+}
+
+impl PlannerMetrics {
+    fn register(m: &MetricsRegistry) -> Self {
+        Self {
+            scratch_allocs: m.counter("planner.dp.scratch_allocs"),
+            masks_evaluated: m.counter("planner.dp.masks_evaluated"),
+            masks_pruned: m.counter("planner.dp.masks_pruned"),
+            dp_cells: m.counter("planner.dp.cells"),
+            partition_hits: m.counter("planner.partition.cache_hits"),
+            partition_misses: m.counter("planner.partition.cache_misses"),
+            tables_hits: m.counter("planner.tables.cache_hits"),
+            tables_misses: m.counter("planner.tables.cache_misses"),
+            prepare_ms: m.gauge("planner.phase.prepare_ms"),
+            assemble_ms: m.gauge("planner.phase.assemble_ms"),
+            total_ms: m.gauge("planner.phase.total_ms"),
+            plan_ms: m.histogram("planner.plan_ms"),
+            plans: m.counter("planner.plans"),
+            requests: m.counter("planner.requests"),
+            tail_merges: m.counter("planner.tail_merges"),
+            steal_windows: m.counter("planner.steal.windows"),
+            steal_adjustments: m.counter("planner.steal.adjustments"),
+            bubbles_removed_ms: m.gauge("planner.steal.bubbles_removed_ms"),
+            mitigation: MitigationMetrics::register(m),
+            recovery: RecoveryMetrics::register(m),
+        }
+    }
+}
+
 /// The Hetero²Pipe planner bound to one SoC.
 ///
 /// A planner and its clones share their memos, scratch pool and
@@ -357,6 +413,8 @@ pub struct Planner {
     /// bit-identical-output contract is untouched. Clones of a planner
     /// share the sink.
     telemetry: Rc<Telemetry>,
+    /// The planner's metric handles on `telemetry`.
+    metrics: PlannerMetrics,
     /// Pool of warm [`PlanScratch`] buffers (shared by clones, like the
     /// tables cache): every subset search and every plan's assembly
     /// checks one out, so the steady-state DP is allocation-free. Pool
@@ -450,10 +508,12 @@ impl Planner {
     pub fn with_config(soc: &SocSpec, config: PlannerConfig) -> Result<Self, PlanError> {
         let mut slots = soc.processors_by_power();
         slots.truncate(config.max_depth.max(1));
+        let telemetry = Rc::<Telemetry>::default();
         Ok(Planner {
             estimator: Estimator::with_precision(soc, config.precision)?,
             config,
-            telemetry: Rc::default(),
+            metrics: PlannerMetrics::register(&telemetry.metrics),
+            telemetry,
             scratch_pool: Rc::default(),
             slots,
         })
@@ -466,7 +526,7 @@ impl Planner {
     fn with_plan_scratch<R>(&self, f: impl FnOnce(&mut PlanScratch) -> R) -> R {
         let popped = self.scratch_pool.borrow_mut().pop();
         let mut scratch = popped.unwrap_or_else(|| {
-            self.telemetry.metrics.inc("planner.dp.scratch_allocs");
+            self.telemetry.metrics.inc(self.metrics.scratch_allocs);
             PlanScratch::default()
         });
         let out = f(&mut scratch);
@@ -480,9 +540,16 @@ impl Planner {
     }
 
     /// Replaces the telemetry sink, e.g. to share one registry between
-    /// several planners or with the CLI exporter.
+    /// several planners or with the CLI exporter, and registers the
+    /// planner's metrics on it.
     pub fn set_telemetry(&mut self, telemetry: Rc<Telemetry>) {
+        self.metrics = PlannerMetrics::register(&telemetry.metrics);
         self.telemetry = telemetry;
+    }
+
+    /// The planner's metric handles on its telemetry sink.
+    pub(crate) fn metrics(&self) -> &PlannerMetrics {
+        &self.metrics
     }
 
     /// The SoC this planner targets.
@@ -584,7 +651,7 @@ impl Planner {
         allowed: u32,
     ) -> Result<Arc<RequestPartition>, PlanError> {
         let allowed = slot_mask(allowed, tables.slot_count());
-        let metrics = &self.telemetry.metrics;
+        let (metrics, h) = (&self.telemetry.metrics, &self.metrics);
         let (solved, hit) = {
             let mut memo = tables.partitions();
             if let Some(solved) = memo.get(allowed) {
@@ -592,9 +659,9 @@ impl Planner {
             } else {
                 let (winner, counts) =
                     self.with_plan_scratch(|ps| search_subsets(tables, allowed, ps));
-                metrics.add("planner.dp.masks_evaluated", counts.masks_evaluated);
-                metrics.add("planner.dp.masks_pruned", counts.masks_pruned);
-                metrics.add("planner.dp.cells", counts.cells);
+                metrics.add(h.masks_evaluated, counts.masks_evaluated);
+                metrics.add(h.masks_pruned, counts.masks_pruned);
+                metrics.add(h.dp_cells, counts.cells);
                 let solved = winner.and_then(|(slots, splits, makespan_ms)| {
                     let ctx = tables.context(slots);
                     let stages =
@@ -611,9 +678,9 @@ impl Planner {
             }
         };
         metrics.inc(if hit {
-            "planner.partition.cache_hits"
+            h.partition_hits
         } else {
-            "planner.partition.cache_misses"
+            h.partition_misses
         });
         #[cfg(debug_assertions)]
         self.debug_check_partition(tables, allowed, hit, solved.as_deref());
@@ -702,9 +769,9 @@ impl Planner {
     ) -> Rc<RequestTables> {
         let (tables, hit) = self.estimator.tables_cached(graph, procs);
         self.telemetry.metrics.inc(if hit {
-            "planner.tables.cache_hits"
+            self.metrics.tables_hits
         } else {
-            "planner.tables.cache_misses"
+            self.metrics.tables_misses
         });
         tables
     }
@@ -832,7 +899,7 @@ impl Planner {
                 .collect::<Result<Vec<_>, _>>()?
         };
         self.telemetry.metrics.gauge_add(
-            "planner.phase.prepare_ms",
+            self.metrics.prepare_ms,
             prepare_start.elapsed().as_secs_f64() * 1e3,
         );
         let mut plans: Vec<RequestPlan> = Vec::with_capacity(prepared.len());
@@ -890,7 +957,7 @@ impl Planner {
                 let outcome = mitigation::mitigate_instrumented(
                     &classes,
                     procs.len(),
-                    Some(&self.telemetry.metrics),
+                    Some((&self.telemetry.metrics, self.metrics.mitigation)),
                 );
                 let mut by_time: Vec<usize> = (0..m).collect();
                 by_time.sort_by(|&a, &b| {
@@ -969,25 +1036,22 @@ impl Planner {
             (plan, mitigation, best.steal, tail_merges)
         });
 
-        let metrics = &self.telemetry.metrics;
-        metrics.gauge_add(
-            "planner.phase.assemble_ms",
-            assemble_start.elapsed().as_secs_f64() * 1e3,
-        );
-        metrics.inc("planner.plans");
-        metrics.add("planner.requests", requests.len() as u64);
-        metrics.add("planner.tail_merges", tail_merges as u64);
+        let (metrics, h) = (&self.telemetry.metrics, &self.metrics);
+        metrics.gauge_add(h.assemble_ms, assemble_start.elapsed().as_secs_f64() * 1e3);
+        metrics.inc(h.plans);
+        metrics.add(h.requests, requests.len() as u64);
+        metrics.add(h.tail_merges, tail_merges as u64);
         if let Some(s) = &steal {
-            metrics.add("planner.steal.windows", s.windows as u64);
-            metrics.add("planner.steal.adjustments", s.adjustments as u64);
+            metrics.add(h.steal_windows, s.windows as u64);
+            metrics.add(h.steal_adjustments, s.adjustments as u64);
             metrics.gauge_add(
-                "planner.steal.bubbles_removed_ms",
+                h.bubbles_removed_ms,
                 (s.bubbles_before_ms - s.bubbles_after_ms).max(0.0),
             );
         }
         let total_ms = total_start.elapsed().as_secs_f64() * 1e3;
-        metrics.gauge_add("planner.phase.total_ms", total_ms);
-        metrics.observe("planner.plan_ms", total_ms);
+        metrics.gauge_add(h.total_ms, total_ms);
+        metrics.observe(h.plan_ms, total_ms);
 
         // Lifecycle: every request in this invocation was admitted and
         // now has a plan. Events carry simulated time 0 (planning
@@ -1542,6 +1606,28 @@ mod tests {
         for (a, b) in out.contexts.iter().zip(&reference.contexts) {
             assert_eq!(a.active_slots, b.active_slots);
         }
+    }
+
+    /// `set_telemetry` registers the planner's metrics on the new sink:
+    /// a plan records into it what a planner that kept its own sink
+    /// records, even where the new sink numbers its metrics differently,
+    /// and nothing into the sink it replaced.
+    #[test]
+    fn set_telemetry_moves_recording_to_the_new_sink() {
+        let ids = [ModelId::Bert, ModelId::SqueezeNet, ModelId::Vit];
+        let own = kirin_planner();
+        own.plan_models(&ids).unwrap();
+        let mut p = kirin_planner();
+        let previous = Rc::clone(p.telemetry());
+        let shared = Rc::new(Telemetry::new());
+        shared.metrics.inc("audit.checks");
+        p.set_telemetry(Rc::clone(&shared));
+        p.plan_models(&ids).unwrap();
+        assert!(previous.metrics.snapshot().is_empty());
+        let mut counters = shared.metrics.snapshot().counters;
+        assert_eq!(counters.remove("audit.checks"), Some(1));
+        assert_eq!(counters, own.telemetry().metrics.snapshot().counters);
+        assert_eq!(counters.get("planner.plans"), Some(&1));
     }
 
     #[test]

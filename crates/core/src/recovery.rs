@@ -44,7 +44,7 @@ use h2p_simulator::faults::{FaultInjector, FaultKind, FaultSpec};
 use h2p_simulator::processor::ProcessorId;
 use h2p_simulator::soc::SocSpec;
 use h2p_telemetry::lifecycle::{LifecycleStage, RequestId, TraceId};
-use h2p_telemetry::span;
+use h2p_telemetry::{span, CounterId, GaugeId, MetricsRegistry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,6 +53,29 @@ use crate::executor::lower_with_arrivals;
 use crate::plan::{PipelinePlan, RequestPlan};
 use crate::planner::{Planner, RequestPartition};
 use crate::worksteal;
+
+/// The handles of the series [`run_with_recovery`] records, registered
+/// with the planner's own ([`Planner::metrics`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecoveryMetrics {
+    rounds: CounterId,
+    replans: CounterId,
+    faults: CounterId,
+    retries: CounterId,
+    elapsed_ms: GaugeId,
+}
+
+impl RecoveryMetrics {
+    pub(crate) fn register(m: &MetricsRegistry) -> Self {
+        Self {
+            rounds: m.counter("recovery.rounds"),
+            replans: m.counter("recovery.replans"),
+            faults: m.counter("recovery.faults"),
+            retries: m.counter("recovery.retries"),
+            elapsed_ms: m.gauge("recovery.elapsed_ms"),
+        }
+    }
+}
 
 /// Retry, backoff, deadline, and round budgets for the recovery runner.
 #[derive(Debug, Clone, PartialEq)]
@@ -345,6 +368,7 @@ pub fn run_with_recovery(
     let m = requests.len();
     let mut script = FaultScript::compile(faults, n_proc, m)?;
     let telemetry = planner.telemetry();
+    let metrics = planner.metrics().recovery;
 
     // Round state, made once per call: the processor mask, each
     // request's completion, retry attempts, backoff delay and completion
@@ -388,7 +412,7 @@ pub fn run_with_recovery(
                 break 'rounds RecoveryOutcome::Recovered;
             }
             span!(telemetry.spans, "recovery:round{}", round);
-            telemetry.metrics.inc("recovery.rounds");
+            telemetry.metrics.inc(metrics.rounds);
             // Dropouts whose scripted instant has already passed take
             // effect before planning, so a round never schedules onto a
             // processor that is due to be down at its time zero.
@@ -417,7 +441,7 @@ pub fn run_with_recovery(
                     Err(e) => return Err(e),
                 }
             } else {
-                telemetry.metrics.inc("recovery.replans");
+                telemetry.metrics.inc(metrics.replans);
                 report.replans += 1;
                 for &r in &pending {
                     telemetry.lifecycle.record(
@@ -558,9 +582,7 @@ pub fn run_with_recovery(
             }
             let round_faults = sim_outcome.failed.len();
             report.faults += round_faults;
-            telemetry
-                .metrics
-                .add("recovery.faults", round_faults as u64);
+            telemetry.metrics.add(metrics.faults, round_faults as u64);
             let mut exhausted: Option<PlanError> = None;
             for f in &sim_outcome.failed {
                 if f.kind != FaultKind::Transient {
@@ -583,7 +605,7 @@ pub fn run_with_recovery(
                     continue;
                 }
                 report.retries += 1;
-                telemetry.metrics.inc("recovery.retries");
+                telemetry.metrics.inc(metrics.retries);
                 delay[r] = policy.backoff_ms(attempts[r]);
             }
             report.rounds.push(RoundLog {
@@ -611,7 +633,7 @@ pub fn run_with_recovery(
         }
     };
 
-    telemetry.metrics.gauge("recovery.elapsed_ms", elapsed);
+    telemetry.metrics.set_gauge(metrics.elapsed_ms, elapsed);
     // Degraded runs abandon every incomplete request: close their
     // lifecycle with a typed degradation reason so no history is left
     // dangling (validation treats degrade as terminal).

@@ -247,11 +247,12 @@ pub fn add_audit_instants(doc: &mut TraceDoc, report: &AuditReport, trace: &Trac
 /// an `engine.span_ms` duration histogram.
 pub fn record_trace_metrics(soc: &SocSpec, trace: &Trace, metrics: &MetricsRegistry) {
     let makespan = trace.makespan_ms();
-    metrics.gauge("engine.makespan_ms", makespan);
-    metrics.gauge("engine.bubble_ms", trace.idle_bubble_ms());
+    metrics.set_gauge("engine.makespan_ms", makespan);
+    metrics.set_gauge("engine.bubble_ms", trace.idle_bubble_ms());
     metrics.add("engine.spans", trace.spans.len() as u64);
+    let span_ms = metrics.histogram("engine.span_ms");
     for span in &trace.spans {
-        metrics.observe("engine.span_ms", span.duration_ms());
+        metrics.observe(span_ms, span.duration_ms());
     }
     for (p, spec) in soc.processors.iter().enumerate() {
         let mut on_proc: Vec<_> = trace
@@ -270,13 +271,13 @@ pub fn record_trace_metrics(soc: &SocSpec, trace: &Trace, metrics: &MetricsRegis
             .map(|w| (w[1].start_ms - w[0].end_ms).max(0.0))
             .sum();
         let name = &spec.name;
-        metrics.gauge(&format!("engine.{name}.busy_ms"), busy);
-        metrics.gauge(
+        metrics.set_gauge(&format!("engine.{name}.busy_ms"), busy);
+        metrics.set_gauge(
             &format!("engine.{name}.idle_ms"),
             (makespan - busy).max(0.0),
         );
-        metrics.gauge(&format!("engine.{name}.bubble_ms"), bubble);
-        metrics.gauge(&format!("engine.{name}.stretch_ms"), stretch);
+        metrics.set_gauge(&format!("engine.{name}.bubble_ms"), bubble);
+        metrics.set_gauge(&format!("engine.{name}.stretch_ms"), stretch);
     }
 }
 

@@ -4,11 +4,14 @@
 //!
 //! - [`metrics`] — a registry of counters, gauges, and log-bucketed
 //!   histograms with exact-rank quantiles, snapshotted to hand-written
-//!   JSON or a human-readable table. Designed for coarse-grained
-//!   recording: hot loops count locally and flush once, so
-//!   instrumentation never sits on a planner hot path.
+//!   JSON or a human-readable table. A metric is registered once and
+//!   updated through its `Copy` handle, one indexed add; hot loops
+//!   still count locally and flush once.
 //! - [`span`](mod@span) — RAII phase spans with deterministic
-//!   content-derived ids, recording the planner's phase tree.
+//!   content-derived ids, recording the planner's phase tree. The
+//!   [`span!`] macro keys a formatted name by its format string and
+//!   arguments, so a warm span costs its two clock reads and a few
+//!   lookups, and formats its name only the first time.
 //! - [`lifecycle`] — the causal request-lifecycle model: typed
 //!   admit → plan → window → execute → recover/degrade → complete
 //!   events keyed by stable [`RequestId`]/[`TraceId`], JSONL-renderable
@@ -42,8 +45,8 @@ pub mod metrics;
 pub mod span;
 
 pub use lifecycle::{LifecycleEvent, LifecycleLog, LifecycleStage, QosClass, RequestId, TraceId};
-pub use metrics::{MetricsRegistry, MetricsSnapshot};
-pub use span::{SpanGuard, SpanRecord, SpanRecorder};
+pub use metrics::{CounterId, GaugeId, HistogramId, Metric, MetricsRegistry, MetricsSnapshot};
+pub use span::{SpanArg, SpanGuard, SpanRecord, SpanRecorder};
 
 /// Bundle of the recording layers, shared through an `Rc` by the
 /// planner, its clones, the online planner, and the CLI exporter.
@@ -62,22 +65,53 @@ impl Telemetry {
 
 /// Opens a span on a recorder and binds the RAII guard to a local.
 ///
+/// A literal name is entered as text ([`SpanRecorder::enter`]). A name
+/// with arguments passes its format string and the arguments, each a
+/// `usize` or a `&str` evaluated once, as a typed key
+/// ([`SpanRecorder::enter_fmt`]), so the name is formatted only the
+/// first time the recorder sees that key.
+///
 /// ```
 /// use h2p_telemetry::{span, SpanRecorder};
 /// let rec = SpanRecorder::default();
 /// {
 ///     span!(rec, "plan");
-///     span!(rec, "prepare:{}", 3);
+///     span!(rec, "prepare:{}:{}", 3, "BERT");
 /// }
-/// assert_eq!(rec.records().len(), 2);
+/// let names: Vec<String> = rec.records().into_iter().map(|r| r.name).collect();
+/// assert_eq!(names, ["plan", "prepare:3:BERT"]);
 /// ```
 #[macro_export]
 macro_rules! span {
-    ($recorder:expr, $name:literal) => {
-        let _span_guard = $recorder.enter($name);
+    ($recorder:expr, $($name:tt)+) => {
+        let _span_guard = $crate::span_guard!($recorder, $($name)+);
     };
-    ($recorder:expr, $fmt:literal, $($arg:tt)*) => {
-        let _span_guard = $recorder.enter(format!($fmt, $($arg)*));
+}
+
+/// The expression form of [`span!`]: opens the span and returns its
+/// guard, for a caller that holds or drops the guard itself.
+#[macro_export]
+macro_rules! span_guard {
+    // Binds each argument to its own `arg` (every recursion step's
+    // `arg` is a distinct identifier), so it is evaluated once for the
+    // key and read again only to format the name.
+    (@bind $recorder:expr, $fmt:literal, [$($bound:ident)*] $arg:expr $(, $rest:expr)*) => {
+        match $arg {
+            arg => $crate::span_guard!(@bind $recorder, $fmt, [$($bound)* arg] $($rest),*),
+        }
+    };
+    (@bind $recorder:expr, $fmt:literal, [$($bound:ident)*]) => {
+        $recorder.enter_fmt(
+            $fmt,
+            &[$($crate::span::SpanArg::from($bound)),*],
+            || ::std::format!($fmt, $($bound),*),
+        )
+    };
+    ($recorder:expr, $name:literal) => {
+        $recorder.enter($name)
+    };
+    ($recorder:expr, $fmt:literal, $($arg:expr),+ $(,)?) => {
+        $crate::span_guard!(@bind $recorder, $fmt, [] $($arg),+)
     };
 }
 

@@ -4,12 +4,21 @@
 //! Histograms are log-bucketed (HDR-style geometric bounds spanning
 //! microseconds to minutes) with exact-rank quantile extraction.
 //!
-//! The registry has one owner: it holds its maps in a `RefCell`, so it
+//! A metric is registered once per registry by name
+//! ([`MetricsRegistry::counter`], [`MetricsRegistry::gauge`],
+//! [`MetricsRegistry::histogram`]), which returns a `Copy` handle, and
+//! an update by handle is one indexed add. Hot callers (the planner,
+//! the online planner and the recovery runner) register their handles
+//! when they are built; the update methods also take a name, registered
+//! on the spot, for cold callers. A registered metric enters snapshots
+//! at its first update, and a snapshot lists its metrics in name order,
+//! whatever order they were registered in.
+//!
+//! The registry has one owner: it holds its state in a `RefCell`, so it
 //! is `!Sync`, and the planner that records into it shares it through
-//! an `Rc`. Recording is intended to be coarse-grained — callers in hot
-//! loops accumulate into locals and flush once per request or phase.
-//! Observing a non-finite value is counted separately instead of
-//! corrupting the running sum.
+//! an `Rc`. Callers in hot loops still count into locals and flush once
+//! per request or phase. Observing a non-finite value is counted
+//! separately instead of corrupting the running sum.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -173,29 +182,98 @@ impl Histogram {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+/// A counter registered on a [`MetricsRegistry`]: an index into the
+/// registry that issued it, and valid on that registry only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(usize);
+
+/// A gauge registered on a [`MetricsRegistry`], valid on that registry
+/// only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeId(usize);
+
+/// A histogram registered on a [`MetricsRegistry`], valid on that
+/// registry only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramId(usize);
+
+/// A metric of one kind, named by its handle or by its name. The
+/// registry's update methods take either: a name is registered on the
+/// spot, which costs a lookup by name, and a handle is used as it is.
+pub trait Metric<Id> {
+    fn resolve(self, metrics: &MetricsRegistry) -> Id;
 }
 
-/// The metric named `name`, created by `init` on first use. The name is
-/// looked up by `&str` and copied only when the metric is new, so a
-/// steady-state update allocates nothing.
-fn entry<'m, V>(
-    map: &'m mut BTreeMap<String, V>,
-    name: &str,
-    init: impl FnOnce() -> V,
-) -> &'m mut V {
-    if !map.contains_key(name) {
-        map.insert(name.to_owned(), init());
+macro_rules! metric_by_handle_or_name {
+    ($id:ident, $register:ident) => {
+        impl Metric<$id> for $id {
+            fn resolve(self, _: &MetricsRegistry) -> $id {
+                self
+            }
+        }
+
+        impl<T: AsRef<str> + ?Sized> Metric<$id> for &T {
+            fn resolve(self, metrics: &MetricsRegistry) -> $id {
+                metrics.$register(self.as_ref())
+            }
+        }
+    };
+}
+
+metric_by_handle_or_name!(CounterId, counter);
+metric_by_handle_or_name!(GaugeId, gauge);
+metric_by_handle_or_name!(HistogramId, histogram);
+
+/// The metrics of one kind: a sorted index of names and the values by
+/// handle. A value stays `None` until its first update, so a metric
+/// that is registered but never updated stays out of snapshots.
+#[derive(Debug)]
+struct Series<V> {
+    index: BTreeMap<String, usize>,
+    values: Vec<Option<V>>,
+}
+
+impl<V> Default for Series<V> {
+    fn default() -> Self {
+        Self {
+            index: BTreeMap::new(),
+            values: Vec::new(),
+        }
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "invariant: inserted just above when it was missing"
-    )]
-    map.get_mut(name).expect("metric present")
+}
+
+impl<V: Clone> Series<V> {
+    /// The handle of `name`, registered on first use. The name is
+    /// looked up by `&str` and copied only when it is new.
+    fn register(&mut self, name: &str) -> usize {
+        if let Some(&i) = self.index.get(name) {
+            return i;
+        }
+        let i = self.values.len();
+        self.values.push(None);
+        self.index.insert(name.to_owned(), i);
+        i
+    }
+
+    /// The value of handle `i`, created by `init` on its first update.
+    fn value(&mut self, i: usize, init: impl FnOnce() -> V) -> &mut V {
+        self.values[i].get_or_insert_with(init)
+    }
+
+    /// The updated metrics by name.
+    fn snapshot(&self) -> BTreeMap<String, V> {
+        self.index
+            .iter()
+            .filter_map(|(name, &i)| Some((name.clone(), self.values[i].clone()?)))
+            .collect()
+    }
+}
+
+#[derive(Debug, Default)]
+struct Inner {
+    counters: Series<u64>,
+    gauges: Series<f64>,
+    histograms: Series<Histogram>,
 }
 
 /// The registry proper. Cheap to create; share it through
@@ -210,40 +288,61 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// Registers the counter `name`, or finds it registered, and
+    /// returns its handle. It enters snapshots at its first update.
+    pub fn counter(&self, name: &str) -> CounterId {
+        CounterId(self.inner.borrow_mut().counters.register(name))
+    }
+
+    /// Registers the gauge `name`, or finds it registered.
+    pub fn gauge(&self, name: &str) -> GaugeId {
+        GaugeId(self.inner.borrow_mut().gauges.register(name))
+    }
+
+    /// Registers the histogram `name`, or finds it registered.
+    pub fn histogram(&self, name: &str) -> HistogramId {
+        HistogramId(self.inner.borrow_mut().histograms.register(name))
+    }
+
     /// Increments a counter by one.
-    pub fn inc(&self, name: &str) {
-        self.add(name, 1);
+    pub fn inc(&self, counter: impl Metric<CounterId>) {
+        self.add(counter, 1);
     }
 
     /// Adds `delta` to a counter, creating it at zero first.
-    pub fn add(&self, name: &str, delta: u64) {
-        *entry(&mut self.inner.borrow_mut().counters, name, || 0) += delta;
+    pub fn add(&self, counter: impl Metric<CounterId>, delta: u64) {
+        let CounterId(i) = counter.resolve(self);
+        *self.inner.borrow_mut().counters.value(i, || 0) += delta;
     }
 
     /// Sets a gauge to `value` (last write wins).
-    pub fn gauge(&self, name: &str, value: f64) {
-        *entry(&mut self.inner.borrow_mut().gauges, name, || 0.0) = value;
+    pub fn set_gauge(&self, gauge: impl Metric<GaugeId>, value: f64) {
+        let GaugeId(i) = gauge.resolve(self);
+        *self.inner.borrow_mut().gauges.value(i, || 0.0) = value;
     }
 
     /// Adds `delta` to a gauge, creating it at zero first.
-    pub fn gauge_add(&self, name: &str, delta: f64) {
-        *entry(&mut self.inner.borrow_mut().gauges, name, || 0.0) += delta;
+    pub fn gauge_add(&self, gauge: impl Metric<GaugeId>, delta: f64) {
+        let GaugeId(i) = gauge.resolve(self);
+        *self.inner.borrow_mut().gauges.value(i, || 0.0) += delta;
     }
 
     /// Records an observation into a histogram with the default
     /// log-bucketed millisecond layout ([`Histogram::log_bucketed`]).
-    pub fn observe(&self, name: &str, value: f64) {
+    pub fn observe(&self, histogram: impl Metric<HistogramId>, value: f64) {
+        let HistogramId(i) = histogram.resolve(self);
         let histograms = &mut self.inner.borrow_mut().histograms;
-        entry(histograms, name, Histogram::log_bucketed).observe(value);
+        histograms.value(i, Histogram::log_bucketed).observe(value);
     }
 
-    /// Copies the current state out into an immutable snapshot.
+    /// Copies the updated metrics out into an immutable snapshot, in
+    /// name order.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.borrow();
         MetricsSnapshot {
-            counters: inner.counters.clone(),
-            gauges: inner.gauges.clone(),
-            histograms: inner.histograms.clone(),
+            counters: inner.counters.snapshot(),
+            gauges: inner.gauges.snapshot(),
+            histograms: inner.histograms.snapshot(),
         }
     }
 }
@@ -501,7 +600,7 @@ mod tests {
         let m = MetricsRegistry::new();
         m.inc("a.count");
         m.add("a.count", 4);
-        m.gauge("b.ms", 1.25);
+        m.set_gauge("b.ms", 1.25);
         m.gauge_add("b.ms", 0.75);
         m.observe("c.ms", 0.5);
         m.observe("c.ms", 5.0);
@@ -523,7 +622,7 @@ mod tests {
     fn snapshot_json_is_wellformed() {
         let m = MetricsRegistry::new();
         m.inc("x");
-        m.gauge("g", 2.5);
+        m.set_gauge("g", 2.5);
         m.observe("h", 0.5);
         let json = m.snapshot().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -548,7 +647,7 @@ mod tests {
     fn render_table_lists_all_kinds() {
         let m = MetricsRegistry::new();
         m.inc("counter.one");
-        m.gauge("gauge.two", 4.0);
+        m.set_gauge("gauge.two", 4.0);
         m.observe("hist.three", 2.0);
         let table = m.snapshot().render_table();
         assert!(table.contains("counter.one"));
@@ -684,6 +783,63 @@ mod tests {
             }
         }
 
+        /// One random sequence of updates renders the same snapshot
+        /// whether it is applied by name or by handle, and a metric
+        /// registered but never updated stays out of the snapshot.
+        /// Names are registered out of name order.
+        #[test]
+        fn handles_and_names_record_the_same(
+            ops in prop::collection::vec((0u32..5, 0usize..4, 0u32..1000), 0..48),
+        ) {
+            const NAMES: [&str; 4] = ["b.two", "d.four", "a.one", "c.three"];
+            let by_name = MetricsRegistry::new();
+            let by_handle = MetricsRegistry::new();
+            let unused = (
+                by_handle.counter("e.unused"),
+                by_handle.gauge("e.unused"),
+                by_handle.histogram("e.unused"),
+            );
+            let counters = NAMES.map(|n| by_handle.counter(n));
+            let gauges = NAMES.map(|n| by_handle.gauge(n));
+            let histograms = NAMES.map(|n| by_handle.histogram(n));
+            for &(kind, metric, v) in &ops {
+                let name = NAMES[metric];
+                let v = f64::from(v);
+                match kind {
+                    0 => {
+                        by_name.inc(name);
+                        by_handle.inc(counters[metric]);
+                    }
+                    1 => {
+                        by_name.add(name, v as u64);
+                        by_handle.add(counters[metric], v as u64);
+                    }
+                    2 => {
+                        by_name.set_gauge(name, v * 0.25);
+                        by_handle.set_gauge(gauges[metric], v * 0.25);
+                    }
+                    3 => {
+                        by_name.gauge_add(name, v * 0.5);
+                        by_handle.gauge_add(gauges[metric], v * 0.5);
+                    }
+                    _ => {
+                        by_name.observe(name, v * 0.01);
+                        by_handle.observe(histograms[metric], v * 0.01);
+                    }
+                }
+            }
+            let (named, handled) = (by_name.snapshot(), by_handle.snapshot());
+            prop_assert_eq!(named.to_json(), handled.to_json());
+            prop_assert_eq!(named.render_table(), handled.render_table());
+            prop_assert_eq!(handled.counter("e.unused"), None);
+            prop_assert_eq!(handled.gauge("e.unused"), None);
+            prop_assert!(!handled.histograms.contains_key("e.unused"));
+            // Registering again finds the same handles.
+            prop_assert_eq!(by_handle.counter("e.unused"), unused.0);
+            prop_assert_eq!(by_handle.gauge("e.unused"), unused.1);
+            prop_assert_eq!(by_handle.histogram("e.unused"), unused.2);
+        }
+
         /// Adversarial metric names — quotes, backslashes, control
         /// characters, non-ASCII — always render valid JSON, and
         /// identical snapshots render byte-identically (sorted keys).
@@ -701,7 +857,7 @@ mod tests {
             let m = MetricsRegistry::new();
             match kind {
                 0 => m.inc(&name),
-                1 => m.gauge(&name, 0.5),
+                1 => m.set_gauge(&name, 0.5),
                 _ => m.observe(&name, 1.0),
             }
             m.inc("plain");

@@ -49,10 +49,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 /// Heap allocations allowed per generated request. The stream makes
-/// 56.3 (83.5 per dispatch); it made 58.8 (87.3 per dispatch) while
-/// survivor replans cloned every request's context, and 86.3 before the
-/// faulted audit ran in place and the round state was made once per
-/// call.
+/// 52.0 (77.1 per dispatch); it made 56.3 (83.5 per dispatch) while
+/// every formatted span name was a fresh `String`, 58.8 (87.3 per
+/// dispatch) while survivor replans cloned every request's context, and
+/// 86.3 before the faulted audit ran in place and the round state was
+/// made once per call.
 const BUDGET_PER_REQUEST: f64 = 70.0;
 
 #[test]

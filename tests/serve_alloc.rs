@@ -51,7 +51,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Heap allocations allowed per generated request.
+/// Heap allocations allowed per generated request. The stream makes
+/// 17.9; it made 18.8 while each dispatch's `online-inc` span name was a
+/// fresh `String` and the online planner recorded lifecycle events
+/// nothing read.
 const BUDGET_PER_REQUEST: f64 = 30.0;
 
 #[test]
