@@ -13,8 +13,9 @@ use rand::{Rng, SeedableRng};
 use h2p_models::graph::ModelGraph;
 use h2p_simulator::soc::SocSpec;
 use hetero2pipe::error::PlanError;
+use hetero2pipe::planner::Planner;
 
-use crate::exhaustive::{base_plan, evaluate_order, realize, SearchOutcome};
+use crate::exhaustive::{realize, SearchOutcome};
 
 /// Tuning parameters for the annealer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,12 +49,14 @@ pub fn run(
     seed: u64,
     params: AnnealingParams,
 ) -> Result<SearchOutcome, PlanError> {
-    let base = base_plan(soc, requests)?;
+    let planner = Planner::new(soc)?;
+    let mut prepared = planner.prepare(requests)?;
     let n = requests.len();
     let mut rng = StdRng::seed_from_u64(seed);
 
     let mut order: Vec<usize> = (0..n).collect();
-    let mut energy = evaluate_order(&base, &order);
+    let mut energy = prepared.score(0..n);
+    prepared.keep();
     let mut best_order = order.clone();
     let mut best = energy;
     let mut temp = energy * params.initial_temp_frac;
@@ -67,7 +70,7 @@ pub fn run(
                 b += 1;
             }
             order.swap(a, b);
-            let e = evaluate_order(&base, &order);
+            let e = prepared.score(order.iter().copied());
             evaluated += 1;
             let accept = e <= energy || {
                 let d = (e - energy) / temp.max(1e-9);
@@ -77,7 +80,8 @@ pub fn run(
                 energy = e;
                 if e < best {
                     best = e;
-                    best_order = order.clone();
+                    best_order.clone_from(&order);
+                    prepared.keep();
                 }
             } else {
                 order.swap(a, b); // revert
@@ -86,9 +90,8 @@ pub fn run(
         }
     }
 
-    let report = realize(&base, &best_order, soc)?;
     Ok(SearchOutcome {
-        report,
+        report: realize(prepared, soc)?,
         best_order,
         best_estimate_ms: best,
         evaluated,
@@ -129,11 +132,10 @@ mod tests {
             ModelId::Bert,
             ModelId::MobileNetV2,
         ]);
-        let base = base_plan(&soc, &reqs).unwrap();
-        let identity: Vec<usize> = (0..reqs.len()).collect();
-        let id_e = evaluate_order(&base, &identity);
+        let planner = Planner::new(&soc).unwrap();
+        let id_e = planner.prepare(&reqs).unwrap().score(0..reqs.len());
         let sa = run(&soc, &reqs, 1, AnnealingParams::default()).unwrap();
-        assert!(sa.best_estimate_ms <= id_e + 1e-9);
+        assert!(sa.best_estimate_ms <= id_e);
     }
 
     #[test]

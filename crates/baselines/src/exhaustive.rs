@@ -1,23 +1,19 @@
 //! Exhaustive search over the vertical arrangement (Fig. 8a reference).
 //!
-//! With horizontal partitions fixed (the same DP output Hetero²Pipe
+//! With horizontal partitions fixed (the same step-1 output Hetero²Pipe
 //! uses), the remaining vertical choice is the request order. This module
-//! enumerates every permutation, evaluates each with the same
-//! work-stealing alignment the planner applies, and realizes the best
-//! one. Factorial cost — usable only for the small request sets of the
-//! ablation study, which is exactly its role in the paper: Hetero²Pipe's
-//! polynomial-time plan lands within a few percent of this optimum.
-
-use std::sync::Arc;
+//! enumerates every permutation, scores each through the planner's own
+//! steps 2–3 ([`Prepared::score`]: work stealing, the tail search and the
+//! contention-aware estimate), and realizes the best one. Factorial cost
+//! — usable only for the small request sets of the ablation study, which
+//! is exactly its role in the paper: Hetero²Pipe's polynomial-time plan
+//! lands within a few percent of this optimum.
 
 use h2p_models::graph::ModelGraph;
 use h2p_simulator::soc::SocSpec;
 use hetero2pipe::error::PlanError;
-use hetero2pipe::estimate::Estimator;
 use hetero2pipe::executor::{self, ExecutionReport};
-use hetero2pipe::plan::PipelinePlan;
-use hetero2pipe::planner::{PlannedPipeline, Planner, PlannerConfig};
-use hetero2pipe::worksteal::{self, CollapseSlots};
+use hetero2pipe::planner::{Planner, Prepared};
 
 /// Result of a vertical-arrangement search.
 #[derive(Debug, Clone)]
@@ -26,7 +22,7 @@ pub struct SearchOutcome {
     pub report: ExecutionReport,
     /// The winning order (positions → original request indices).
     pub best_order: Vec<usize>,
-    /// Estimated makespan of the winning arrangement.
+    /// Score of the winning arrangement (see [`Evaluation`]).
     pub best_estimate_ms: f64,
     /// Number of arrangements evaluated.
     pub evaluated: usize,
@@ -34,84 +30,15 @@ pub struct SearchOutcome {
     pub complete: bool,
 }
 
-/// The horizontal-only plan every arrangement permutes, with what the
-/// vertical passes read: the estimator and each request's tail-collapse
-/// candidates (indexed by original request index).
-pub(crate) struct Base {
-    planned: PlannedPipeline,
-    estimator: Estimator,
-    collapse: Vec<Arc<CollapseSlots>>,
-}
-
-/// Builds the horizontal-only plan shared by every arrangement.
-pub(crate) fn base_plan(soc: &SocSpec, requests: &[ModelGraph]) -> Result<Base, PlanError> {
-    let cfg = PlannerConfig {
-        contention_mitigation: false,
-        work_stealing: false,
-        tail_optimization: false,
-        ..PlannerConfig::default()
-    };
-    let planner = Planner::with_config(soc, cfg)?;
-    let planned = planner.plan(requests)?;
-    let estimator = planner.estimator().clone();
-    // The candidates the reference tail search would rebuild for every
-    // order it scores, built once per request from the cached tables.
-    let collapse = requests
-        .iter()
-        .map(|graph| {
-            let (tables, _) = estimator.tables_cached(graph, &planned.plan.procs);
-            let slots = tables.slot_count();
-            Arc::new(worksteal::collapse_candidates(
-                &tables,
-                estimator.cost(),
-                slots,
-            ))
-        })
-        .collect();
-    Ok(Base {
-        planned,
-        estimator,
-        collapse,
-    })
-}
-
-/// One arrangement after the planner's vertical passes: the base plan's
-/// requests permuted into `order`, then work stealing and the tail
-/// search.
-fn arrange(base: &Base, order: &[usize]) -> PipelinePlan {
-    let mut plan = PipelinePlan {
-        procs: base.planned.plan.procs.clone(),
-        requests: order
-            .iter()
-            .map(|&i| base.planned.plan.requests[i].clone())
-            .collect(),
-    };
-    let contexts = &base.planned.contexts;
-    worksteal::align_by_stealing(&mut plan, |r| &contexts[r], base.estimator.cost());
-    worksteal::optimize_tail_cached(&mut plan, &base.collapse);
-    plan
-}
-
-/// Estimated makespan of one arrangement: the column-sum estimate of
-/// [`arrange`]'s plan.
-pub(crate) fn evaluate_order(base: &Base, order: &[usize]) -> f64 {
-    arrange(base, order).estimated_makespan_contention_ms(base.estimator.cost().soc())
-}
-
-/// Realizes an arrangement end to end: [`arrange`] plus simulator
-/// execution.
-pub(crate) fn realize(
-    base: &Base,
-    order: &[usize],
-    soc: &SocSpec,
-) -> Result<ExecutionReport, PlanError> {
-    executor::execute(&arrange(base, order), soc)
+/// Simulates the order `prepared` kept: the report a search returns.
+pub(crate) fn realize(prepared: Prepared<'_>, soc: &SocSpec) -> Result<ExecutionReport, PlanError> {
+    executor::execute(&prepared.into_plan().plan, soc)
 }
 
 /// How candidate arrangements are scored during the search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Evaluation {
-    /// The planner's synchronous-column makespan estimate — cheap, and
+    /// The planner's contention-aware makespan estimate — cheap, and
     /// the same information polynomial-time planners have.
     Estimate,
     /// Full simulated execution — the oracle the paper's exhaustive
@@ -144,17 +71,20 @@ pub fn run_with(
     max_permutations: usize,
     evaluation: Evaluation,
 ) -> Result<SearchOutcome, PlanError> {
-    let base = base_plan(soc, requests)?;
+    let planner = Planner::new(soc)?;
+    let mut prepared = planner.prepare(requests)?;
     let n = requests.len();
-    let score = |order: &[usize]| -> Result<f64, PlanError> {
+    let score = |prepared: &mut Prepared<'_>, order: &[usize]| -> Result<f64, PlanError> {
+        let estimate = prepared.score(order.iter().copied());
         Ok(match evaluation {
-            Evaluation::Estimate => evaluate_order(&base, order),
-            Evaluation::Simulated => realize(&base, order, soc)?.makespan_ms,
+            Evaluation::Estimate => estimate,
+            Evaluation::Simulated => executor::execute(&prepared.scored_plan(), soc)?.makespan_ms,
         })
     };
     let mut order: Vec<usize> = (0..n).collect();
     let mut best_order = order.clone();
-    let mut best = score(&order)?;
+    let mut best = score(&mut prepared, &order)?;
+    prepared.keep();
     let mut evaluated = 1usize;
     let mut complete = true;
 
@@ -172,11 +102,12 @@ pub fn run_with(
             } else {
                 order.swap(c[i], i);
             }
-            let e = score(&order)?;
+            let e = score(&mut prepared, &order)?;
             evaluated += 1;
             if e < best {
                 best = e;
-                best_order = order.clone();
+                best_order.clone_from(&order);
+                prepared.keep();
             }
             c[i] += 1;
             i = 0;
@@ -186,9 +117,8 @@ pub fn run_with(
         }
     }
 
-    let report = realize(&base, &best_order, soc)?;
     Ok(SearchOutcome {
-        report,
+        report: realize(prepared, soc)?,
         best_order,
         best_estimate_ms: best,
         evaluated,
@@ -226,11 +156,25 @@ mod tests {
             ModelId::Vgg16,
             ModelId::MobileNetV2,
         ]);
-        let base = base_plan(&soc, &reqs).unwrap();
-        let identity: Vec<usize> = (0..reqs.len()).collect();
-        let id_est = evaluate_order(&base, &identity);
+        let planner = Planner::new(&soc).unwrap();
+        let id_est = planner.prepare(&reqs).unwrap().score(0..reqs.len());
         let out = run(&soc, &reqs, 10_000).unwrap();
-        assert!(out.best_estimate_ms <= id_est + 1e-9);
+        assert!(out.best_estimate_ms <= id_est);
+    }
+
+    /// Scored by simulation, the best score is the simulated makespan of
+    /// the order the search realizes.
+    #[test]
+    fn simulated_search_reports_the_realized_makespan() {
+        let soc = SocSpec::kirin_990();
+        let reqs = graphs(&[ModelId::SqueezeNet, ModelId::ResNet50, ModelId::Bert]);
+        let out = run_with(&soc, &reqs, 1000, Evaluation::Simulated).unwrap();
+        assert!(out.complete);
+        assert_eq!(out.evaluated, 6);
+        assert_eq!(
+            out.best_estimate_ms.to_bits(),
+            out.report.makespan_ms.to_bits()
+        );
     }
 
     #[test]

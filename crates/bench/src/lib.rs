@@ -104,16 +104,6 @@ pub fn arg_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Parses a `--key value` string argument with a default.
-pub fn arg_str(key: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_owned())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -727,31 +727,6 @@ impl RequestContext {
         }
         Some(stages)
     }
-
-    /// Recovers the active-stage split points from a slot-indexed stage
-    /// vector previously produced by [`RequestContext::build_stages`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stage vector does not cover the model contiguously
-    /// over this context's active slots.
-    pub fn splits_of(&self, stages: &[Option<StagePlan>]) -> Vec<usize> {
-        let mut splits = Vec::with_capacity(self.stage_count() - 1);
-        for (a, &slot) in self.active_slots.iter().enumerate() {
-            #[expect(
-                clippy::expect_used,
-                reason = "documented panic: callers must pass a vector produced by \
-                          `build_stages`, which populates every active slot"
-            )]
-            let stage = stages[slot]
-                .as_ref()
-                .expect("stage vector must populate every active slot");
-            if a + 1 < self.active_slots.len() {
-                splits.push(stage.range.last + 1);
-            }
-        }
-        splits
-    }
 }
 
 #[cfg(test)]
@@ -910,7 +885,9 @@ mod tests {
         let stages = ctx.build_stages(est.cost(), &splits, procs.len()).unwrap();
         assert_eq!(stages.len(), procs.len());
         assert!(stages[1].is_none(), "slot 1 inactive");
-        assert_eq!(ctx.splits_of(&stages), splits);
+        // Every active stage but the last ends at a split point.
+        let ends: Vec<usize> = stages.iter().flatten().map(|s| s.range.last + 1).collect();
+        assert_eq!(ends[..ends.len() - 1], splits[..]);
         // Ranges tile the model.
         assert_eq!(stages[0].as_ref().unwrap().range, LayerRange::new(0, 4));
         assert_eq!(stages[2].as_ref().unwrap().range, LayerRange::new(5, 10));

@@ -54,6 +54,7 @@ use h2p_simulator::ProcessorId;
 use h2p_telemetry::{span, CounterId, MetricsRegistry};
 
 use crate::error::PlanError;
+use crate::plan::PipelinePlan;
 use crate::planner::{PlannedPipeline, Planner};
 
 /// One memoized window: the key components and the finished plan (with
@@ -165,61 +166,53 @@ impl OnlinePlanner {
         }
         let telemetry = self.planner.telemetry();
         span!(telemetry.spans, "online:{}req", requests.len());
-        let windows: Vec<(usize, &[ModelGraph])> =
-            requests.chunks(self.window).enumerate().collect();
-        telemetry.metrics.inc(self.metrics.invocations);
-        telemetry
-            .metrics
-            .add(self.metrics.windows, windows.len() as u64);
-        let window_plans = self.plan_windows(&windows)?;
-        self.combine(window_plans)
-    }
-
-    /// Plans `(window index, requests)` pairs from scratch, one plan per
-    /// pair in input order, each under its own `window:{w}` span.
-    fn plan_windows(
-        &self,
-        windows: &[(usize, &[ModelGraph])],
-    ) -> Result<Vec<PlannedPipeline>, PlanError> {
-        let spans = &self.planner.telemetry().spans;
-        windows
-            .iter()
-            .map(|&(w, chunk)| {
-                span!(spans, "window:{}", w);
+        self.count_invocation(requests.len());
+        let window_plans = requests
+            .chunks(self.window)
+            .enumerate()
+            .map(|(w, chunk)| {
+                span!(telemetry.spans, "window:{}", w);
                 self.planner.plan(chunk)
             })
-            .collect()
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(self.combine(window_plans))
+    }
+
+    /// Counts one invocation over `requests` requests and its windows.
+    fn count_invocation(&self, requests: usize) {
+        let metrics = &self.planner.telemetry().metrics;
+        metrics.inc(self.metrics.invocations);
+        metrics.add(self.metrics.windows, requests.div_ceil(self.window) as u64);
     }
 
     /// Concatenates per-window plans (window-local request indices) into
     /// one executable pipeline plan with global submission-order indices.
-    fn combine(&self, window_plans: Vec<PlannedPipeline>) -> Result<PlannedPipeline, PlanError> {
-        let mut combined: Option<PlannedPipeline> = None;
-        let mut tail_merges = 0usize;
-        for (w, mut planned) in window_plans.into_iter().enumerate() {
-            let offset = w * self.window;
-            for req in &mut planned.plan.requests {
-                req.request += offset;
-            }
-            tail_merges += planned.tail_merges;
-            match &mut combined {
-                None => combined = Some(planned),
-                Some(acc) => {
-                    acc.plan.requests.extend(planned.plan.requests);
-                    acc.contexts.extend(planned.contexts);
-                }
-            }
-        }
-        let Some(mut out) = combined else {
-            // Unreachable: a non-empty slice yields at least one chunk.
-            return Err(PlanError::EmptyRequestSet);
+    fn combine(&self, window_plans: Vec<PlannedPipeline>) -> PlannedPipeline {
+        // Window-local passes already ran; the combined plan keeps them
+        // and reports none.
+        let mut out = PlannedPipeline {
+            plan: PipelinePlan {
+                procs: self.planner.pipeline_procs().to_vec(),
+                requests: Vec::new(),
+            },
+            contexts: Vec::new(),
+            mitigation: None,
+            steal: None,
+            tail_merges: 0,
         };
-        out.tail_merges = tail_merges;
-        // Window-local passes already ran; the combined plan keeps them.
-        out.mitigation = None;
-        out.steal = None;
+        for (w, planned) in window_plans.into_iter().enumerate() {
+            let offset = w * self.window;
+            out.plan
+                .requests
+                .extend(planned.plan.requests.into_iter().map(|mut req| {
+                    req.request += offset;
+                    req
+                }));
+            out.contexts.extend(planned.contexts);
+            out.tail_merges += planned.tail_merges;
+        }
         self.lint_combined(&out);
-        Ok(out)
+        out
     }
 
     /// Debug builds re-lint every combined plan: its indices and claims
@@ -262,6 +255,8 @@ impl OnlinePlanner {
     /// [`OnlinePlanner::plan_incremental`] without the copy: a stream
     /// that fits one window gets the memoized plan itself, shared.
     /// Longer streams combine their windows into a new plan as before.
+    /// Windows are looked up and planned one after another, so a window
+    /// that repeats inside one stream is planned and memoized once.
     ///
     /// # Errors
     ///
@@ -270,13 +265,37 @@ impl OnlinePlanner {
         if requests.is_empty() {
             return Err(PlanError::EmptyRequestSet);
         }
+        span!(
+            self.planner.telemetry().spans,
+            "online-inc:{}req",
+            requests.len()
+        );
+        self.count_invocation(requests.len());
+        if requests.len() <= self.window {
+            // A memoized plan is stored as its window's combined plan.
+            let planned = self.window_cached(0, requests)?;
+            self.lint_combined(&planned);
+            return Ok(planned);
+        }
+        let window_plans = requests
+            .chunks(self.window)
+            .enumerate()
+            .map(|(w, chunk)| self.window_cached(w, chunk).map(Arc::unwrap_or_clone))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Arc::new(self.combine(window_plans)))
+    }
+
+    /// Window `w` of [`OnlinePlanner::plan_shared`]: the memoized plan of
+    /// `chunk` if the cache holds one under the requests' current
+    /// contention classes, else the plan [`OnlinePlanner::plan`] would
+    /// make, under a `window:{w}` span, memoized without its pass reports
+    /// as a one-window combined plan.
+    fn window_cached(
+        &self,
+        w: usize,
+        chunk: &[ModelGraph],
+    ) -> Result<Arc<PlannedPipeline>, PlanError> {
         let telemetry = self.planner.telemetry();
-        span!(telemetry.spans, "online-inc:{}req", requests.len());
-        let chunks: Vec<&[ModelGraph]> = requests.chunks(self.window).collect();
-        telemetry.metrics.inc(self.metrics.invocations);
-        telemetry
-            .metrics
-            .add(self.metrics.windows, chunks.len() as u64);
         let procs = self.planner.pipeline_procs();
         let estimator = self.planner.estimator();
         // Key component 2: the *current* contention class of a request,
@@ -285,65 +304,42 @@ impl OnlinePlanner {
         // planner's tables counters: it runs on every dispatch,
         // window-cache hits included.
         let class_of = |g: &ModelGraph| estimator.tables_cached(g, procs).0.contention().1;
-
-        // Phase 1: serve hits from the cache, collect the misses.
-        let mut window_plans: Vec<Option<Arc<PlannedPipeline>>> = chunks
-            .iter()
-            .map(|chunk| self.lookup(chunk, procs, &class_of))
-            .collect();
-        let missed: Vec<usize> = (0..chunks.len())
-            .filter(|&w| window_plans[w].is_none())
-            .collect();
-        self.count_lookups(chunks.len() - missed.len(), missed.len());
-        for (chunk, cached) in chunks.iter().zip(&window_plans) {
-            if let Some(cached) = cached {
-                self.check_hit(chunk, cached)?;
-            }
-        }
-
-        // Phase 2: plan the missed windows exactly as `plan` would, then
-        // memoize them.
-        if !missed.is_empty() {
-            let to_plan: Vec<(usize, &[ModelGraph])> =
-                missed.iter().map(|&w| (w, chunks[w])).collect();
-            let fresh = self.plan_and_memoize(&to_plan, procs, &class_of)?;
-            for (&w, planned) in missed.iter().zip(fresh) {
-                window_plans[w] = Some(planned);
-            }
-        }
-
-        let window_plans: Vec<Arc<PlannedPipeline>> = window_plans
-            .into_iter()
-            .map(|p| p.ok_or(PlanError::EmptyRequestSet))
-            .collect::<Result<_, _>>()?;
-        if let [planned] = &window_plans[..] {
-            // A memoized plan is stored as its window's combined plan.
-            self.lint_combined(planned);
-            return Ok(Arc::clone(planned));
-        }
-        let window_plans = window_plans.into_iter().map(Arc::unwrap_or_clone).collect();
-        self.combine(window_plans).map(Arc::new)
-    }
-
-    /// The memoized plan of `chunk` on `procs`, if the cache holds one
-    /// under the requests' current contention classes.
-    fn lookup(
-        &self,
-        chunk: &[ModelGraph],
-        procs: &[ProcessorId],
-        class_of: &impl Fn(&ModelGraph) -> ContentionClass,
-    ) -> Option<Arc<PlannedPipeline>> {
-        self.window_cache
+        let cached = self
+            .window_cache
             .borrow()
             .iter()
             .find(|e| e.matches(chunk, procs, |i| class_of(&chunk[i])))
-            .map(|e| Arc::clone(&e.planned))
-    }
-
-    fn count_lookups(&self, hits: usize, misses: usize) {
-        let metrics = &self.planner.telemetry().metrics;
-        metrics.add(self.metrics.window_hits, hits as u64);
-        metrics.add(self.metrics.window_misses, misses as u64);
+            .map(|e| Arc::clone(&e.planned));
+        // Both counters are touched on every lookup, so each enters the
+        // snapshot at the first one.
+        let hit = cached.is_some();
+        telemetry
+            .metrics
+            .add(self.metrics.window_hits, u64::from(hit));
+        telemetry
+            .metrics
+            .add(self.metrics.window_misses, u64::from(!hit));
+        if let Some(cached) = cached {
+            self.check_hit(chunk, &cached)?;
+            return Ok(cached);
+        }
+        // Classes before planning: the class lookups build any missing
+        // tables, so the planner's own lookups stay hits.
+        let classes = chunk.iter().map(class_of).collect();
+        let mut planned = {
+            span!(telemetry.spans, "window:{}", w);
+            self.planner.plan(chunk)?
+        };
+        planned.mitigation = None;
+        planned.steal = None;
+        let planned = Arc::new(planned);
+        self.window_cache.borrow_mut().push(WindowEntry {
+            graphs: chunk.to_vec(),
+            classes,
+            procs: procs.to_vec(),
+            planned: Arc::clone(&planned),
+        });
+        Ok(planned)
     }
 
     /// Debug-build equivalence gate: a hit re-plans its window from
@@ -362,68 +358,9 @@ impl OnlinePlanner {
         Ok(())
     }
 
-    /// Plans the `(window index, requests)` pairs as [`OnlinePlanner::plan`]
-    /// would and memoizes each plan, stored without its pass reports as
-    /// a one-window combined plan. Returns the shared plans in input
-    /// order.
-    fn plan_and_memoize(
-        &self,
-        to_plan: &[(usize, &[ModelGraph])],
-        procs: &[ProcessorId],
-        class_of: &impl Fn(&ModelGraph) -> ContentionClass,
-    ) -> Result<Vec<Arc<PlannedPipeline>>, PlanError> {
-        // Classes before planning: the class lookups build any missing
-        // tables, so the planner's own lookups stay hits.
-        let classes: Vec<Vec<ContentionClass>> = to_plan
-            .iter()
-            .map(|&(_, chunk)| chunk.iter().map(class_of).collect())
-            .collect();
-        let fresh = self.plan_windows(to_plan)?;
-        let mut cache = self.window_cache.borrow_mut();
-        let mut shared = Vec::with_capacity(fresh.len());
-        for ((&(_, chunk), classes), mut planned) in to_plan.iter().zip(classes).zip(fresh) {
-            planned.mitigation = None;
-            planned.steal = None;
-            let planned = Arc::new(planned);
-            cache.push(WindowEntry {
-                graphs: chunk.to_vec(),
-                classes,
-                procs: procs.to_vec(),
-                planned: Arc::clone(&planned),
-            });
-            shared.push(planned);
-        }
-        Ok(shared)
-    }
-
-    /// Drops every memoized window plan. Subsequent
-    /// [`OnlinePlanner::plan_incremental`] calls re-plan from scratch and
-    /// re-populate the cache.
-    pub fn clear_window_cache(&self) {
-        self.window_cache.borrow_mut().clear();
-    }
-
     /// Number of memoized window plans currently held.
     pub fn window_cache_len(&self) -> usize {
         self.window_cache.borrow().len()
-    }
-
-    /// Runs the request stream under scripted faults, reacting to fault
-    /// notifications by re-planning the unexecuted work on the surviving
-    /// processor set (see [`crate::recovery`]). Fault-free streams take
-    /// the normal planning path and complete in one round.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError`] only for structural problems; fault-driven
-    /// failures are typed degraded outcomes inside the report.
-    pub fn run_with_recovery(
-        &self,
-        requests: &[ModelGraph],
-        faults: &[h2p_simulator::FaultSpec],
-        policy: &crate::recovery::RecoveryPolicy,
-    ) -> Result<crate::recovery::RecoveryReport, PlanError> {
-        crate::recovery::run_with_recovery(&self.planner, requests, faults, policy)
     }
 }
 
@@ -579,16 +516,20 @@ mod tests {
         assert_eq!(online.window_cache_len(), 3);
     }
 
+    /// A window that repeats inside one stream misses once and hits
+    /// once: it is planned and memoized once, and the combined plan is
+    /// the from-scratch one.
     #[test]
-    fn clear_window_cache_forces_replanning() {
+    fn a_repeated_window_is_planned_once() {
         let soc = SocSpec::kirin_990();
-        let online = OnlinePlanner::new(Planner::new(&soc).unwrap(), 4);
-        let reqs = stream();
-        online.plan_incremental(&reqs).unwrap();
-        assert_eq!(online.window_cache_len(), 2);
-        online.clear_window_cache();
-        assert_eq!(online.window_cache_len(), 0);
-        let out = online.plan_incremental(&reqs).unwrap();
+        let online = OnlinePlanner::new(Planner::new(&soc).unwrap(), 3);
+        let window = &stream()[..3];
+        let reqs: Vec<ModelGraph> = window.iter().chain(window).cloned().collect();
+        let out = online.plan_shared(&reqs).unwrap();
+        let snap = online.planner().telemetry().metrics.snapshot();
+        assert_eq!(snap.counter("online.window_cache.misses"), Some(1));
+        assert_eq!(snap.counter("online.window_cache.hits"), Some(1));
+        assert_eq!(online.window_cache_len(), 1);
         assert_eq!(out.plan, online.plan(&reqs).unwrap().plan);
     }
 

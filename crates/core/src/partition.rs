@@ -50,18 +50,6 @@ impl Partition {
     pub fn stage_count(&self) -> usize {
         self.stage_ms.len()
     }
-
-    /// The inclusive layer range `(first, last)` of stage `s` for a model
-    /// with `n` layers.
-    pub fn stage_range(&self, s: usize, n: usize) -> (usize, usize) {
-        let first = if s == 0 { 0 } else { self.splits[s - 1] };
-        let last = if s == self.splits.len() {
-            n - 1
-        } else {
-            self.splits[s] - 1
-        };
-        (first, last)
-    }
 }
 
 /// Reusable flat DP state: one contiguous `f64` arena plus the
@@ -731,15 +719,6 @@ mod tests {
         assert_eq!(p.splits, vec![1, 2]);
         assert_eq!(p.stage_ms, vec![2.0, 3.0, 1.0]);
         assert_eq!(p.makespan_ms, 3.0);
-    }
-
-    #[test]
-    fn stage_range_reconstructs_slices() {
-        let c = oracle(vec![vec![1.0; 6]; 3]);
-        let p = min_max_partition(6, 3, &c).unwrap();
-        assert_eq!(p.stage_range(0, 6), (0, 1));
-        assert_eq!(p.stage_range(1, 6), (2, 3));
-        assert_eq!(p.stage_range(2, 6), (4, 5));
     }
 
     #[test]

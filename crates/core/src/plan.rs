@@ -220,16 +220,6 @@ impl PipelinePlan {
         )
     }
 
-    /// Estimated throughput in completed inferences per second.
-    pub fn estimated_throughput(&self) -> f64 {
-        let m = self.estimated_makespan_ms();
-        if m <= 0.0 {
-            0.0
-        } else {
-            self.requests.len() as f64 * 1000.0 / m
-        }
-    }
-
     /// Peak concurrent memory footprint across columns (Constraint 6):
     /// the largest sum of stage footprints executing simultaneously.
     pub fn peak_footprint_bytes(&self) -> u64 {
@@ -426,7 +416,6 @@ mod tests {
         assert_eq!(p.column_count(), 0);
         assert_eq!(p.total_bubble_ms(), 0.0);
         assert_eq!(p.estimated_makespan_ms(), 0.0);
-        assert_eq!(p.estimated_throughput(), 0.0);
         assert_eq!(p.peak_footprint_bytes(), 0);
     }
 

@@ -39,11 +39,13 @@
 //! the pipeline stages it schedules, so planner worker threads would
 //! compete with the inference they plan. Step 1 prepares the requests
 //! one after another over shared per-request cost tables
-//! ([`crate::estimate::RequestTables`]). Steps 2–3 then assemble the
-//! candidate orders, skipping an order equal to one already assembled:
-//! an assembly prices work-stealing and tail candidates on a grid of
-//! stage times and a column ledger ([`crate::worksteal`]), reads the
-//! step-1 plans and contexts in place and works in pooled buffers. The
+//! ([`crate::estimate::RequestTables`]) into a [`Prepared`] set. Steps
+//! 2–3 then assemble the candidate orders through [`Prepared::score`],
+//! skipping an order equal to one already assembled: an assembly prices
+//! work-stealing and tail candidates on a grid of stage times and a
+//! column ledger ([`crate::worksteal`]), reads the step-1 plans and
+//! contexts in place and works in pooled buffers. The Fig. 8(a) order
+//! searches score their orders through the same primitive. The
 //! output is **bit-identical** to the frozen reference
 //! ([`Planner::plan_reference`]), which preserves the original
 //! clone-per-mask implementation as the recorded perf baseline (see
@@ -76,12 +78,12 @@ use crate::worksteal::{self, CollapseSlots, PassScratch, StealReport};
 /// Pooled planning buffers: the flat DP kernel arena and the mask-loop
 /// buffers of the subset search, checked out per request, and the
 /// candidate assemblies' grid, ledger, estimate and order buffers,
-/// checked out per plan. Checked out of the planner's pool
-/// ([`Planner::with_plan_scratch`]) so steady-state planning reuses warm
-/// allocations — after the first request of a given high-water size, the
-/// subset search touches the allocator zero times, and an assembly
-/// allocates only the stage vectors it keeps (pinned by the
-/// counting-allocator tests).
+/// checked out per prepared set ([`Prepared`]). Checked out of the
+/// planner's pool ([`Planner::checkout_scratch`]) so steady-state
+/// planning reuses warm allocations — after the first request of a given
+/// high-water size, the subset search touches the allocator zero times,
+/// and an assembly allocates only the stage vectors it keeps (pinned by
+/// the counting-allocator tests).
 #[derive(Debug, Default)]
 struct PlanScratch {
     /// The DP kernel arena (table, backtracking, splits).
@@ -478,14 +480,176 @@ struct Step1<'a> {
     keys: &'a [u64],
 }
 
-/// Everything step 1 produces for one request, computed independently
-/// per request.
-struct PreparedRequest {
-    ctx: RequestContext,
-    plan: RequestPlan,
-    /// Single-slot collapse candidates for the tail search, shared with
-    /// the request's tables entry (`None` when tail optimization is off).
-    collapse: Option<Arc<CollapseSlots>>,
+/// A request set after step 1 ([`Planner::prepare`]), and the one place
+/// steps 2–3 run: [`Prepared::score`] assembles any order of the set
+/// (work stealing, the tail search, then the contention-aware estimate)
+/// in the planner's pooled buffers, [`Prepared::keep`] adopts the order
+/// scored last, and [`Prepared::into_plan`] turns the kept order into a
+/// plan. [`Planner::plan`] ranks its candidate orders through it, and so
+/// do the Fig. 8(a) order searches (`h2p_baselines::exhaustive` and
+/// `annealing`).
+///
+/// A `Prepared` holds one scratch checked out of its planner's pool and
+/// returns it when dropped.
+#[derive(Debug)]
+pub struct Prepared<'p> {
+    planner: &'p Planner,
+    /// Step-1 plans and contexts, by original index.
+    plans: Vec<RequestPlan>,
+    contexts: Vec<RequestContext>,
+    /// Each request's single-slot collapse candidates, shared with its
+    /// tables entry; non-empty exactly when tail optimization is on.
+    collapse: Vec<Arc<CollapseSlots>>,
+    scratch: PlanScratch,
+    /// `scratch.candidate` holds an order scored since the last keep.
+    scored: bool,
+    /// `scratch.best` holds a kept order.
+    kept: bool,
+}
+
+impl Prepared<'_> {
+    /// Steps 2–3 for `order` (`order[pos]` = original index of the
+    /// request at `pos`, a permutation of the set's indices): the step-1
+    /// stages are loaded into the pass grid, work stealing and the tail
+    /// search run on it as the planner's configuration enables them, and
+    /// the order's contention-aware makespan estimate is returned. The
+    /// assembly is held until the next `score`, for [`Prepared::keep`].
+    pub fn score(&mut self, order: impl IntoIterator<Item = usize>) -> f64 {
+        let Prepared {
+            planner,
+            plans,
+            contexts,
+            collapse,
+            scratch,
+            scored,
+            ..
+        } = self;
+        let PlanScratch {
+            pass,
+            estimate,
+            candidate,
+            keys,
+            ..
+        } = scratch;
+        let step1 = Step1 {
+            plans,
+            contexts,
+            collapse,
+            keys,
+        };
+        planner.assemble(&step1, order.into_iter(), candidate, pass, estimate);
+        *scored = true;
+        candidate.estimate_ms
+    }
+
+    /// Adopts the order scored last; a no-op when it is already kept.
+    pub fn keep(&mut self) {
+        if std::mem::take(&mut self.scored) {
+            let PlanScratch {
+                best, candidate, ..
+            } = &mut self.scratch;
+            std::mem::swap(best, candidate);
+            self.kept = true;
+        }
+    }
+
+    /// The plan of the order scored last, its stages copied: what a
+    /// caller that ranks orders by simulating them executes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no order was scored yet.
+    pub fn scored_plan(&self) -> PipelinePlan {
+        assert!(self.scored || self.kept, "no order was scored yet");
+        let last = if self.scored {
+            &self.scratch.candidate
+        } else {
+            &self.scratch.best
+        };
+        let step1 = Step1 {
+            plans: &self.plans,
+            contexts: &self.contexts,
+            collapse: &self.collapse,
+            keys: &self.scratch.keys,
+        };
+        let requests = last
+            .order
+            .iter()
+            .enumerate()
+            .map(|(pos, &orig)| {
+                let p = &self.plans[orig];
+                RequestPlan {
+                    request: p.request,
+                    model: p.model.clone(),
+                    stages: last.stages(pos, &step1).to_vec(),
+                    intensity: p.intensity,
+                    class: p.class,
+                }
+            })
+            .collect();
+        PipelinePlan {
+            procs: self.planner.pipeline_procs().to_vec(),
+            requests,
+        }
+    }
+
+    /// The kept order as a plan (the arrival order's when none was
+    /// kept): the step-1 plans sorted into it (an unstable sort by
+    /// position never allocates), each position given the stages it
+    /// ended with, and only the collapsed requests' contexts replaced.
+    /// `mitigation` is left `None`: whether the order came from
+    /// Algorithm 2 is the caller's knowledge.
+    pub fn into_plan(mut self) -> PlannedPipeline {
+        let m = self.plans.len();
+        if !self.kept {
+            self.score(0..m);
+            self.keep();
+        }
+        let PlanScratch { best, inverse, .. } = &mut self.scratch;
+        inverse.clear();
+        inverse.resize(m, 0);
+        for (pos, &orig) in best.order.iter().enumerate() {
+            inverse[orig] = pos;
+        }
+        let mut requests = std::mem::take(&mut self.plans);
+        requests.sort_unstable_by_key(|r| inverse[r.request]);
+        for (req, &row) in requests.iter_mut().zip(&best.rows) {
+            match row {
+                RowStages::Base => {}
+                RowStages::Adopted(i) => {
+                    req.stages = std::mem::take(&mut best.adopted[i].1);
+                }
+                RowStages::Collapsed(slot) => {
+                    if let Some((stages, _)) = &self.collapse[req.request][slot] {
+                        req.stages.clone_from(stages);
+                    }
+                }
+            }
+        }
+        let mut contexts = std::mem::take(&mut self.contexts);
+        worksteal::apply_merges(&mut contexts, &self.collapse, &best.merges);
+        PlannedPipeline {
+            plan: PipelinePlan {
+                procs: self.planner.pipeline_procs().to_vec(),
+                requests,
+            },
+            contexts,
+            mitigation: None,
+            steal: best.steal,
+            tail_merges: best.merges.len(),
+        }
+    }
+}
+
+impl Drop for Prepared<'_> {
+    /// Returns the scratch to the planner's pool, which keeps buffers,
+    /// not stage vectors, between plans.
+    fn drop(&mut self) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.best.adopted.clear();
+        scratch.candidate.adopted.clear();
+        self.planner.scratch_pool.borrow_mut().push(scratch);
+    }
 }
 
 impl Planner {
@@ -519,16 +683,21 @@ impl Planner {
         })
     }
 
-    /// Checks a [`PlanScratch`] out of the pool (allocating a fresh one
-    /// only on a pool miss), runs `f`, and returns the scratch for
-    /// reuse. Planning checks out one scratch at a time, so the pool
-    /// holds a single scratch.
-    fn with_plan_scratch<R>(&self, f: impl FnOnce(&mut PlanScratch) -> R) -> R {
+    /// Checks a [`PlanScratch`] out of the pool, allocating a fresh one
+    /// only on a pool miss. Planning checks out one scratch at a time, so
+    /// the pool holds a single scratch.
+    fn checkout_scratch(&self) -> PlanScratch {
         let popped = self.scratch_pool.borrow_mut().pop();
-        let mut scratch = popped.unwrap_or_else(|| {
+        popped.unwrap_or_else(|| {
             self.telemetry.metrics.inc(self.metrics.scratch_allocs);
             PlanScratch::default()
-        });
+        })
+    }
+
+    /// Runs `f` on a checked-out scratch and returns the scratch for
+    /// reuse.
+    fn with_plan_scratch<R>(&self, f: impl FnOnce(&mut PlanScratch) -> R) -> R {
+        let mut scratch = self.checkout_scratch();
         let out = f(&mut scratch);
         self.scratch_pool.borrow_mut().push(scratch);
         out
@@ -776,32 +945,67 @@ impl Planner {
         tables
     }
 
-    /// Step 1 for one request: its memoized partition over every slot,
-    /// its contention class and its tail-collapse candidates, all read
-    /// from the request's tables entry.
-    fn prepare_request(
-        &self,
-        idx: usize,
-        graph: &ModelGraph,
-    ) -> Result<PreparedRequest, PlanError> {
-        span!(self.telemetry.spans, "prepare:{}:{}", idx, graph.name());
-        let tables = self.tables_cached(graph, self.pipeline_procs());
-        let partition = self.plan_request_cached(&tables, u32::MAX)?;
-        let (intensity, class) = tables.contention();
-        let collapse = self
-            .config
-            .tail_optimization
-            .then(|| self.collapse_cached(&tables));
-        Ok(PreparedRequest {
-            ctx: partition.ctx.clone(),
-            plan: RequestPlan {
-                request: idx,
-                model: graph.shared_name().clone(),
-                stages: partition.stages.clone(),
-                intensity,
-                class,
-            },
+    /// Step 1 of [`Planner::plan`] over `requests`, one request after
+    /// another: each request's memoized partition over every slot, its
+    /// contention class and its tail-collapse candidates, all read from
+    /// its tables entry. The pooled scratch of steps 2–3 is checked out
+    /// after step 1, whose memo misses check out their own, so a miss
+    /// does not grow the pool.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlanError::EmptyRequestSet`] for an empty input and
+    /// [`PlanError::NoFeasiblePipeline`] if any model cannot be placed.
+    pub fn prepare(&self, requests: &[ModelGraph]) -> Result<Prepared<'_>, PlanError> {
+        if requests.is_empty() {
+            return Err(PlanError::EmptyRequestSet);
+        }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "phase timing feeds gauges only, never plan bits"
+        )]
+        let prepare_start = Instant::now();
+        let m = requests.len();
+        let mut plans = Vec::with_capacity(m);
+        let mut contexts = Vec::with_capacity(m);
+        let mut collapse = Vec::with_capacity(m);
+        {
+            span!(self.telemetry.spans, "prepare");
+            for (idx, graph) in requests.iter().enumerate() {
+                span!(self.telemetry.spans, "prepare:{}:{}", idx, graph.name());
+                let tables = self.tables_cached(graph, self.pipeline_procs());
+                let partition = self.plan_request_cached(&tables, u32::MAX)?;
+                let (intensity, class) = tables.contention();
+                if self.config.tail_optimization {
+                    collapse.push(self.collapse_cached(&tables));
+                }
+                contexts.push(partition.ctx.clone());
+                plans.push(RequestPlan {
+                    request: idx,
+                    model: graph.shared_name().clone(),
+                    stages: partition.stages.clone(),
+                    intensity,
+                    class,
+                });
+            }
+        }
+        self.telemetry.metrics.gauge_add(
+            self.metrics.prepare_ms,
+            prepare_start.elapsed().as_secs_f64() * 1e3,
+        );
+        let mut scratch = self.checkout_scratch();
+        scratch.keys.clear();
+        scratch
+            .keys
+            .extend(plans.iter().map(|p| plan::model_key(&p.model)));
+        Ok(Prepared {
+            planner: self,
+            plans,
+            contexts,
             collapse,
+            scratch,
+            scored: false,
+            kept: false,
         })
     }
 
@@ -882,166 +1086,88 @@ impl Planner {
         )]
         let total_start = Instant::now();
         span!(self.telemetry.spans, "plan:{}req", requests.len());
-        let procs = self.pipeline_procs();
 
         // Step 1: horizontal partitioning, independently per request.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "phase timing feeds gauges only, never plan bits"
-        )]
-        let prepare_start = Instant::now();
-        let prepared = {
-            span!(self.telemetry.spans, "prepare");
-            requests
-                .iter()
-                .enumerate()
-                .map(|(idx, graph)| self.prepare_request(idx, graph))
-                .collect::<Result<Vec<_>, _>>()?
-        };
-        self.telemetry.metrics.gauge_add(
-            self.metrics.prepare_ms,
-            prepare_start.elapsed().as_secs_f64() * 1e3,
-        );
-        let mut plans: Vec<RequestPlan> = Vec::with_capacity(prepared.len());
-        let mut contexts: Vec<RequestContext> = Vec::with_capacity(prepared.len());
-        // Every entry is `Some` exactly when tail optimization is on.
-        let mut collapse: Vec<Arc<CollapseSlots>> = Vec::with_capacity(prepared.len());
-        for p in prepared {
-            plans.push(p.plan);
-            contexts.push(p.ctx);
-            collapse.extend(p.collapse);
-        }
+        let mut prepared = self.prepare(requests)?;
 
         // Steps 2+3: contention mitigation over the request order, then
         // vertical alignment. Both the mitigated and the original order
         // are assembled and the better estimated makespan wins — the
         // re-ordering is a heuristic, so the planner checks it paid off.
-        // Every assembly reads the step-1 plans and contexts in place and
-        // works in pooled buffers; only the adopted order becomes a plan,
-        // from the step-1 plans themselves, and only its merged contexts
-        // are rebuilt.
         #[expect(
             clippy::disallowed_methods,
             reason = "phase timing feeds gauges only, never plan bits"
         )]
         let assemble_start = Instant::now();
-        let m = plans.len();
-        let (plan, mitigation, steal, tail_merges) = self.with_plan_scratch(|ps| {
-            let PlanScratch {
-                pass,
-                estimate,
-                best,
-                candidate,
-                keys,
-                inverse,
-                ..
-            } = ps;
-            keys.clear();
-            keys.extend(plans.iter().map(|p| plan::model_key(&p.model)));
-            let step1 = Step1 {
-                plans: &plans,
-                contexts: &contexts,
-                collapse: &collapse,
-                keys,
-            };
-            self.assemble(&step1, 0..m, best, pass, estimate);
-            let mut mitigation = None;
-            if self.config.contention_mitigation && m > 1 {
-                // Candidate orders, all evaluated with the contention-aware
-                // estimate after the full vertical passes: the arrival
-                // order (the incumbent), the Algorithm-2 mitigation order,
-                // plus two cheap deterministic heuristics
-                // (longest-total-first, and a heavy/light interleave that
-                // spreads both load and contention).
-                let classes: Vec<_> = plans.iter().map(|p| p.class).collect();
-                let outcome = mitigation::mitigate_instrumented(
-                    &classes,
-                    procs.len(),
-                    Some((&self.telemetry.metrics, self.metrics.mitigation)),
-                );
-                let mut by_time: Vec<usize> = (0..m).collect();
-                by_time.sort_by(|&a, &b| {
-                    plans[b]
-                        .total_ms()
-                        .total_cmp(&plans[a].total_ms())
-                        .then(a.cmp(&b))
-                });
-                let mut interleave = Vec::with_capacity(m);
-                let (mut lo, mut hi) = (0usize, by_time.len());
-                while lo < hi {
-                    interleave.push(by_time[lo]);
-                    lo += 1;
-                    if lo < hi {
-                        hi -= 1;
-                        interleave.push(by_time[hi]);
-                    }
-                }
-                let candidates: [(Option<&MitigationOutcome>, &[usize]); 3] = [
-                    (Some(&outcome), &outcome.order),
-                    (None, &by_time),
-                    (None, &interleave),
-                ];
-                for (i, &(mit, order)) in candidates.iter().enumerate() {
-                    // An order already assembled would reproduce its own
-                    // estimate, which cannot undercut the hysteresis
-                    // against itself or against a best that beat it.
-                    if order.iter().copied().eq(0..m)
-                        || candidates[..i].iter().any(|&(_, earlier)| earlier == order)
-                    {
-                        continue;
-                    }
-                    self.assemble(&step1, order.iter().copied(), candidate, pass, estimate);
-                    // Hysteresis: a re-ordering must beat the incumbent's
-                    // estimate by a clear margin before it is adopted (see
-                    // `PlannerConfig::ORDER_HYSTERESIS`).
-                    if candidate.estimate_ms < best.estimate_ms * PlannerConfig::ORDER_HYSTERESIS {
-                        std::mem::swap(best, candidate);
-                        mitigation = mit.cloned();
-                    }
+        let m = requests.len();
+        let mut best_ms = prepared.score(0..m);
+        prepared.keep();
+        let mut mitigation = None;
+        if self.config.contention_mitigation && m > 1 {
+            // Candidate orders, all evaluated with the contention-aware
+            // estimate after the full vertical passes: the arrival order
+            // (the incumbent), the Algorithm-2 mitigation order, plus two
+            // cheap deterministic heuristics (longest-total-first, and a
+            // heavy/light interleave that spreads both load and
+            // contention).
+            let plans = &prepared.plans;
+            let classes: Vec<_> = plans.iter().map(|p| p.class).collect();
+            let outcome = mitigation::mitigate_instrumented(
+                &classes,
+                self.pipeline_procs().len(),
+                Some((&self.telemetry.metrics, self.metrics.mitigation)),
+            );
+            let mut by_time: Vec<usize> = (0..m).collect();
+            by_time.sort_by(|&a, &b| {
+                plans[b]
+                    .total_ms()
+                    .total_cmp(&plans[a].total_ms())
+                    .then(a.cmp(&b))
+            });
+            let mut interleave = Vec::with_capacity(m);
+            let (mut lo, mut hi) = (0usize, by_time.len());
+            while lo < hi {
+                interleave.push(by_time[lo]);
+                lo += 1;
+                if lo < hi {
+                    hi -= 1;
+                    interleave.push(by_time[hi]);
                 }
             }
-
-            // The adopted order becomes the plan: the step-1 plans sorted
-            // into it (an unstable sort by position never allocates), each
-            // position given the stages it ended with.
-            inverse.clear();
-            inverse.resize(m, 0);
-            for (pos, &orig) in best.order.iter().enumerate() {
-                inverse[orig] = pos;
-            }
-            let mut requests = plans;
-            requests.sort_unstable_by_key(|r| inverse[r.request]);
-            for (req, &row) in requests.iter_mut().zip(&best.rows) {
-                match row {
-                    RowStages::Base => {}
-                    RowStages::Adopted(i) => {
-                        req.stages = std::mem::take(&mut best.adopted[i].1);
-                    }
-                    RowStages::Collapsed(slot) => {
-                        if let Some((stages, _)) = &collapse[req.request][slot] {
-                            req.stages.clone_from(stages);
-                        }
-                    }
+            let candidates: [(Option<&MitigationOutcome>, &[usize]); 3] = [
+                (Some(&outcome), &outcome.order),
+                (None, &by_time),
+                (None, &interleave),
+            ];
+            for (i, &(mit, order)) in candidates.iter().enumerate() {
+                // An order already assembled would reproduce its own
+                // estimate, which cannot undercut the hysteresis against
+                // itself or against a best that beat it.
+                if order.iter().copied().eq(0..m)
+                    || candidates[..i].iter().any(|&(_, earlier)| earlier == order)
+                {
+                    continue;
+                }
+                let ms = prepared.score(order.iter().copied());
+                // Hysteresis: a re-ordering must beat the incumbent's
+                // estimate by a clear margin before it is adopted (see
+                // `PlannerConfig::ORDER_HYSTERESIS`).
+                if ms < best_ms * PlannerConfig::ORDER_HYSTERESIS {
+                    best_ms = ms;
+                    prepared.keep();
+                    mitigation = mit.cloned();
                 }
             }
-            worksteal::apply_merges(&mut contexts, &collapse, &best.merges);
-            let tail_merges = best.merges.len();
-            // The pool keeps buffers, not stage vectors, between plans.
-            best.adopted.clear();
-            candidate.adopted.clear();
-            let plan = PipelinePlan {
-                procs: procs.to_vec(),
-                requests,
-            };
-            (plan, mitigation, best.steal, tail_merges)
-        });
+        }
+        let mut planned = prepared.into_plan();
+        planned.mitigation = mitigation;
 
         let (metrics, h) = (&self.telemetry.metrics, &self.metrics);
         metrics.gauge_add(h.assemble_ms, assemble_start.elapsed().as_secs_f64() * 1e3);
         metrics.inc(h.plans);
         metrics.add(h.requests, requests.len() as u64);
-        metrics.add(h.tail_merges, tail_merges as u64);
-        if let Some(s) = &steal {
+        metrics.add(h.tail_merges, planned.tail_merges as u64);
+        if let Some(s) = &planned.steal {
             metrics.add(h.steal_windows, s.windows as u64);
             metrics.add(h.steal_adjustments, s.adjustments as u64);
             metrics.gauge_add(
@@ -1071,13 +1197,6 @@ impl Planner {
                 .record(trace_id, RequestId(r), 0.0, LifecycleStage::Plan);
         }
 
-        let planned = PlannedPipeline {
-            plan,
-            contexts,
-            mitigation,
-            steal,
-            tail_merges,
-        };
         // Debug builds statically verify every plan this planner emits; a
         // lint error here is a planner bug, never an input problem.
         #[cfg(debug_assertions)]

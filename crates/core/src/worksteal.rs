@@ -47,7 +47,7 @@ use std::sync::Arc;
 /// Computed once per cost-tables entry, shared behind an `Arc` by every
 /// request that plans the model, and reused across every candidate-order
 /// assembly.
-pub type CollapseSlots = Vec<Option<(Vec<Option<StagePlan>>, RequestContext)>>;
+pub(crate) type CollapseSlots = Vec<Option<(Vec<Option<StagePlan>>, RequestContext)>>;
 
 /// Outcome statistics of the work-stealing pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -578,7 +578,7 @@ pub fn optimize_tail(
 /// tables: the stages and context of collapsing onto each single slot.
 /// The candidates are exactly what [`optimize_tail`]'s inner loop would
 /// rebuild per position — but computed once, from the cached tables.
-pub fn collapse_candidates(
+pub(crate) fn collapse_candidates(
     tables: &RequestTables,
     cost: &CostModel,
     total_slots: usize,
@@ -592,42 +592,10 @@ pub fn collapse_candidates(
         .collect()
 }
 
-/// The cached equivalent of [`optimize_tail`]: the same K-way
-/// single-processor local search with the same visit order and the same
-/// guarded accept (`makespan + 1e-9 < best`), but reading precomputed
-/// [`CollapseSlots`] (indexed by *original* request index) and pricing
-/// each candidate on the column ledger of longest cells, so every
-/// comparison sees the value [`PipelinePlan::estimated_makespan_ms`]
-/// would return for the substituted plan. Bit-identical merge decisions
-/// to the reference.
-///
-/// Returns the merges as `(original request, slot)` pairs in visit order;
-/// the collapsed request's context is `collapse[request][slot]`'s (see
-/// [`apply_merges`]).
-pub fn optimize_tail_cached(
-    plan: &mut PipelinePlan,
-    collapse: &[Arc<CollapseSlots>],
-) -> Vec<(usize, usize)> {
-    let mut pass = PassScratch::default();
-    pass.load(
-        plan.depth(),
-        plan.requests.iter().map(|r| r.stages.as_slice()),
-    );
-    let mut merges = Vec::new();
-    pass.tail(|pos| plan.requests[pos].request, collapse, &mut merges);
-    for (pos, slot) in &mut merges {
-        let req = &mut plan.requests[*pos];
-        if let Some((stages, _)) = &collapse[req.request][*slot] {
-            req.stages.clone_from(stages);
-        }
-        *pos = req.request;
-    }
-    merges
-}
-
-/// Points every request collapsed by [`optimize_tail_cached`] at its
-/// single-slot context: `ctxs` is indexed by original request index.
-pub fn apply_merges(
+/// Points every request the tail search collapsed, given as
+/// `(original request, slot)`, at its single-slot context: `ctxs` is
+/// indexed by original request index.
+pub(crate) fn apply_merges(
     ctxs: &mut [RequestContext],
     collapse: &[Arc<CollapseSlots>],
     merges: &[(usize, usize)],

@@ -55,15 +55,6 @@ impl BatchModel {
         self.slope_ms * b as f64 + self.intercept_ms
     }
 
-    /// Per-item amortized latency at batch size `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b == 0`.
-    pub fn amortized_ms(&self, b: u32) -> f64 {
-        self.latency_ms(b) / b as f64
-    }
-
     /// The smallest batch size whose total latency reaches `target_ms`,
     /// capped at `max_batch`. Used to align a lightweight model's stage
     /// time with a heavyweight co-resident's stage time.
@@ -107,7 +98,7 @@ mod tests {
         let (soc, cm) = setup();
         let gpu = soc.processor_by_name("GPU").unwrap();
         let m = BatchModel::fit(&cm, &ModelId::MobileNetV2.graph(), gpu).unwrap();
-        assert!(m.amortized_ms(8) < m.amortized_ms(1));
+        assert!(m.latency_ms(8) / 8.0 < m.latency_ms(1));
         assert!(m.latency_ms(8) > m.latency_ms(1));
     }
 

@@ -172,15 +172,6 @@ impl ModelGraph {
         }
     }
 
-    /// Whether every layer in `range` is NPU-supported; a slice containing
-    /// an unsupported operator cannot be placed on the NPU and must fall
-    /// back to the CPU/GPU (Sec. IV system model).
-    pub fn npu_supported_range(&self, range: LayerRange) -> bool {
-        self.layers[range.first..=range.last]
-            .iter()
-            .all(|l| l.op.npu_supported())
-    }
-
     /// Whether the model contains any NPU-unsupported operator.
     pub fn fully_npu_supported(&self) -> bool {
         self.layers.iter().all(|l| l.op.npu_supported())
@@ -290,12 +281,14 @@ mod tests {
     #[test]
     fn npu_support_is_per_range() {
         let g = toy();
-        assert!(g.npu_supported_range(LayerRange::new(0, 0)));
-        assert!(
-            !g.npu_supported_range(LayerRange::new(0, 1)),
-            "contains mish"
-        );
-        assert!(g.npu_supported_range(LayerRange::new(2, 2)));
+        let supported = |first: usize, last: usize| {
+            g.layers()[first..=last]
+                .iter()
+                .all(|l| l.op.npu_supported())
+        };
+        assert!(supported(0, 0));
+        assert!(!supported(0, 1), "contains mish");
+        assert!(supported(2, 2));
         assert!(!g.fully_npu_supported());
     }
 

@@ -253,8 +253,7 @@ mod tests {
     #[test]
     fn yolov4_has_supported_prefix_before_first_mish() {
         let g = yolov4();
-        use crate::graph::LayerRange;
-        assert!(g.npu_supported_range(LayerRange::new(0, 0)));
-        assert!(!g.npu_supported_range(LayerRange::new(0, 1)));
+        assert!(g.layers()[0].op.npu_supported());
+        assert!(!g.layers()[1].op.npu_supported());
     }
 }

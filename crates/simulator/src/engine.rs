@@ -1326,7 +1326,8 @@ mod tests {
         let inj = crate::faults::FaultInjector::new(4);
         let (outcome, events) = sim.run_faulted(&inj).expect("runs");
         assert!(outcome.is_complete());
-        assert_eq!(outcome.completed_trace().spans, plain.spans);
+        let completed: Vec<_> = outcome.spans.iter().flatten().cloned().collect();
+        assert_eq!(completed, plain.spans);
         assert!(!events.iter().any(|e| matches!(
             e,
             EngineEvent::ProcessorDown { .. }

@@ -30,7 +30,7 @@
 use crate::memory::MemorySample;
 use crate::processor::ProcessorId;
 use crate::soc::SocSpec;
-use crate::timeline::{Span, Trace};
+use crate::timeline::Span;
 
 /// Throttle factors below this floor are clamped up so a throttled
 /// processor always makes *some* progress — a zero rate with no other
@@ -103,18 +103,6 @@ impl FaultOutcome {
     /// Number of tasks that ran to completion.
     pub fn completed_count(&self) -> usize {
         self.spans.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Builds a [`Trace`] over the completed subset of spans. Span task
-    /// ids keep their original submission indices, so the trace is
-    /// *not* audit-shaped against the original task list — use
-    /// [`crate::audit::audit_faulted`] for that.
-    pub fn completed_trace(&self) -> Trace {
-        Trace {
-            spans: self.spans.iter().flatten().cloned().collect(),
-            memory: self.memory.clone(),
-            processor_count: self.processor_count,
-        }
     }
 }
 

@@ -52,11 +52,6 @@ impl ProcessorKind {
         ProcessorKind::CpuSmall,
     ];
 
-    /// Whether this processor is a CPU cluster (Big or Small).
-    pub fn is_cpu(self) -> bool {
-        matches!(self, ProcessorKind::CpuBig | ProcessorKind::CpuSmall)
-    }
-
     /// Short display label used in traces and experiment output.
     pub fn label(self) -> &'static str {
         match self {
@@ -151,14 +146,6 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(ProcessorKind::CpuBig.label(), "CPU_B");
         assert_eq!(ProcessorKind::Npu.to_string(), "NPU");
-    }
-
-    #[test]
-    fn is_cpu_distinguishes_clusters_from_accelerators() {
-        assert!(ProcessorKind::CpuBig.is_cpu());
-        assert!(ProcessorKind::CpuSmall.is_cpu());
-        assert!(!ProcessorKind::Gpu.is_cpu());
-        assert!(!ProcessorKind::Npu.is_cpu());
     }
 
     #[test]

@@ -89,17 +89,6 @@ impl Trace {
         }
     }
 
-    /// Mean utilization across all processors.
-    pub fn mean_utilization(&self) -> f64 {
-        if self.processor_count == 0 {
-            return 0.0;
-        }
-        (0..self.processor_count)
-            .map(|i| self.utilization(ProcessorId(i)))
-            .sum::<f64>()
-            / self.processor_count as f64
-    }
-
     /// Total idle ("bubble") time summed over processors between the first
     /// and last event on each processor. This is the trace-level analogue
     /// of the paper's pipeline-bubble definition (Def. 3): time a
@@ -246,7 +235,6 @@ mod tests {
         assert_eq!(t.makespan_ms(), 0.0);
         assert_eq!(t.idle_bubble_ms(), 0.0);
         assert_eq!(t.throughput_per_sec(), 0.0);
-        assert_eq!(t.mean_utilization(), 0.0);
         assert!(t.render_gantt(&["A", "B"], 40).contains("empty"));
     }
 

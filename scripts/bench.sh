@@ -6,7 +6,7 @@
 #
 #   scripts/bench.sh                  # full sampling (local profiling)
 #   scripts/bench.sh --quick          # shrunk sampling (finishes in seconds)
-#   scripts/bench.sh --out-dir DIR    # write both snapshots to DIR instead
+#   scripts/bench.sh --out-dir DIR    # write the snapshot to DIR instead
 #                                     # of the workspace root
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,7 +56,3 @@ fi
 
 echo "== validating $H2P_BENCH_OUT"
 cargo run --release -q -p h2p-bench --bin bench_check -- "$H2P_BENCH_OUT"
-
-echo "== planner_phases (telemetry phase timings + cache counters) -> $OUT_DIR/BENCH_planner_phases.json"
-cargo run --release -q -p h2p-bench --bin planner_phases -- \
-    --out "$OUT_DIR/BENCH_planner_phases.json"

@@ -56,13 +56,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 /// Heap allocations allowed per planned request of a Fig. 7 batch. The
-/// batches make 11.9; they made 14.0 while every formatted span name
-/// was a fresh `String`.
+/// batches make 11.6; they made 11.9 while step 1 collected its
+/// requests into a `Vec` before splitting them into plans and contexts,
+/// and 14.0 while every formatted span name was a fresh `String`.
 const BUDGET_PER_REQUEST: f64 = 28.0;
 
 /// Heap allocations allowed per one-request plan, averaged over the zoo.
-/// A one-request plan makes 14.4; it made 18.9 while every formatted
-/// span name was a fresh `String`.
+/// A one-request plan makes 13.4; it made 14.4 before step 1 stopped
+/// collecting its requests twice, and 18.9 while every formatted span
+/// name was a fresh `String`.
 const BUDGET_PER_SINGLE_PLAN: f64 = 29.0;
 
 /// Allocations made by `plan` over every batch, after a warm-up pass

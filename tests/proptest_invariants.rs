@@ -3,7 +3,8 @@
 //! the Hungarian solver, permutation/resolution invariants of contention
 //! mitigation, plan tiling after the full planning pipeline, the planner
 //! against its frozen reference, the order hysteresis, the incremental
-//! column accounting of the vertical passes, simulator determinism and
+//! column accounting of the vertical passes, the exhaustive order search
+//! against the planner's adopted order, simulator determinism and
 //! batching conservation.
 
 use proptest::prelude::*;
@@ -249,15 +250,18 @@ fn steal_by_rescans(
 /// every evaluation SoC: work stealing leaves the stage bits and reports
 /// the `StealReport` (bubble totals to the bit) of
 /// [`steal_by_rescans`], and its bubble totals equal `total_bubble_ms` of
-/// the plan before and after; on the same stolen plan, the cached tail
-/// search makes exactly the merges of the reference search (same stage
-/// bits, same collapsed slots, same count).
+/// the plan before and after. Then, for the arrival order and a seeded
+/// permutation of it, the order scored through `Prepared::score` and
+/// kept ends with the stage bits, steal report, merge count and
+/// collapsed contexts of the reference passes (`align_by_stealing`, then
+/// `optimize_tail`) over the step-1 plan permuted into that order, and
+/// its score is the reference plan's `estimated_makespan_contention_ms`.
 #[test]
 fn incremental_column_accounting_matches_whole_plan_rescans() {
+    use hetero2pipe::plan::PipelinePlan;
     use hetero2pipe::planner::{Planner, PlannerConfig};
     use hetero2pipe::workload::random_combinations;
     use hetero2pipe::worksteal;
-    use std::sync::Arc;
 
     // Step 1 alone: arrival order, min-max partitions, base contexts.
     let step1 = PlannerConfig {
@@ -269,9 +273,12 @@ fn incremental_column_accounting_matches_whole_plan_rescans() {
     let (mut adjustments, mut merges_seen) = (0usize, 0usize);
     for (seed, soc) in SocSpec::evaluation_platforms().into_iter().enumerate() {
         let planner = Planner::with_config(&soc, step1).expect("planner trains");
+        let passes = Planner::new(&soc).expect("planner trains");
         let est = planner.estimator();
-        let procs = planner.pipeline_procs();
-        for ids in random_combinations(0x434f_4c53 + seed as u64, 24, 1, 12) {
+        for (combo, ids) in random_combinations(0x434f_4c53 + seed as u64, 24, 1, 12)
+            .into_iter()
+            .enumerate()
+        {
             let graphs: Vec<_> = ids.iter().map(|m| m.graph()).collect();
             let base = planner.plan(&graphs).expect("plans");
             let mut stolen = base.plan.clone();
@@ -307,51 +314,101 @@ fn incremental_column_accounting_matches_whole_plan_rescans() {
             );
             adjustments += report.adjustments;
 
-            let mut reference = stolen.clone();
-            let mut reference_ctxs = base.contexts.clone();
-            let reference_merges =
-                worksteal::optimize_tail(&mut reference, &mut reference_ctxs, est);
-            let collapse: Vec<_> = graphs
-                .iter()
-                .map(|g| {
-                    let (tables, _) = est.tables_cached(g, procs);
-                    Arc::new(worksteal::collapse_candidates(
-                        &tables,
-                        est.cost(),
-                        procs.len(),
-                    ))
-                })
-                .collect();
-            let mut cached = stolen.clone();
-            let merges = worksteal::optimize_tail_cached(&mut cached, &collapse);
-            assert_eq!(
-                merges.len(),
-                reference_merges,
-                "{ids:?} on {}: merge count",
-                soc.name
-            );
-            assert_eq!(
-                stage_bits(&cached),
-                stage_bits(&reference),
-                "{ids:?} on {}: stage bits after the tail search",
-                soc.name
-            );
-            let mut ctxs = base.contexts.clone();
-            worksteal::apply_merges(&mut ctxs, &collapse, &merges);
-            for &(request, slot) in &merges {
-                assert_eq!(reference_ctxs[request].active_slots, vec![slot]);
-            }
-            for (r, ctx) in ctxs.iter().enumerate() {
+            // The arrival order and a seeded rotation-and-reversal of it.
+            let m = graphs.len();
+            let shift = combo % m;
+            let permuted: Vec<usize> = (0..m).map(|p| (m - 1 - p + shift) % m).collect();
+            for order in [(0..m).collect::<Vec<_>>(), permuted] {
+                let mut reference = PipelinePlan {
+                    procs: base.plan.procs.clone(),
+                    requests: order
+                        .iter()
+                        .map(|&i| base.plan.requests[i].clone())
+                        .collect(),
+                };
+                let mut reference_ctxs = base.contexts.clone();
+                let reference_steal =
+                    worksteal::align_by_stealing(&mut reference, |r| &base.contexts[r], est.cost());
+                let reference_merges =
+                    worksteal::optimize_tail(&mut reference, &mut reference_ctxs, est);
+
+                let mut prepared = passes.prepare(&graphs).expect("prepares");
+                let score = prepared.score(order.iter().copied());
+                prepared.keep();
+                let scored = prepared.into_plan();
                 assert_eq!(
-                    ctx.active_slots, reference_ctxs[r].active_slots,
-                    "{ids:?} on {}: request {r} collapsed differently",
+                    score.to_bits(),
+                    reference.estimated_makespan_contention_ms(&soc).to_bits(),
+                    "{ids:?} order {order:?} on {}: score",
                     soc.name
                 );
+                assert_eq!(
+                    stage_bits(&scored.plan),
+                    stage_bits(&reference),
+                    "{ids:?} order {order:?} on {}: stage bits after the passes",
+                    soc.name
+                );
+                assert_eq!(scored.steal, Some(reference_steal));
+                assert_eq!(
+                    scored.tail_merges, reference_merges,
+                    "{ids:?} order {order:?} on {}: merge count",
+                    soc.name
+                );
+                for (r, ctx) in scored.contexts.iter().enumerate() {
+                    assert_eq!(
+                        ctx.active_slots, reference_ctxs[r].active_slots,
+                        "{ids:?} order {order:?} on {}: request {r} collapsed differently",
+                        soc.name
+                    );
+                }
+                merges_seen += scored.tail_merges;
             }
-            merges_seen += merges.len();
         }
     }
     assert!(adjustments > 0 && merges_seen > 0, "the passes must act");
+}
+
+/// Fig. 8(a)'s exhaustive search and the planner score orders through
+/// the same steps 2–3: over seeded 3–6-request sets on every evaluation
+/// SoC, the order `Planner::plan` adopted scores exactly the
+/// `estimated_makespan_contention_ms` of the plan it returned, and a
+/// complete exhaustive search, which scores that order among all the
+/// others, finds a best score no higher.
+#[test]
+fn exhaustive_search_never_scores_above_the_adopted_order() {
+    use h2p_baselines::exhaustive;
+    use hetero2pipe::planner::Planner;
+    use hetero2pipe::workload::random_combinations;
+
+    for (seed, soc) in SocSpec::evaluation_platforms().into_iter().enumerate() {
+        let planner = Planner::new(&soc).expect("planner trains");
+        for ids in random_combinations(0x4558_4853 + seed as u64, 8, 3, 6) {
+            let graphs: Vec<_> = ids.iter().map(|m| m.graph()).collect();
+            let planned = planner.plan(&graphs).expect("plans");
+            let adopted: Vec<usize> = planned.plan.requests.iter().map(|r| r.request).collect();
+            let score = planner
+                .prepare(&graphs)
+                .expect("prepares")
+                .score(adopted.iter().copied());
+            assert_eq!(
+                score.to_bits(),
+                planned
+                    .plan
+                    .estimated_makespan_contention_ms(&soc)
+                    .to_bits(),
+                "{ids:?} on {}: the adopted order's score",
+                soc.name
+            );
+            let search = exhaustive::run(&soc, &graphs, usize::MAX).expect("searches");
+            assert!(search.complete);
+            assert!(
+                search.best_estimate_ms <= score,
+                "{ids:?} on {}: exhaustive best {} above the adopted order's {score}",
+                soc.name,
+                search.best_estimate_ms
+            );
+        }
+    }
 }
 
 /// Scaling every stage cost by `c` scales the DP optimum by `c` (a

@@ -49,7 +49,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 /// Heap allocations allowed per generated request. The stream makes
-/// 52.0 (77.1 per dispatch); it made 56.3 (83.5 per dispatch) while
+/// 51.3 (76.1 per dispatch); it made 52.0 (77.1 per dispatch) before
+/// step 1 stopped collecting its requests twice, 56.3 (83.5 per
+/// dispatch) while
 /// every formatted span name was a fresh `String`, 58.8 (87.3 per
 /// dispatch) while survivor replans cloned every request's context, and
 /// 86.3 before the faulted audit ran in place and the round state was
